@@ -45,76 +45,18 @@ from .kernels import (
 )
 from .sampler import FbmPath, SamplerConfig, increments, sample_fbm
 from .statistics import (
+    FORMS,
+    FormSpec,
     RegimeLabel,
     RegimeName,
     StatForm,
     StatisticSpec,
-    centered_quadratic_stat,
     classify_regime,
-    compensated_cubic_stat,
     evaluate_statistic,
     limit_functional,
-    mixing_normalized_stat,
-    odd_weighted_stat,
-    raw_weighted_sum,
     require_form_admissible,
-    unweighted_stat,
 )
 from .weights import WeightFunction, builtin, check_derivatives, linear_combination
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BreuerMajorSpec",
-    "ConfigError",
-    "DegenerateFit",
-    "EmbeddingError",
-    "ExperimentPlan",
-    "FbmPath",
-    "FbmvarError",
-    "GridIndexPair",
-    "HurstIndex",
-    "KappaError",
-    "McRecord",
-    "McReport",
-    "OrderError",
-    "RateFit",
-    "RegimeError",
-    "RegimeLabel",
-    "RegimeName",
-    "SamplerConfig",
-    "SizeError",
-    "StatForm",
-    "StatisticSpec",
-    "UnknownWeight",
-    "WeightFunction",
-    "as_hurst",
-    "breuer_major_variance",
-    "builtin",
-    "centered_quadratic_stat",
-    "check_derivatives",
-    "classify_regime",
-    "compensated_cubic_stat",
-    "covariance",
-    "covariance_matrix",
-    "delta_delta_inner",
-    "eps_delta_inner",
-    "evaluate_statistic",
-    "fit_rate",
-    "gaussian_moment",
-    "gram_matrix",
-    "hermite_coefficients",
-    "increment_autocov",
-    "increment_autocov_seq",
-    "increments",
-    "limit_functional",
-    "linear_combination",
-    "mixing_normalized_stat",
-    "odd_weighted_stat",
-    "raw_weighted_sum",
-    "require_form_admissible",
-    "run_clt_diagnostics",
-    "run_l2_experiment",
-    "sample_fbm",
-    "unweighted_stat",
-]

@@ -12,34 +12,30 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import kernels, weights
 from .errors import ConfigError, EmbeddingError, FbmvarError, RegimeError
-from .harness import ExperimentPlan, McReport, run_clt_diagnostics, run_l2_experiment
+from .harness import ExperimentPlan, McRecord, McReport, rate_target, run_clt_diagnostics, run_l2_experiment
 from .sampler import SamplerConfig, dump_path, sample_fbm
-from .statistics import (
-    DIAGNOSTIC_FORMS,
-    L2_FORMS,
-    StatForm,
-    StatisticSpec,
-    classify_regime,
-)
+from .statistics import FORMS, StatisticSpec, classify_regime
 
-CSV_HEADER = "n,H,kappa,weight,form,l2_error,stderr,stat_mean,stat_var,skewness,excess_kurtosis"
+# every McRecord field but n, which leads the row before the plan columns
+_STAT_FIELDS = tuple(f.name for f in dataclasses.fields(McRecord) if f.name != "n")
+CSV_HEADER = ",".join(("n", "H", "kappa", "weight", "form") + _STAT_FIELDS)
 
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class PlanEntry:
     name: str
     plan: ExperimentPlan
@@ -80,10 +76,7 @@ def parse_config(path, seed_override=None, replicas_override=None) -> list[PlanE
             replicas = int(replicas_override if replicas_override is not None else sec["replicas"])
             seed = int(seed_override if seed_override is not None else sec["seed"])
             method = sec.get("method", "circulant")
-            form = StatForm(sec["form"])
-            spec = StatisticSpec(kappa=kappa, weight=sec["weight"], form=form)
-            if spec.form not in L2_FORMS + DIAGNOSTIC_FORMS:
-                raise ValueError(f"form '{spec.form.value}' is not runnable as an experiment")
+            spec = StatisticSpec(kappa=kappa, weight=sec["weight"], form=sec["form"])
             if spec.weight not in weights.BUILTIN_IDS:
                 raise ValueError(f"unknown weight id '{spec.weight}'")
             plan = ExperimentPlan(
@@ -101,25 +94,10 @@ def parse_config(path, seed_override=None, replicas_override=None) -> list[PlanE
 
 
 def _write_csv(path: Path, plan: ExperimentPlan, report: McReport) -> None:
+    lead = [_fmt(plan.hurst.value), str(plan.spec.kappa), plan.spec.weight, plan.spec.form.value]
     lines = [CSV_HEADER]
     for rec in report.records:
-        lines.append(
-            ",".join(
-                [
-                    str(rec.n),
-                    _fmt(plan.hurst.value),
-                    str(plan.spec.kappa),
-                    plan.spec.weight,
-                    plan.spec.form.value,
-                    _fmt(rec.l2_error),
-                    _fmt(rec.stderr),
-                    _fmt(rec.stat_mean),
-                    _fmt(rec.stat_var),
-                    _fmt(rec.skewness),
-                    _fmt(rec.excess_kurtosis),
-                ]
-            )
-        )
+        lines.append(",".join([str(rec.n), *lead, *(_fmt(getattr(rec, f)) for f in _STAT_FIELDS)]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -136,25 +114,8 @@ def _write_json(path: Path, name: str, plan: ExperimentPlan, report: McReport) -
             "seed": plan.seed,
             "method": plan.method,
         },
-        "records": [
-            {
-                "n": rec.n,
-                "l2_error": rec.l2_error,
-                "stderr": rec.stderr,
-                "stat_mean": rec.stat_mean,
-                "stat_var": rec.stat_var,
-                "skewness": rec.skewness,
-                "excess_kurtosis": rec.excess_kurtosis,
-            }
-            for rec in report.records
-        ],
-        "rate_fit": None
-        if report.rate_fit is None
-        else {
-            "slope": report.rate_fit.slope,
-            "intercept": report.rate_fit.intercept,
-            "r_squared": report.rate_fit.r_squared,
-        },
+        "records": [dataclasses.asdict(rec) for rec in report.records],
+        "rate_fit": None if report.rate_fit is None else dataclasses.asdict(report.rate_fit),
     }
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n")
 
@@ -163,13 +124,16 @@ def _write_dat(path: Path, plan: ExperimentPlan, report: McReport) -> None:
     # log-log plot data; diagnostic plans plot the unnormalized sum variance
     lines = []
     for rec in report.records:
-        y = rec.l2_error if plan.spec.form in L2_FORMS else rec.n * rec.stat_var
+        y = rate_target(plan.spec, rec)
         if y > 0:
             lines.append(f"{_fmt(math.log(rec.n))} {_fmt(math.log(y))}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def cmd_run(config_path, out_dir, seed=None, replicas=None, threads=1, dump_paths=False) -> int:
+    if threads < 1:
+        print(f"error: --threads must be >= 1, got {threads}", file=sys.stderr)
+        return 2
     try:
         entries = parse_config(config_path, seed_override=seed, replicas_override=replicas)
     except ConfigError as exc:
@@ -180,10 +144,8 @@ def cmd_run(config_path, out_dir, seed=None, replicas=None, threads=1, dump_path
     try:
         for entry in entries:
             plan = entry.plan
-            if plan.spec.form in L2_FORMS:
-                report = run_l2_experiment(plan, threads=threads)
-            else:
-                report = run_clt_diagnostics(plan, threads=threads)
+            runner = run_clt_diagnostics if FORMS[plan.spec.form].limit is None else run_l2_experiment
+            report = runner(plan, threads=threads)
             _write_csv(out / f"{entry.out_stem}.csv", plan, report)
             _write_json(out / f"{entry.out_stem}.json", entry.name, plan, report)
             _write_dat(out / f"{entry.out_stem}.dat", plan, report)
@@ -335,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override every plan's seed")
     p_run.add_argument("--replicas", type=int, default=None, help="override every plan's replica count")
-    p_run.add_argument("--threads", type=int, default=1, help="worker thread cap")
+    p_run.add_argument("--threads", type=int, default=1, help="worker thread cap (>= 1; also capped by cores)")
     p_run.add_argument("--dump-paths", action="store_true", help="dump replica-0 paths as text")
 
     p_reg = sub.add_parser("regimes", help="print the regime classification table")

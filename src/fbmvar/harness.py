@@ -10,6 +10,7 @@ makes every reported number bit-identical across thread counts.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -19,15 +20,7 @@ import numpy as np
 from .errors import DegenerateFit
 from .kernels import HurstIndex, as_hurst
 from .sampler import SamplerConfig, sample_fbm
-from .statistics import (
-    DIAGNOSTIC_FORMS,
-    L2_FORMS,
-    StatForm,
-    StatisticSpec,
-    evaluate_statistic,
-    limit_functional,
-    require_form_admissible,
-)
+from .statistics import FORMS, StatisticSpec, evaluate_statistic, limit_functional, require_form_admissible
 from .weights import builtin
 
 
@@ -81,17 +74,22 @@ class McReport:
 
 
 def _replica_map(fn: Callable[[int], tuple], replicas: int, threads: int) -> np.ndarray:
-    """Evaluate fn(r) for r = 0..replicas-1 into an array ordered by r."""
+    """Evaluate fn(r) for r = 0..replicas-1 into an array ordered by r.
+
+    Workers are capped by the cores this process may run on and by the
+    replica count: more threads than that only add switching cost.
+    """
     out = np.empty((replicas, 2), dtype=np.float64)
 
     def work(r: int) -> None:
         out[r, :] = fn(r)
 
-    if threads <= 1:
+    workers = min(threads, len(os.sched_getaffinity(0)), replicas)
+    if workers <= 1:
         for r in range(replicas):
             work(r)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(work, range(replicas)))
     return out
 
@@ -122,31 +120,34 @@ def variance_stderr(x: np.ndarray) -> float:
     return math.sqrt(max(inner, 0.0) / r)
 
 
-def run_l2_experiment(plan: ExperimentPlan, threads: int = 1) -> McReport:
-    """Estimate E[(statistic - pathwise limit)^2] along the ladder.
+def rate_target(spec: StatisticSpec, rec: McRecord) -> float:
+    """What the rate fit regresses on n (log-log): l2_error for a form with a
+    pathwise limit, the unnormalized sum variance n * stat_var otherwise."""
+    return rec.n * rec.stat_var if FORMS[spec.form].limit is None else rec.l2_error
 
-    For each n the report records the mean of the squared pathwise gap, its
-    standard error, and moments of the statistic sample; the rate fit
-    regresses log(l2_error) on log(n).
-    """
-    if plan.spec.form not in L2_FORMS:
-        raise ValueError(f"run_l2_experiment needs an L2-limit form, got {plan.spec.form.value}")
-    require_form_admissible(plan.spec.form, plan.spec.kappa, plan.hurst)
-    h = builtin(plan.spec.weight)
+
+def _run_ladder(plan: ExperimentPlan, threads: int) -> McReport:
+    """The ladder loop of both runners; its reduction depends on whether the form has a limit."""
+    spec = plan.spec
+    has_limit = FORMS[spec.form].limit is not None
+    require_form_admissible(spec.form, spec.kappa, plan.hurst)
+    h = builtin(spec.weight)
     records = []
     for n in plan.n_ladder:
         def one(r: int, n=n) -> tuple:
             cfg = SamplerConfig(method=plan.method, seed=plan.seed, stream=r)
             path = sample_fbm(plan.hurst, n, cfg)
-            stat = evaluate_statistic(path, h, plan.spec)
-            lim = limit_functional(path, h, plan.spec.form, plan.spec.kappa)
-            return stat, lim
+            stat = evaluate_statistic(path, h, spec)
+            return stat, (limit_functional(path, h, spec.form, spec.kappa) if has_limit else 0.0)
 
         vals = _replica_map(one, plan.replicas, threads)
         stats = vals[:, 0]
-        gaps_sq = (vals[:, 0] - vals[:, 1]) ** 2
-        l2 = float(np.mean(gaps_sq))
-        stderr = float(np.std(gaps_sq, ddof=1) / math.sqrt(plan.replicas))
+        if has_limit:
+            gaps_sq = (stats - vals[:, 1]) ** 2
+            l2 = float(np.mean(gaps_sq))
+            stderr = float(np.std(gaps_sq, ddof=1) / math.sqrt(plan.replicas))
+        else:
+            l2, stderr = 0.0, variance_stderr(stats)
         mean, var, skew, exkurt, _, _ = _sample_moments(stats)
         records.append(
             McRecord(
@@ -160,10 +161,22 @@ def run_l2_experiment(plan: ExperimentPlan, threads: int = 1) -> McReport:
             )
         )
     fit = None
-    errors = [rec.l2_error for rec in records]
-    if len(records) >= 3 and all(e > 0 for e in errors):
-        fit = fit_rate([rec.n for rec in records], errors)
+    ys = [rate_target(spec, rec) for rec in records]
+    if len(records) >= 3 and all(y > 0 for y in ys):
+        fit = fit_rate([rec.n for rec in records], ys)
     return McReport(records=tuple(records), rate_fit=fit)
+
+
+def run_l2_experiment(plan: ExperimentPlan, threads: int = 1) -> McReport:
+    """Estimate E[(statistic - pathwise limit)^2] along the ladder.
+
+    For each n the report records the mean of the squared pathwise gap, its
+    standard error, and moments of the statistic sample; the rate fit
+    regresses log(l2_error) on log(n).
+    """
+    if FORMS[plan.spec.form].limit is None:
+        raise ValueError(f"run_l2_experiment needs an L2-limit form, got {plan.spec.form.value}")
+    return _run_ladder(plan, threads)
 
 
 def run_clt_diagnostics(plan: ExperimentPlan, threads: int = 1) -> McReport:
@@ -175,36 +188,9 @@ def run_clt_diagnostics(plan: ExperimentPlan, threads: int = 1) -> McReport:
     unnormalized sum variance, log(n * stat_var), on log(n), matching the
     second-moment scaling question for the mixing regime.
     """
-    if plan.spec.form not in DIAGNOSTIC_FORMS:
+    if FORMS[plan.spec.form].limit is not None:
         raise ValueError(f"run_clt_diagnostics needs a diagnostic form, got {plan.spec.form.value}")
-    require_form_admissible(plan.spec.form, plan.spec.kappa, plan.hurst)
-    h = builtin(plan.spec.weight)
-    records = []
-    for n in plan.n_ladder:
-        def one(r: int, n=n) -> tuple:
-            cfg = SamplerConfig(method=plan.method, seed=plan.seed, stream=r)
-            path = sample_fbm(plan.hurst, n, cfg)
-            return evaluate_statistic(path, h, plan.spec), 0.0
-
-        vals = _replica_map(one, plan.replicas, threads)
-        stats = vals[:, 0]
-        mean, var, skew, exkurt, _, _ = _sample_moments(stats)
-        records.append(
-            McRecord(
-                n=n,
-                l2_error=0.0,
-                stderr=variance_stderr(stats),
-                stat_mean=mean,
-                stat_var=var,
-                skewness=skew,
-                excess_kurtosis=exkurt,
-            )
-        )
-    fit = None
-    scaled = [rec.n * rec.stat_var for rec in records]
-    if len(records) >= 3 and all(v > 0 for v in scaled):
-        fit = fit_rate([rec.n for rec in records], scaled)
-    return McReport(records=tuple(records), rate_fit=fit)
+    return _run_ladder(plan, threads)
 
 
 def fit_rate(ns: Sequence[float], errors: Sequence[float]) -> RateFit:

@@ -81,9 +81,7 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
 @lru_cache(maxsize=64)
 def _circulant_coeffs(h: float, n: int):
     """Fourier synthesis coefficients sqrt(lambda/(2m)) for unit fGn of length n."""
-    rho = increment_autocov_seq(h, n)
-    row = np.concatenate([rho, rho[-2:0:-1]]) if n > 1 else rho
-    lam = np.fft.fft(row).real
+    lam = circulant_eigenvalues(h, n)
     lmax = float(lam.max())
     lmin = float(lam.min())
     if lmin < -EIG_TOL * lmax:

@@ -1,12 +1,14 @@
 """Renormalized power-variation statistics and their pathwise limits.
 
-Each statistic is the literal left-hand side of one of the limit displays for
-weighted/unweighted kappa-variations of fBm; weights are always evaluated at
-the left endpoint B_{k/n}. `limit_functional` provides the matching discrete
-right-hand side on the same path (left-endpoint Riemann sum with step 1/n), so
-the mean-square gap between the two is exactly the quantity the L2 theorems
-drive to zero. `classify_regime` maps (kappa, H, weighted?) to the governing
-limit regime.
+`FORMS` is the paper's table: one `FormSpec` row per statistic gives its power
+rule, weighting, normalization, centring, compensator, admissible H interval
+and pathwise limit. Each statistic is the literal left-hand side of one of the
+limit displays for weighted/unweighted kappa-variations of fBm; weights are
+always evaluated at the left endpoint B_{k/n}. `limit_functional` provides the
+matching discrete right-hand side on the same path (left-endpoint Riemann sum
+with step 1/n), so the mean-square gap between the two is exactly the quantity
+the L2 theorems drive to zero. `classify_regime` maps (kappa, H, weighted?) to
+the governing limit regime.
 """
 
 from __future__ import annotations
@@ -21,9 +23,12 @@ from .kernels import as_hurst, gaussian_moment
 from .sampler import FbmPath
 from .weights import WeightFunction
 
+# Endpoints of the theorems' H intervals, and how messages print them.
+SIXTH, QUARTER, HALF, THREE_QUARTERS = 1.0 / 6.0, 0.25, 0.5, 0.75
+_ENDPOINT_TEXT = {0.0: "0", SIXTH: "1/6", QUARTER: "1/4", HALF: "1/2", THREE_QUARTERS: "3/4"}
+
 
 class StatForm(str, Enum):
-    RAW_WEIGHTED = "raw_weighted"
     CENTERED_QUADRATIC = "centered_quadratic"
     COMPENSATED_CUBIC = "compensated_cubic"
     ODD_WEIGHTED = "odd_weighted"
@@ -32,8 +37,52 @@ class StatForm(str, Enum):
     MIXING_NORMALIZED = "mixing_normalized"
 
 
-L2_FORMS = (StatForm.CENTERED_QUADRATIC, StatForm.COMPENSATED_CUBIC, StatForm.ODD_WEIGHTED)
-DIAGNOSTIC_FORMS = (StatForm.UNWEIGHTED_CENTERED, StatForm.UNWEIGHTED_ODD, StatForm.MIXING_NORMALIZED)
+@dataclass(frozen=True)
+class FormSpec:
+    """One row of the form table.
+
+    The statistic is n^{aH+b} sum_k (w_k [n^{kappa H} (Delta B_k)^kappa - mu_kappa]
+    + c h'(B_{k/n}) n^{-H}), with w_k = h(B_{k/n}) if `weighted` else 1, the
+    mu_kappa term present if `centred` and c the `compensator`. `limit` is
+    (constant as a function of kappa, derivative order j) of the pathwise limit
+    constant * (1/n) sum_k h^{(j)}(B_{k/n}), or None for a diagnostic form.
+    """
+
+    kappa: tuple  # (smallest kappa, step); step 0 admits only the smallest
+    weighted: bool
+    exponent: tuple  # (a, b) of the outer normalization n^{aH+b}
+    centred: bool
+    compensator: float
+    h_interval: tuple  # (lo, hi, hi closed?); lo is always open
+    limit: tuple | None
+
+    def admits_kappa(self, kappa: int) -> bool:
+        first, step = self.kappa
+        return kappa == first if step == 0 else kappa >= first and (kappa - first) % step == 0
+
+    @property
+    def kappa_rule(self) -> str:
+        first, step = self.kappa
+        if step == 0:
+            return f"kappa = {first}"
+        parity = "odd" if first % 2 else "even"
+        return f"{parity} kappa" if first <= 2 else f"{parity} kappa >= {first}"
+
+    @property
+    def h_rule(self) -> str:
+        lo, hi, closed = self.h_interval
+        return f"H in ({_ENDPOINT_TEXT[lo]}, {_ENDPOINT_TEXT[hi]}{']' if closed else ')'}"
+
+
+FORMS = {
+    # form: FormSpec(kappa, weighted, exponent, centred, compensator, h_interval, limit)
+    StatForm.CENTERED_QUADRATIC:  FormSpec((2, 0), True,  (2, -1),   True,  0.0, (0.0, QUARTER, False),        (lambda k: 0.25, 2)),
+    StatForm.COMPENSATED_CUBIC:   FormSpec((3, 0), True,  (3, -1),   False, 1.5, (0.0, SIXTH, False),          (lambda k: -0.125, 3)),
+    StatForm.ODD_WEIGHTED:        FormSpec((1, 2), True,  (1, -1),   False, 0.0, (0.0, HALF, False),           (lambda k: -0.5 * gaussian_moment(k + 1), 1)),
+    StatForm.UNWEIGHTED_CENTERED: FormSpec((2, 2), False, (0, -0.5), True,  0.0, (0.0, THREE_QUARTERS, False), None),
+    StatForm.UNWEIGHTED_ODD:      FormSpec((3, 2), False, (0, -0.5), False, 0.0, (0.0, HALF, True),            None),
+    StatForm.MIXING_NORMALIZED:   FormSpec((2, 0), True,  (0, -0.5), True,  0.0, (QUARTER, HALF, True),        None),
+}
 
 
 @dataclass(frozen=True)
@@ -46,19 +95,11 @@ class StatisticSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "form", StatForm(self.form))
-        k, form = self.kappa, self.form
-        if k < 1:
-            raise ValueError(f"kappa must be >= 1, got {k}")
-        if form == StatForm.CENTERED_QUADRATIC and k != 2:
-            raise ValueError(f"centered_quadratic requires kappa = 2, got {k}")
-        if form == StatForm.MIXING_NORMALIZED and k != 2:
-            raise ValueError(f"mixing_normalized requires kappa = 2, got {k}")
-        if form == StatForm.COMPENSATED_CUBIC and k != 3:
-            raise ValueError(f"compensated_cubic requires kappa = 3, got {k}")
-        if form in (StatForm.ODD_WEIGHTED, StatForm.UNWEIGHTED_ODD) and k % 2 == 0:
-            raise ValueError(f"form {form.value} requires odd kappa, got {k}")
-        if form == StatForm.UNWEIGHTED_CENTERED and k % 2 == 1:
-            raise ValueError(f"unweighted_centered requires even kappa, got {k}")
+        row = FORMS[self.form]
+        if not row.admits_kappa(self.kappa):
+            raise ValueError(f"{self.form.value} requires {row.kappa_rule}, got kappa = {self.kappa}")
+        if not row.weighted and self.weight != "one":
+            raise ValueError(f"{self.form.value} is unweighted and requires weight = one, got weight '{self.weight}'")
 
 
 class RegimeName(str, Enum):
@@ -78,80 +119,24 @@ class RegimeLabel:
     citation: str
 
 
-def _pow_int(arr: np.ndarray, kappa: int) -> np.ndarray:
-    # repeated multiplication; exact sign handling and faster than pow for small kappa
-    out = arr
-    for _ in range(kappa - 1):
-        out = out * arr
-    return out
-
-
-def _left_and_diff(path: FbmPath):
-    values = path.values
-    return values[:-1], np.diff(values)
-
-
-def raw_weighted_sum(path: FbmPath, h: WeightFunction, kappa: int) -> float:
-    """sum_k h(B_{k/n}) (Delta B_{k/n})^kappa, no normalization."""
-    if kappa < 1:
-        raise KappaError(f"kappa must be >= 1, got {kappa}")
-    left, diff = _left_and_diff(path)
-    return float(np.sum(h(left) * _pow_int(diff, kappa)))
-
-
-def centered_quadratic_stat(path: FbmPath, h: WeightFunction) -> float:
-    """n^{2H-1} sum_k h(B_{k/n}) [n^{2H} (Delta B)^2 - 1]."""
+def evaluate_statistic(path: FbmPath, h: WeightFunction, spec: StatisticSpec) -> float:
+    """The statistic of `spec`'s form row on `path`; h is unused by unweighted forms."""
+    row = FORMS[spec.form]
     hv = path.hurst.value
-    n = path.n
-    left, diff = _left_and_diff(path)
-    bracket = float(n) ** (2.0 * hv) * diff * diff - 1.0
-    return float(n) ** (2.0 * hv - 1.0) * float(np.sum(h(left) * bracket))
-
-
-def compensated_cubic_stat(path: FbmPath, h: WeightFunction) -> float:
-    """n^{3H-1} sum_k [h(B_{k/n}) n^{3H} (Delta B)^3 + (3/2) h'(B_{k/n}) n^{-H}]."""
-    hv = path.hurst.value
-    n = path.n
-    left, diff = _left_and_diff(path)
-    terms = h(left) * (float(n) ** (3.0 * hv) * diff * diff * diff) + 1.5 * h.derivative(1)(left) * float(
-        n
-    ) ** (-hv)
-    return float(n) ** (3.0 * hv - 1.0) * float(np.sum(terms))
-
-
-def odd_weighted_stat(path: FbmPath, h: WeightFunction, kappa: int) -> float:
-    """n^{H-1} sum_k h(B_{k/n}) n^{kappa H} (Delta B)^kappa, kappa odd."""
-    if kappa % 2 == 0:
-        raise KappaError(f"odd_weighted_stat requires odd kappa, got {kappa}")
-    if kappa < 1:
-        raise KappaError(f"kappa must be >= 1, got {kappa}")
-    hv = path.hurst.value
-    n = path.n
-    left, diff = _left_and_diff(path)
-    terms = h(left) * (float(n) ** (kappa * hv) * _pow_int(diff, kappa))
-    return float(n) ** (hv - 1.0) * float(np.sum(terms))
-
-
-def unweighted_stat(path: FbmPath, kappa: int) -> float:
-    """n^{-1/2} sum_k [n^{kappa H} (Delta B)^kappa - mu_kappa] (mu odd = 0)."""
-    if kappa < 2:
-        raise KappaError(f"kappa must be >= 2, got {kappa}")
-    hv = path.hurst.value
-    n = path.n
-    diff = np.diff(path.values)
-    terms = float(n) ** (kappa * hv) * _pow_int(diff, kappa)
-    if kappa % 2 == 0:
-        terms = terms - gaussian_moment(kappa)
-    return float(n) ** (-0.5) * float(np.sum(terms))
-
-
-def mixing_normalized_stat(path: FbmPath, h: WeightFunction) -> float:
-    """n^{-1/2} sum_k h(B_{k/n}) [n^{2H} (Delta B)^2 - 1]."""
-    hv = path.hurst.value
-    n = path.n
-    left, diff = _left_and_diff(path)
-    bracket = float(n) ** (2.0 * hv) * diff * diff - 1.0
-    return float(n) ** (-0.5) * float(np.sum(h(left) * bracket))
+    n = float(path.n)
+    left, diff = path.values[:-1], np.diff(path.values)
+    # left to right, ((n^{kappa H} Delta) Delta) ...
+    terms = n ** (spec.kappa * hv) * diff
+    for _ in range(spec.kappa - 1):
+        terms = terms * diff
+    if row.centred:
+        terms = terms - gaussian_moment(spec.kappa)
+    if row.weighted:
+        terms = h(left) * terms
+    if row.compensator:
+        terms = terms + row.compensator * h.derivative(1)(left) * n ** (-hv)
+    a, b = row.exponent
+    return n ** (a * hv + b) * float(np.sum(terms))
 
 
 def limit_functional(path: FbmPath, h: WeightFunction, form: StatForm, kappa: int | None = None) -> float:
@@ -161,29 +146,47 @@ def limit_functional(path: FbmPath, h: WeightFunction, form: StatForm, kappa: in
     form and (-mu_{kappa+1}/2, h') for the odd form, which needs kappa.
     """
     form = StatForm(form)
-    if form == StatForm.CENTERED_QUADRATIC:
-        c, order = 0.25, 2
-    elif form == StatForm.COMPENSATED_CUBIC:
-        c, order = -0.125, 3
-    elif form == StatForm.ODD_WEIGHTED:
-        if kappa is None:
-            raise KappaError("odd_weighted limit needs kappa to fix the drift constant")
-        if kappa % 2 == 0:
-            raise KappaError(f"odd_weighted limit requires odd kappa, got {kappa}")
-        c, order = -0.5 * gaussian_moment(kappa + 1), 1
-    else:
+    row = FORMS[form]
+    if row.limit is None:
         raise ValueError(f"no pathwise limit functional for form {form.value!r}")
+    if kappa is None:
+        if row.kappa[1]:
+            raise KappaError(f"{form.value} limit needs kappa to fix the drift constant")
+        kappa = row.kappa[0]
+    if not row.admits_kappa(kappa):
+        raise KappaError(f"{form.value} limit requires {row.kappa_rule}, got {kappa}")
+    constant, order = row.limit
     if order > h.max_order:
         raise OrderError(f"weight {h.id!r} lacks derivative order {order}")
     left = path.values[:-1]
-    return c * float(np.mean(h.derivative(order)(left)))
+    return constant(kappa) * float(np.mean(h.derivative(order)(left)))
 
 
-_BOUNDARIES = (1.0 / 6.0, 0.25, 0.5, 0.75)
+def _near(hv: float, b: float) -> bool:
+    return abs(hv - b) < 1e-12
 
 
-def _is_boundary(hv: float, which) -> bool:
-    return any(abs(hv - b) < 1e-12 for b in which)
+def require_form_admissible(form: StatForm, kappa: int, H) -> None:
+    """Raise RegimeError unless (kappa, H) satisfies the hypothesis of `form`.
+
+    Uses each theorem's own interval (a statistic like the odd drift sum is
+    admissible on all of 0 < H < 1/2, including below 1/6 where the cubic
+    theorem also has something to say about a different statistic). H within
+    1e-12 of an open endpoint is outside.
+    """
+    form = StatForm(form)
+    row = FORMS[form]
+    hv = as_hurst(H).value
+    lo, hi, closed = row.h_interval
+    above = hv > lo and not _near(hv, lo)
+    below = (hv < hi or _near(hv, hi)) if closed else (hv < hi and not _near(hv, hi))
+    if not row.admits_kappa(kappa):
+        need = row.kappa_rule
+    elif not (above and below):
+        need = row.h_rule
+    else:
+        return
+    raise RegimeError(f"form {form.value} with kappa={kappa} requires {need}; got H={hv}")
 
 
 def classify_regime(kappa: int, H, weighted: bool) -> RegimeLabel:
@@ -200,15 +203,15 @@ def classify_regime(kappa: int, H, weighted: bool) -> RegimeLabel:
     even = kappa % 2 == 0
 
     if not weighted:
-        if _is_boundary(hv, (0.5,)):
+        if _near(hv, HALF):
             return RegimeLabel(
                 RegimeName.BROWNIAN_CLT,
                 "classical CLT for Brownian kappa-variation: N(0, mu_{2k} - mu_k^2)",
             )
         if even:
-            if _is_boundary(hv, (0.75,)):
+            if _near(hv, THREE_QUARTERS):
                 return RegimeLabel(RegimeName.BOUNDARY_UNSUPPORTED, "H = 3/4 separates the Gaussian and Rosenblatt regimes")
-            if hv < 0.75:
+            if hv < THREE_QUARTERS:
                 return RegimeLabel(
                     RegimeName.BREUER_MAJOR_CLT,
                     "Breuer-Major CLT, even power, H < 3/4: N(0, sigma^2(H, kappa))",
@@ -217,7 +220,7 @@ def classify_regime(kappa: int, H, weighted: bool) -> RegimeLabel:
                 RegimeName.ROSENBLATT,
                 "non-central limit (Taqqu): n^{1-2H}-normalized sum tends to a Rosenblatt variable",
             )
-        if hv < 0.5:
+        if hv < HALF:
             return RegimeLabel(
                 RegimeName.BREUER_MAJOR_CLT,
                 "Breuer-Major CLT, odd power, H < 1/2: N(0, sigma^2(H, kappa))",
@@ -228,7 +231,7 @@ def classify_regime(kappa: int, H, weighted: bool) -> RegimeLabel:
         )
 
     # weighted
-    if _is_boundary(hv, (0.5,)):
+    if _near(hv, HALF):
         which = "even power" if even else "odd power"
         return RegimeLabel(
             RegimeName.MIXING_CONJECTURE,
@@ -236,30 +239,30 @@ def classify_regime(kappa: int, H, weighted: bool) -> RegimeLabel:
         )
     if even:
         if kappa == 2:
-            if _is_boundary(hv, (0.25,)):
+            if _near(hv, QUARTER):
                 return RegimeLabel(RegimeName.BOUNDARY_UNSUPPORTED, "H = 1/4 is the open endpoint of the weighted quadratic L2 theorem")
-            if hv < 0.25:
+            if hv < QUARTER:
                 return RegimeLabel(
                     RegimeName.WEIGHTED_L2_QUADRATIC,
                     "weighted quadratic L2 limit, H < 1/4: n^{2H-1}-normalized sum tends to (1/4) Int h''(B_u) du",
                 )
-            if hv < 0.5:
+            if hv < HALF:
                 return RegimeLabel(
                     RegimeName.MIXING_CONJECTURE,
                     "conjectured mixing limit for 1/4 < H < 1/2: sigma_H Int h(B) dW (second moment scales like n)",
                 )
-            if _is_boundary(hv, (0.75,)):
+            if _near(hv, THREE_QUARTERS):
                 return RegimeLabel(RegimeName.BOUNDARY_UNSUPPORTED, "H = 3/4 is the open endpoint of the mixing regime")
-            if hv < 0.75:
+            if hv < THREE_QUARTERS:
                 return RegimeLabel(
                     RegimeName.MIXING_CONJECTURE,
                     "mixing limit (Leon-Ludena) for even power, 1/2 < H < 3/4: sigma Int h(B) dW",
                 )
             return RegimeLabel(RegimeName.BOUNDARY_UNSUPPORTED, "weighted even-power regime for H > 3/4 has no published statement here")
         # even kappa >= 4
-        if _is_boundary(hv, (0.75,)):
+        if _near(hv, THREE_QUARTERS):
             return RegimeLabel(RegimeName.BOUNDARY_UNSUPPORTED, "H = 3/4 is the open endpoint of the mixing regime")
-        if 0.5 < hv < 0.75:
+        if HALF < hv < THREE_QUARTERS:
             return RegimeLabel(
                 RegimeName.MIXING_CONJECTURE,
                 "mixing limit (Leon-Ludena) for even power, 1/2 < H < 3/4: sigma Int h(B) dW",
@@ -269,14 +272,14 @@ def classify_regime(kappa: int, H, weighted: bool) -> RegimeLabel:
             "weighted even power >= 4 outside (1/2, 3/4) has no published statement here",
         )
     # odd kappa, weighted
-    if kappa == 3 and _is_boundary(hv, (1.0 / 6.0,)):
+    if kappa == 3 and _near(hv, SIXTH):
         return RegimeLabel(RegimeName.BOUNDARY_UNSUPPORTED, "H = 1/6 is the open endpoint of the compensated cubic L2 theorem")
-    if kappa == 3 and hv < 1.0 / 6.0:
+    if kappa == 3 and hv < SIXTH:
         return RegimeLabel(
             RegimeName.WEIGHTED_L2_CUBIC,
             "compensated cubic L2 limit, H < 1/6: n^{3H-1}-normalized compensated sum tends to -(1/8) Int h'''(B_u) du",
         )
-    if hv < 0.5:
+    if hv < HALF:
         return RegimeLabel(
             RegimeName.ODD_L2_DRIFT,
             "odd-power drift limit (Gradinaru-Russo-Vallois), H < 1/2: n^{H-1}-normalized sum tends to -(mu_{kappa+1}/2) Int h'(B_s) ds",
@@ -285,63 +288,3 @@ def classify_regime(kappa: int, H, weighted: bool) -> RegimeLabel:
         RegimeName.BOUNDARY_UNSUPPORTED,
         "weighted odd power for H > 1/2 has no published statement here",
     )
-
-
-def require_form_admissible(form: StatForm, kappa: int, H) -> None:
-    """Raise RegimeError unless (kappa, H) satisfies the hypothesis of `form`.
-
-    Uses each theorem's own open interval (a statistic like the odd drift sum
-    is admissible on all of 0 < H < 1/2, including below 1/6 where the cubic
-    theorem also has something to say about a different statistic).
-    """
-    form = StatForm(form)
-    hv = as_hurst(H).value
-    even = kappa % 2 == 0
-
-    def fail(need: str):
-        raise RegimeError(f"form {form.value} with kappa={kappa} requires {need}; got H={hv}")
-
-    if form == StatForm.CENTERED_QUADRATIC:
-        if not hv < 0.25 or _is_boundary(hv, (0.25,)):
-            fail("H in (0, 1/4)")
-    elif form == StatForm.COMPENSATED_CUBIC:
-        if not hv < 1.0 / 6.0 or _is_boundary(hv, (1.0 / 6.0,)):
-            fail("H in (0, 1/6)")
-    elif form == StatForm.ODD_WEIGHTED:
-        if even:
-            fail("odd kappa")
-        if not hv < 0.5 or _is_boundary(hv, (0.5,)):
-            fail("H in (0, 1/2)")
-    elif form == StatForm.UNWEIGHTED_CENTERED:
-        if not even:
-            fail("even kappa")
-        if not hv < 0.75 or _is_boundary(hv, (0.75,)):
-            fail("H in (0, 3/4)")
-    elif form == StatForm.UNWEIGHTED_ODD:
-        if even:
-            fail("odd kappa")
-        if hv > 0.5 and not _is_boundary(hv, (0.5,)):
-            fail("H in (0, 1/2]")
-    elif form == StatForm.MIXING_NORMALIZED:
-        if not (0.25 < hv <= 0.5 + 1e-12) or _is_boundary(hv, (0.25,)):
-            fail("H in (1/4, 1/2]")
-    else:
-        raise RegimeError(f"form {form.value} has no limit-regime hypothesis to check")
-
-
-def evaluate_statistic(path: FbmPath, h: WeightFunction, spec: StatisticSpec) -> float:
-    """Dispatch a StatisticSpec to the matching statistic."""
-    form = spec.form
-    if form == StatForm.RAW_WEIGHTED:
-        return raw_weighted_sum(path, h, spec.kappa)
-    if form == StatForm.CENTERED_QUADRATIC:
-        return centered_quadratic_stat(path, h)
-    if form == StatForm.COMPENSATED_CUBIC:
-        return compensated_cubic_stat(path, h)
-    if form == StatForm.ODD_WEIGHTED:
-        return odd_weighted_stat(path, h, spec.kappa)
-    if form == StatForm.UNWEIGHTED_CENTERED or form == StatForm.UNWEIGHTED_ODD:
-        return unweighted_stat(path, spec.kappa)
-    if form == StatForm.MIXING_NORMALIZED:
-        return mixing_normalized_stat(path, h)
-    raise ValueError(f"unhandled form {form!r}")

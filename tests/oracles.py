@@ -46,15 +46,6 @@ def exact_unweighted_variance(H, n, kappa):
     return math.fsum(terms) / n
 
 
-def raw_weighted_oracle(values, h, kappa):
-    n = len(values) - 1
-    terms = []
-    for k in range(n):
-        d = values[k + 1] - values[k]
-        terms.append(h(values[k]) * d**kappa)
-    return math.fsum(terms)
-
-
 def centered_quadratic_oracle(values, H, h):
     n = len(values) - 1
     terms = []

@@ -59,8 +59,15 @@ class TestParseConfig:
         with pytest.raises(cli.ConfigError, match="weight"):
             cli.parse_config(write(tmp_path, GOOD_CONFIG.replace("weight = x2", "weight = tanh")))
 
+    def test_weight_on_unweighted_form_rejected(self, tmp_path):
+        bad = GOOD_CONFIG.replace("weight = one", "weight = x2")
+        with pytest.raises(cli.ConfigError, match=r"\[diag_small\].*weight"):
+            cli.parse_config(write(tmp_path, bad))
+        rc = cli.main(["run", "--config", str(write(tmp_path, bad)), "--out", str(tmp_path / "out")])
+        assert rc == 2
+
     def test_raw_form_not_runnable(self, tmp_path):
-        with pytest.raises(cli.ConfigError, match="not runnable"):
+        with pytest.raises(cli.ConfigError, match=r"\[quad_small\].*raw_weighted"):
             cli.parse_config(write(tmp_path, GOOD_CONFIG.replace("form = centered_quadratic", "form = raw_weighted")))
 
 
@@ -121,6 +128,14 @@ class TestCmdRun:
         captured = capsys.readouterr()
         assert rc == 3
         assert "regime" in captured.err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exits_2(self, tmp_path, capsys, threads):
+        cfg = write(tmp_path, GOOD_CONFIG)
+        rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--threads", threads])
+        assert rc == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_config_error_exits_2(self, tmp_path, capsys):
         cfg = write(tmp_path, "[p]\nhurst = 0.1\n")

@@ -14,6 +14,7 @@ from fbmvar import (
     run_clt_diagnostics,
     run_l2_experiment,
 )
+from fbmvar import harness
 
 
 def l2_plan(replicas=32, ladder=(16, 32, 64), H=0.1, seed=7):
@@ -78,6 +79,31 @@ class TestRunL2Experiment:
         base = run_l2_experiment(l2_plan(), threads=1)
         for threads in (4, 8):
             assert run_l2_experiment(l2_plan(), threads=threads) == base
+
+    def test_workers_capped_by_cores_and_replicas(self, monkeypatch):
+        asked = []
+
+        class RecordingPool:
+            # runs the work inline and records the pool size; starts no thread
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        plan = l2_plan(replicas=4, ladder=(16,))
+        assert run_l2_experiment(plan, threads=10**6) == run_l2_experiment(plan, threads=1)
+        assert asked == [3]
+        run_l2_experiment(l2_plan(replicas=2, ladder=(16,)), threads=10**6)
+        assert asked == [3, 2]
 
     def test_vanishing_limit_reduces_to_second_moment(self):
         # h = x2 has h''' = 0, so the cubic limit functional is identically 0

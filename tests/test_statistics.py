@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbmvar import (
+    FORMS,
     FbmPath,
     HurstIndex,
     KappaError,
@@ -17,20 +18,14 @@ from fbmvar import (
     StatForm,
     StatisticSpec,
     builtin,
-    centered_quadratic_stat,
     classify_regime,
-    compensated_cubic_stat,
     evaluate_statistic,
     limit_functional,
     linear_combination,
-    mixing_normalized_stat,
-    odd_weighted_stat,
-    raw_weighted_sum,
     require_form_admissible,
     sample_fbm,
-    unweighted_stat,
 )
-from fbmvar.statistics import RegimeName
+from fbmvar.statistics import HALF, QUARTER, SIXTH, THREE_QUARTERS, RegimeName
 from oracles import (
     centered_quadratic_oracle,
     compensated_cubic_oracle,
@@ -38,7 +33,6 @@ from oracles import (
     limit_functional_oracle,
     mixing_normalized_oracle,
     odd_weighted_oracle,
-    raw_weighted_oracle,
     unweighted_oracle,
 )
 
@@ -52,29 +46,25 @@ def sampled(H, n, seed=2024, stream=0):
     return sample_fbm(H, n, SamplerConfig(seed=seed, stream=stream))
 
 
-class TestRawWeightedSum:
-    def test_quadratic_variation(self):
-        p = synthetic_path([0.0, 0.7, 0.7 + 0.4])
-        assert raw_weighted_sum(p, builtin("one"), 2) == pytest.approx(0.7**2 + 0.4**2, rel=1e-15)
+def quadratic(p, h):
+    return evaluate_statistic(p, h, StatisticSpec(2, h.id, StatForm.CENTERED_QUADRATIC))
 
-    def test_cubic_n1(self):
-        p = synthetic_path([0.0, -1.3])
-        assert raw_weighted_sum(p, builtin("one"), 3) == pytest.approx((-1.3) ** 3, rel=1e-15)
 
-    def test_linear_weight_example(self):
-        p = synthetic_path([0.0, 1.0, 3.0])
-        # 0*1 + 1*4
-        assert raw_weighted_sum(p, builtin("x"), 2) == pytest.approx(4.0, rel=1e-15)
+def cubic(p, h):
+    return evaluate_statistic(p, h, StatisticSpec(3, h.id, StatForm.COMPENSATED_CUBIC))
 
-    def test_kappa_guard(self):
-        with pytest.raises(KappaError):
-            raw_weighted_sum(synthetic_path([0.0, 1.0]), builtin("one"), 0)
 
-    def test_oracle_match(self):
-        p = sampled(0.2, 64)
-        got = raw_weighted_sum(p, builtin("x2"), 4)
-        want = raw_weighted_oracle(list(p.values), lambda x: x * x, 4)
-        assert got == pytest.approx(want, rel=1e-13)
+def odd(p, h, kappa):
+    return evaluate_statistic(p, h, StatisticSpec(kappa, h.id, StatForm.ODD_WEIGHTED))
+
+
+def unweighted(p, kappa):
+    form = StatForm.UNWEIGHTED_CENTERED if kappa % 2 == 0 else StatForm.UNWEIGHTED_ODD
+    return evaluate_statistic(p, builtin("one"), StatisticSpec(kappa, "one", form))
+
+
+def mixing(p, h):
+    return evaluate_statistic(p, h, StatisticSpec(2, h.id, StatForm.MIXING_NORMALIZED))
 
 
 class TestCenteredQuadratic:
@@ -83,25 +73,25 @@ class TestCenteredQuadratic:
         inc = np.full(n, n**-H)
         inc[::2] *= -1.0
         p = synthetic_path(np.concatenate([[0.0], np.cumsum(inc)]), H=H)
-        assert centered_quadratic_stat(p, builtin("one")) == pytest.approx(0.0, abs=1e-12)
+        assert quadratic(p, builtin("one")) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_weight(self):
         p = sampled(0.1, 32)
         zero = linear_combination(0.0, builtin("x"), 0.0, builtin("x"))
-        assert centered_quadratic_stat(p, zero) == 0.0
+        assert quadratic(p, zero) == 0.0
 
     def test_term_by_term_oracle(self):
         p = sampled(0.1, 8, seed=99)
-        got = centered_quadratic_stat(p, builtin("x2"))
+        got = quadratic(p, builtin("x2"))
         want = centered_quadratic_oracle(list(p.values), 0.1, lambda x: x * x)
         assert got == pytest.approx(want, rel=1e-13)
 
     def test_one_weight_reduces_to_quadratic_variation(self):
         p = sampled(0.15, 128, seed=3)
         n, H = p.n, 0.15
-        qv = raw_weighted_sum(p, builtin("one"), 2)
+        qv = np.sum(np.diff(p.values) ** 2)
         want = n ** (2 * H - 1) * (n ** (2 * H) * qv - n)
-        assert centered_quadratic_stat(p, builtin("one")) == pytest.approx(want, rel=1e-12)
+        assert quadratic(p, builtin("one")) == pytest.approx(want, rel=1e-12)
 
 
 class TestCompensatedCubic:
@@ -110,16 +100,16 @@ class TestCompensatedCubic:
         n, H = p.n, 0.12
         d = np.diff(p.values)
         want = n ** (3 * H - 1) * np.sum(n ** (3 * H) * d**3)
-        assert compensated_cubic_stat(p, builtin("one")) == pytest.approx(want, rel=1e-12)
+        assert cubic(p, builtin("one")) == pytest.approx(want, rel=1e-12)
 
     def test_zero_weight(self):
         p = sampled(0.12, 16)
         zero = linear_combination(0.0, builtin("sin"), 0.0, builtin("x"))
-        assert compensated_cubic_stat(p, zero) == 0.0
+        assert cubic(p, zero) == 0.0
 
     def test_term_by_term_oracle(self):
         p = sampled(0.12, 16, seed=17)
-        got = compensated_cubic_stat(p, builtin("sin"))
+        got = cubic(p, builtin("sin"))
         want = compensated_cubic_oracle(list(p.values), 0.12, math.sin, math.cos)
         assert got == pytest.approx(want, rel=1e-13)
 
@@ -128,21 +118,21 @@ class TestOddWeighted:
     def test_symmetric_increments_cancel(self):
         a = 0.8
         p = synthetic_path([0.0, a, 0.0], H=0.35)
-        assert odd_weighted_stat(p, builtin("one"), 3) == pytest.approx(0.0, abs=1e-14)
+        assert odd(p, builtin("one"), 3) == pytest.approx(0.0, abs=1e-14)
 
     def test_even_kappa_rejected(self):
-        with pytest.raises(KappaError):
-            odd_weighted_stat(sampled(0.35, 8), builtin("x"), 2)
+        with pytest.raises(ValueError, match="odd kappa"):
+            StatisticSpec(kappa=2, weight="x", form=StatForm.ODD_WEIGHTED)
 
     def test_term_by_term_oracle(self):
         p = sampled(0.35, 32, seed=8)
-        got = odd_weighted_stat(p, builtin("x"), 3)
+        got = odd(p, builtin("x"), 3)
         want = odd_weighted_oracle(list(p.values), 0.35, lambda x: x, 3)
         assert got == pytest.approx(want, rel=1e-13)
 
     def test_kappa_five(self):
         p = sampled(0.3, 16, seed=8)
-        got = odd_weighted_stat(p, builtin("cos"), 5)
+        got = odd(p, builtin("cos"), 5)
         want = odd_weighted_oracle(list(p.values), 0.3, math.cos, 5)
         assert got == pytest.approx(want, rel=1e-13)
 
@@ -162,34 +152,34 @@ class TestUnweighted:
     def test_unit_increments_vanish(self):
         n, H = 8, 0.3
         p = synthetic_path(np.concatenate([[0.0], np.cumsum(np.full(n, n**-H))]), H=H)
-        assert unweighted_stat(p, 2) == pytest.approx(0.0, abs=1e-12)
+        assert unweighted(p, 2) == pytest.approx(0.0, abs=1e-12)
 
     def test_mirrored_path_flips_odd_statistic(self):
         p = sampled(0.3, 64, seed=21)
         q = FbmPath(hurst=p.hurst, n=p.n, values=-p.values, seed_tag="mirror")
-        assert unweighted_stat(q, 3) == -unweighted_stat(p, 3)
+        assert unweighted(q, 3) == -unweighted(p, 3)
 
     def test_term_by_term_oracle_kappa4(self):
         p = sampled(0.3, 32, seed=12)
-        assert unweighted_stat(p, 4) == pytest.approx(unweighted_oracle(list(p.values), 0.3, 4), rel=1e-13)
+        assert unweighted(p, 4) == pytest.approx(unweighted_oracle(list(p.values), 0.3, 4), rel=1e-13)
 
 
 class TestMixingNormalized:
     def test_unit_bracket_vanishes(self):
         n, H = 8, 0.35
         p = synthetic_path(np.concatenate([[0.0], np.cumsum(np.full(n, n**-H))]), H=H)
-        assert mixing_normalized_stat(p, builtin("one")) == pytest.approx(0.0, abs=1e-12)
+        assert mixing(p, builtin("one")) == pytest.approx(0.0, abs=1e-12)
 
     def test_normalization_algebra(self):
         p = sampled(0.35, 128, seed=31)
         n, H = p.n, 0.35
-        left = mixing_normalized_stat(p, builtin("x2"))
-        right = n ** (0.5 - 2 * H) * centered_quadratic_stat(p, builtin("x2"))
+        left = mixing(p, builtin("x2"))
+        right = n ** (0.5 - 2 * H) * quadratic(p, builtin("x2"))
         assert left == pytest.approx(right, rel=1e-12)
 
     def test_term_by_term_oracle(self):
         p = sampled(0.35, 16, seed=41)
-        got = mixing_normalized_stat(p, builtin("x2"))
+        got = mixing(p, builtin("x2"))
         want = mixing_normalized_oracle(list(p.values), 0.35, lambda x: x * x)
         assert got == pytest.approx(want, rel=1e-13)
 
@@ -243,8 +233,8 @@ class TestLinearity:
     def test_centered_quadratic_linear_in_weight(self, a, b):
         p = sampled(0.1, 32, seed=61)
         combo = linear_combination(a, builtin("x2"), b, builtin("sin"))
-        lhs = centered_quadratic_stat(p, combo)
-        rhs = a * centered_quadratic_stat(p, builtin("x2")) + b * centered_quadratic_stat(p, builtin("sin"))
+        lhs = quadratic(p, combo)
+        rhs = a * quadratic(p, builtin("x2")) + b * quadratic(p, builtin("sin"))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     @given(a=st.floats(-3, 3), b=st.floats(-3, 3))
@@ -252,8 +242,8 @@ class TestLinearity:
     def test_odd_weighted_linear_in_weight(self, a, b):
         p = sampled(0.35, 32, seed=62)
         combo = linear_combination(a, builtin("x"), b, builtin("cos"))
-        lhs = odd_weighted_stat(p, combo, 3)
-        rhs = a * odd_weighted_stat(p, builtin("x"), 3) + b * odd_weighted_stat(p, builtin("cos"), 3)
+        lhs = odd(p, combo, 3)
+        rhs = a * odd(p, builtin("x"), 3) + b * odd(p, builtin("cos"), 3)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -263,8 +253,8 @@ class TestOddSymmetry:
         q = FbmPath(hurst=p.hurst, n=p.n, values=-p.values, seed_tag="mirror")
         for weight in ("x2", "cos", "one"):  # even weights
             h = builtin(weight)
-            assert odd_weighted_stat(q, h, 3) == -odd_weighted_stat(p, h, 3)
-        assert unweighted_stat(q, 3) == -unweighted_stat(p, 3)
+            assert odd(q, h, 3) == -odd(p, h, 3)
+        assert unweighted(q, 3) == -unweighted(p, 3)
 
 
 class TestStatisticSpecValidation:
@@ -280,18 +270,28 @@ class TestStatisticSpecValidation:
         with pytest.raises(ValueError):
             StatisticSpec(kappa=3, weight="x2", form=StatForm.MIXING_NORMALIZED)
 
+    def test_unweighted_forms_require_weight_one(self):
+        for form, kappa in ((StatForm.UNWEIGHTED_CENTERED, 2), (StatForm.UNWEIGHTED_ODD, 3)):
+            StatisticSpec(kappa=kappa, weight="one", form=form)
+            with pytest.raises(ValueError, match="weight = one"):
+                StatisticSpec(kappa=kappa, weight="x2", form=form)
+
     def test_dispatch_matches_direct_calls(self):
-        p = sampled(0.1, 32, seed=91)
-        pairs = [
-            (StatisticSpec(2, "x2", StatForm.CENTERED_QUADRATIC), centered_quadratic_stat(p, builtin("x2"))),
-            (StatisticSpec(2, "one", StatForm.UNWEIGHTED_CENTERED), unweighted_stat(p, 2)),
-            (StatisticSpec(2, "x2", StatForm.MIXING_NORMALIZED), mixing_normalized_stat(p, builtin("x2"))),
-            (StatisticSpec(3, "x", StatForm.ODD_WEIGHTED), odd_weighted_stat(p, builtin("x"), 3)),
-            (StatisticSpec(3, "sin", StatForm.COMPENSATED_CUBIC), compensated_cubic_stat(p, builtin("sin"))),
-            (StatisticSpec(2, "x", StatForm.RAW_WEIGHTED), raw_weighted_sum(p, builtin("x"), 2)),
+        # every row of the table against its own transcription of the display
+        H = 0.1
+        p = sampled(H, 32, seed=91)
+        v = list(p.values)
+        cases = [
+            (StatisticSpec(2, "x2", StatForm.CENTERED_QUADRATIC), centered_quadratic_oracle(v, H, lambda x: x * x)),
+            (StatisticSpec(2, "one", StatForm.UNWEIGHTED_CENTERED), unweighted_oracle(v, H, 2)),
+            (StatisticSpec(3, "one", StatForm.UNWEIGHTED_ODD), unweighted_oracle(v, H, 3)),
+            (StatisticSpec(2, "x2", StatForm.MIXING_NORMALIZED), mixing_normalized_oracle(v, H, lambda x: x * x)),
+            (StatisticSpec(3, "x", StatForm.ODD_WEIGHTED), odd_weighted_oracle(v, H, lambda x: x, 3)),
+            (StatisticSpec(3, "sin", StatForm.COMPENSATED_CUBIC), compensated_cubic_oracle(v, H, math.sin, math.cos)),
         ]
-        for spec, want in pairs:
-            assert evaluate_statistic(p, builtin(spec.weight), spec) == want
+        assert {spec.form for spec, _ in cases} == set(FORMS) == set(StatForm)
+        for spec, want in cases:
+            assert evaluate_statistic(p, builtin(spec.weight), spec) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 class TestClassifyRegime:
@@ -355,3 +355,44 @@ class TestFormAdmissibility:
         require_form_admissible(StatForm.MIXING_NORMALIZED, 2, 0.35)
         with pytest.raises(RegimeError):
             require_form_admissible(StatForm.MIXING_NORMALIZED, 2, 0.2)
+
+    def test_error_text_names_the_interval(self):
+        with pytest.raises(RegimeError, match=r"H in \(0, 1/4\)"):
+            require_form_admissible(StatForm.CENTERED_QUADRATIC, 2, 0.3)
+        with pytest.raises(RegimeError, match=r"H in \(1/4, 1/2\]"):
+            require_form_admissible(StatForm.MIXING_NORMALIZED, 2, 0.6)
+        with pytest.raises(RegimeError, match="odd kappa"):
+            require_form_admissible(StatForm.ODD_WEIGHTED, 2, 0.3)
+
+
+# Regimes that classify_regime may report on a cell where a row is admissible.
+ALLOWED_REGIMES = {
+    StatForm.CENTERED_QUADRATIC: {RegimeName.WEIGHTED_L2_QUADRATIC},
+    StatForm.COMPENSATED_CUBIC: {RegimeName.WEIGHTED_L2_CUBIC},
+    StatForm.ODD_WEIGHTED: {RegimeName.ODD_L2_DRIFT, RegimeName.WEIGHTED_L2_CUBIC},
+    StatForm.UNWEIGHTED_CENTERED: {RegimeName.BREUER_MAJOR_CLT, RegimeName.BROWNIAN_CLT},
+    StatForm.UNWEIGHTED_ODD: {RegimeName.BREUER_MAJOR_CLT, RegimeName.BROWNIAN_CLT},
+    StatForm.MIXING_NORMALIZED: {RegimeName.MIXING_CONJECTURE},
+}
+
+
+class TestTableAgreesWithClassifier:
+    def test_admissible_cells_carry_an_allowed_regime(self):
+        grid = [i / 100 for i in range(1, 100)] + [SIXTH, QUARTER, HALF, THREE_QUARTERS]
+        for form, row in FORMS.items():
+            admissible = 0
+            for kappa in range(2, 7):
+                for hv in grid:
+                    try:
+                        require_form_admissible(form, kappa, hv)
+                    except RegimeError:
+                        continue
+                    admissible += 1
+                    label = classify_regime(kappa, hv, row.weighted).label
+                    if form == StatForm.ODD_WEIGHTED and kappa == 3 and hv == SIXTH:
+                        # the classifier labels this cell by the cubic theorem's
+                        # open endpoint; the odd drift statistic stays admissible
+                        assert label == RegimeName.BOUNDARY_UNSUPPORTED
+                    else:
+                        assert label in ALLOWED_REGIMES[form], (form, kappa, hv, label)
+            assert admissible > 0, form
