@@ -179,7 +179,7 @@ def cmd_regimes(kappas=(2, 3), h_step=0.05, csv_path=None) -> int:
         grid.append(round(hv, 12))
         k += 1
     print(f"# regime table: H grid = multiples of {h_step:g} strictly inside (0, 1)")
-    print("# boundary H values (1/6, 1/4, 1/2, 3/4 where applicable) label as boundary_unsupported")
+    print("# open theorem endpoints (1/4, 3/4 where applicable) label as boundary_unsupported")
     print(f"{'kappa':>5} {'H':>8}  {'unweighted':<24} {'weighted':<24}")
     rows = []
     legend = {}

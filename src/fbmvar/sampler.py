@@ -2,9 +2,11 @@
 
 Both methods draw from the exact finite-dimensional law N(0, [R_H(t_j, t_k)]).
 The circulant route embeds the unit-variance fGn autocovariance rho_H into a
-length-2n circulant, synthesizes in the Fourier domain in O(n log n), rescales
-by n^{-H} and cumulative-sums; the Cholesky route factors the full path
-covariance and is kept as the O(n^3) reference.
+length-2n circulant (Wood & Chan 1994, Dietrich & Newsam 1997) whose spectrum
+is Hermitian, so one real inverse FFT of the n+1 half-spectrum synthesizes the
+n^{-H}-scaled increments in O(n log n); a cumulative sum gives the path. The
+Cholesky route factors the full path covariance and is kept as the O(n^3)
+reference.
 
 Randomness is counter-based: a Philox generator keyed by (seed, stream), so a
 replica's draws depend only on its own key and never on execution order.
@@ -12,8 +14,11 @@ replica's draws depend only on its own key and never on execution order.
 
 from __future__ import annotations
 
+import functools
+import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -21,6 +26,10 @@ from .errors import EmbeddingError, SizeError
 from .kernels import HurstIndex, as_hurst, covariance_matrix, increment_autocov_seq
 
 CHOLESKY_MAX_N = 4096
+# Each sampler cache below keeps at most this many bytes of arrays. One
+# n = 4096 Cholesky factor (128 MiB) still fits, so that guarded size is
+# factored once per H rather than once per path.
+CACHE_MAX_BYTES = 256 * 2**20
 # Circulant eigenvalues of the fGn embedding are nonnegative in exact
 # arithmetic; anything dipping below -EIG_TOL * max is treated as a failed
 # embedding instead of being silently clamped.
@@ -73,14 +82,89 @@ class FbmPath:
         return np.arange(self.n + 1) / self.n
 
 
+# A Philox state at counter 0 with an empty output buffer, as a fresh
+# Philox(key=...) starts; `_rng` copies it in under each new key.
+_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
+_ZERO_WORDS.flags.writeable = False
+_thread_state = threading.local()
+
+
 def _rng(seed: int, stream: int) -> np.random.Generator:
-    key = np.array([seed, stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """This thread's generator, re-keyed to the start of stream (seed, stream).
+
+    Bit-identical to Generator(Philox(key=[seed, stream])) but without building
+    a new bit generator per call. The generator is shared by every call on the
+    thread, so a caller must finish its draws before the next `_rng` call.
+    """
+    try:
+        gen = _thread_state.gen
+    except AttributeError:
+        gen = _thread_state.gen = np.random.Generator(np.random.Philox(key=0))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO_WORDS, "key": np.array([seed, stream], dtype=np.uint64)},
+        "buffer": _ZERO_WORDS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
 
 
-@lru_cache(maxsize=64)
+def _nbytes(value) -> int:
+    parts = value if isinstance(value, tuple) else (value,)
+    return sum(np.asarray(p).nbytes for p in parts)
+
+
+class _ByteBudgetCache:
+    """Thread-safe LRU memo whose cached values total at most CACHE_MAX_BYTES.
+
+    The budget is read at every insertion. A value larger than the whole
+    budget is returned uncached, so it is rebuilt on every call.
+    """
+
+    def __init__(self, fn):
+        functools.update_wrapper(self, fn)
+        self._fn = fn
+        self._entries = OrderedDict()  # key -> (value, bytes), oldest first
+        self._lock = threading.Lock()
+        self.nbytes = 0
+
+    def __call__(self, *key):
+        with self._lock:
+            hit = self._entries.get(key)
+            if hit is not None:
+                self._entries.move_to_end(key)
+                return hit[0]
+        value = self._fn(*key)
+        size = _nbytes(value)
+        with self._lock:
+            if key not in self._entries and size <= CACHE_MAX_BYTES:
+                self._entries[key] = (value, size)
+                self.nbytes += size
+                while self.nbytes > CACHE_MAX_BYTES:
+                    _, (_, evicted) = self._entries.popitem(last=False)
+                    self.nbytes -= evicted
+        return value
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.nbytes = 0
+
+
+@_ByteBudgetCache
 def _circulant_coeffs(h: float, n: int):
-    """Fourier synthesis coefficients sqrt(lambda/(2m)) for unit fGn of length n."""
+    """Half-spectrum synthesis coefficients (h0, hn, coef) for n^{-H}-scaled fGn.
+
+    With m = 2n and lambda the embedding spectrum: h0 = sqrt(lambda_0/m) n^{-H},
+    hn = sqrt(lambda_n/m) n^{-H}, and coef = [c_1, -c_1, ..., c_{n-1}, -c_{n-1}]
+    with c_j = sqrt(lambda_j/(2m)) n^{-H}, the minus sign conjugating the
+    interior half-spectrum for an inverse transform.
+    """
     lam = circulant_eigenvalues(h, n)
     lmax = float(lam.max())
     lmin = float(lam.min())
@@ -91,11 +175,15 @@ def _circulant_coeffs(h: float, n: int):
         )
     lam = np.clip(lam, 0.0, None)
     m = 2 * n
-    half = np.sqrt(lam[: n + 1] / m)  # entries 0..n; interior ones get /sqrt(2) below
-    interior = np.sqrt(lam[1:n] / (2 * m))
-    half.flags.writeable = False
-    interior.flags.writeable = False
-    return half, interior
+    scale = float(n) ** (-h)
+    h0 = math.sqrt(lam[0] / m) * scale
+    hn = math.sqrt(lam[n] / m) * scale
+    c = np.sqrt(lam[1:n] / (2 * m)) * scale
+    coef = np.empty(2 * n - 2)
+    coef[0::2] = c
+    coef[1::2] = -c
+    coef.flags.writeable = False
+    return h0, hn, coef
 
 
 def circulant_eigenvalues(H, n: int) -> np.ndarray:
@@ -107,22 +195,21 @@ def circulant_eigenvalues(H, n: int) -> np.ndarray:
 
 
 def _sample_fgn_circulant(h: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    half, interior = _circulant_coeffs(h, n)
-    m = 2 * n
-    z = rng.standard_normal(m)
-    a = np.zeros(m, dtype=np.complex128)
-    a[0] = half[0] * z[0]
-    a[n] = half[n] * z[1]
-    if n > 1:
-        zj = z[2::2]
-        wj = z[3::2]
-        a[1:n] = interior * (zj + 1j * wj)
-        a[m - 1 : n : -1] = np.conj(a[1:n])
-    x = np.fft.fft(a).real
-    return x[:n]
+    """n^{-H}-scaled fGn increments from one real inverse FFT of the half-spectrum.
+
+    The 2n normals fill the Hermitian half-spectrum b_0..b_n: z_0 and z_1 the
+    real DC and Nyquist terms, (z_{2j}, z_{2j+1}) the conjugated b_j.
+    """
+    h0, hn, coef = _circulant_coeffs(h, n)
+    z = rng.standard_normal(2 * n)
+    b = np.empty(n + 1, dtype=np.complex128)
+    np.multiply(z[2:], coef, out=b.view(np.float64)[2 : 2 * n])
+    b[0] = h0 * z[0]
+    b[n] = hn * z[1]
+    return np.fft.irfft(b, 2 * n, norm="forward")[:n]
 
 
-@lru_cache(maxsize=16)
+@_ByteBudgetCache
 def _cholesky_factor(h: float, n: int) -> np.ndarray:
     sigma = covariance_matrix(h, n)[1:, 1:]
     factor = np.linalg.cholesky(sigma)
@@ -141,8 +228,9 @@ def sample_fbm(H, n: int, config: SamplerConfig) -> FbmPath:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = _rng(int(config.seed), int(config.stream))
     if config.method == METHOD_CIRCULANT:
-        fgn = _sample_fgn_circulant(hurst.value, n, rng) * float(n) ** (-hurst.value)
-        values = np.concatenate([[0.0], np.cumsum(fgn)])
+        values = np.empty(n + 1)
+        values[0] = 0.0
+        np.cumsum(_sample_fgn_circulant(hurst.value, n, rng), out=values[1:])
     else:
         if n > CHOLESKY_MAX_N:
             raise SizeError(f"cholesky sampling guarded at n <= {CHOLESKY_MAX_N}, got {n}")

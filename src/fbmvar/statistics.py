@@ -194,8 +194,10 @@ def classify_regime(kappa: int, H, weighted: bool) -> RegimeLabel:
 
     Total on non-boundary H. H = 1/2 is pinned exactly by the Brownian results
     (classical CLT unweighted, Jacod-type mixing limits weighted); the open
-    interval endpoints of the other theorems (1/6, 1/4, 3/4 where applicable)
-    return boundary_unsupported, as do cells with no published statement.
+    interval endpoints of the other theorems (1/4, 3/4 where applicable)
+    return boundary_unsupported, as do cells with no published statement. At
+    H = 1/6, the open end of the compensated cubic theorem, a weighted cubic
+    cell falls to the odd drift theorem, which holds for all H < 1/2.
     """
     if kappa < 2:
         raise ValueError(f"kappa must be >= 2, got {kappa}")
@@ -272,9 +274,7 @@ def classify_regime(kappa: int, H, weighted: bool) -> RegimeLabel:
             "weighted even power >= 4 outside (1/2, 3/4) has no published statement here",
         )
     # odd kappa, weighted
-    if kappa == 3 and _near(hv, SIXTH):
-        return RegimeLabel(RegimeName.BOUNDARY_UNSUPPORTED, "H = 1/6 is the open endpoint of the compensated cubic L2 theorem")
-    if kappa == 3 and hv < SIXTH:
+    if kappa == 3 and hv < SIXTH and not _near(hv, SIXTH):
         return RegimeLabel(
             RegimeName.WEIGHTED_L2_CUBIC,
             "compensated cubic L2 limit, H < 1/6: n^{3H-1}-normalized compensated sum tends to -(1/8) Int h'''(B_u) du",

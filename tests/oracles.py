@@ -3,10 +3,16 @@
 Everything here is deliberately written as plain Python loops over the
 displayed formulas (math.fsum reductions, no numpy vectorization and no reuse
 of the package's kernels beyond the scalar autocovariance), so agreement with
-the library is a genuine cross-check rather than a tautology.
+the library is a genuine cross-check rather than a tautology. The one
+exception is `reference_circulant_path`, the full complex-FFT synthesis that
+the sampler's half-spectrum synthesis is checked against.
 """
 
 import math
+
+import numpy as np
+
+from fbmvar.sampler import circulant_eigenvalues
 
 
 def rho_scalar(H, p):
@@ -119,3 +125,25 @@ def exact_odd_drift_mean(H, n, kappa):
         cov = ((r_ss, c_bd), (c_bd, r_tt - 2.0 * r_st + r_ss))
         terms.append(isserlis_moment(cov, idx))
     return n ** (H - 1) * n ** (kappa * H) * math.fsum(terms)
+
+
+def reference_circulant_path(H, n, seed, stream):
+    """fBm path values by full complex length-2n FFT synthesis (Wood & Chan 1994).
+
+    Same embedding spectrum and the same 2n normals of a fresh Philox keyed
+    (seed, stream) as the sampler, but the conjugate-symmetric spectrum is
+    written out in full and transformed by a complex forward FFT, then the real
+    part is scaled by n^{-H} and cumulative-summed.
+    """
+    lam = np.clip(circulant_eigenvalues(H, n), 0.0, None)
+    m = 2 * n
+    key = np.array([seed, stream], dtype=np.uint64)
+    z = np.random.Generator(np.random.Philox(key=key)).standard_normal(m)
+    a = np.zeros(m, dtype=np.complex128)
+    a[0] = np.sqrt(lam[0] / m) * z[0]
+    a[n] = np.sqrt(lam[n] / m) * z[1]
+    if n > 1:
+        a[1:n] = np.sqrt(lam[1:n] / (2 * m)) * (z[2::2] + 1j * z[3::2])
+        a[m - 1 : n : -1] = np.conj(a[1:n])
+    fgn = np.fft.fft(a).real[:n] * float(n) ** (-H)
+    return np.concatenate([[0.0], np.cumsum(fgn)])

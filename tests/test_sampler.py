@@ -1,6 +1,9 @@
 """Sampler law and reproducibility checks."""
 
 import io
+import itertools
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,6 +20,10 @@ from fbmvar import (
     sample_fbm,
 )
 from fbmvar.sampler import CHOLESKY_MAX_N, circulant_eigenvalues, dump_path
+from oracles import reference_circulant_path
+
+# Seeds and streams at both ends of the 64-bit key words and at the acceptance seed.
+KEY_WORDS = (0, 1, 20080612, 2**64 - 1)
 
 
 def _paths_matrix(H, n, reps, method="circulant", seed=101):
@@ -108,6 +115,127 @@ class TestCirculantSpectrum:
                 sample_fbm(0.3, 32, SamplerConfig(seed=0, stream=0))
         finally:
             sampler_mod._circulant_coeffs.cache_clear()
+
+
+class TestHalfSpectrumSynthesis:
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 128, 8192])
+    def test_matches_full_fft_reference(self, n):
+        for h in (0.05, 0.1, 0.25, 0.3, 0.5, 0.7, 0.95):
+            for stream in (0, 1, 977):
+                got = sample_fbm(h, n, SamplerConfig(seed=20080612, stream=stream)).values
+                want = reference_circulant_path(h, n, 20080612, stream)
+                assert got[0] == 0.0
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (h, n, stream)
+
+
+def _draw(key):
+    method, n, seed, stream = key
+    return sample_fbm(0.3, n, SamplerConfig(method=method, seed=seed, stream=stream)).values
+
+
+# (method, n, seed, stream) keys mixing both methods, grid sizes and streams.
+PATH_KEYS = [
+    (method, n, seed, stream)
+    for method, n in (("circulant", 16), ("cholesky", 8), ("circulant", 128))
+    for seed in (3, 2**64 - 1)
+    for stream in range(4)
+]
+
+
+class TestStreamIdentity:
+    def test_rekeyed_generator_equals_fresh_philox(self):
+        import fbmvar.sampler as sampler_mod
+
+        for seed, stream in itertools.product(KEY_WORDS, KEY_WORDS):
+            # leave the thread's generator part-way through its output buffer
+            sampler_mod._rng(5, 6).integers(0, 10, size=3, dtype=np.uint32)
+            got = sampler_mod._rng(seed, stream)
+            want = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+            got_state, want_state = got.bit_generator.state, want.bit_generator.state
+            assert got_state["buffer_pos"] == want_state["buffer_pos"]
+            assert got_state["has_uint32"] == want_state["has_uint32"] == 0
+            for field in ("counter", "key"):
+                assert np.array_equal(got_state["state"][field], want_state["state"][field])
+            assert np.array_equal(got.standard_normal(33), want.standard_normal(33)), (seed, stream)
+            assert np.array_equal(got.integers(0, 2**32, size=5, dtype=np.uint32), want.integers(0, 2**32, size=5, dtype=np.uint32))
+
+    def test_paths_back_to_back_and_interleaved_match_serial(self):
+        serial = {key: _draw(key) for key in PATH_KEYS}
+        for key in PATH_KEYS:
+            assert np.array_equal(_draw(key), _draw(key))
+        interleaved = PATH_KEYS[::2] + PATH_KEYS[1::2][::-1]
+        for key in interleaved:
+            assert np.array_equal(_draw(key), serial[key]), key
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_threads_match_serial(self, threads):
+        serial = {key: _draw(key) for key in PATH_KEYS}
+        work = PATH_KEYS * 8
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                futures = [(key, pool.submit(_draw, key)) for key in work]
+                for key, fut in futures:
+                    assert np.array_equal(fut.result(timeout=60), serial[key]), key
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestCacheBudget:
+    CACHES = [("_circulant_coeffs", 64), ("_cholesky_factor", 16)]
+
+    @pytest.fixture
+    def budgeted(self, monkeypatch, request):
+        """The named cache, emptied, with the byte budget set to three of its n-sized entries."""
+        import fbmvar.sampler as sampler_mod
+
+        name, n = request.param
+        cache = getattr(sampler_mod, name)
+        cache.cache_clear()
+        cache(0.3, n)
+        entry = cache.nbytes
+        cache.cache_clear()
+        monkeypatch.setattr(sampler_mod, "CACHE_MAX_BYTES", 3 * entry)
+        yield cache, n, entry, sampler_mod
+        cache.cache_clear()
+
+    @pytest.mark.parametrize("budgeted", CACHES, indirect=True)
+    def test_evicts_least_recent_to_stay_under_budget(self, budgeted):
+        cache, n, entry, _ = budgeted
+        hs = (0.1, 0.2, 0.3, 0.4, 0.6)
+        first = {}
+        for h in hs:
+            first[h] = cache(h, n)
+            assert cache.nbytes <= 3 * entry
+        assert len(cache) == 3 and cache.nbytes == 3 * entry
+        for h in hs[-3:]:
+            assert cache(h, n) is first[h]
+        for h in hs[:2]:
+            assert cache(h, n) is not first[h]
+        assert cache.nbytes == 3 * entry
+
+    @pytest.mark.parametrize("budgeted", CACHES, indirect=True)
+    def test_entry_over_budget_is_returned_uncached(self, budgeted, monkeypatch):
+        cache, n, entry, sampler_mod = budgeted
+        monkeypatch.setattr(sampler_mod, "CACHE_MAX_BYTES", entry - 1)
+        value = cache(0.3, n)
+        assert value is not None and len(cache) == 0 and cache.nbytes == 0
+
+    @pytest.mark.parametrize("budgeted", CACHES[:1], indirect=True)
+    def test_byte_count_survives_concurrent_fills(self, budgeted):
+        cache, n, entry, _ = budgeted
+        hs = [round(0.05 + 0.05 * i, 2) for i in range(18)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(sample_fbm, h, n, SamplerConfig(seed=1, stream=s)) for s in range(4) for h in hs]
+                for fut in futures:
+                    fut.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(cache) == 3 and cache.nbytes == 3 * entry
 
 
 class TestCholeskyFactor:

@@ -299,6 +299,7 @@ class TestClassifyRegime:
         assert classify_regime(2, 0.10, True).label == RegimeName.WEIGHTED_L2_QUADRATIC
         assert classify_regime(2, 0.80, False).label == RegimeName.ROSENBLATT
         assert classify_regime(3, 0.35, True).label == RegimeName.ODD_L2_DRIFT
+        assert classify_regime(3, 1.0 / 6.0, True).label == RegimeName.ODD_L2_DRIFT
         assert classify_regime(3, 0.10, True).label == RegimeName.WEIGHTED_L2_CUBIC
         assert classify_regime(2, 0.5, False).label == RegimeName.BROWNIAN_CLT
         assert classify_regime(3, 0.5, False).label == RegimeName.BROWNIAN_CLT
@@ -310,7 +311,6 @@ class TestClassifyRegime:
 
     def test_boundaries_unsupported(self):
         assert classify_regime(2, 0.25, True).label == RegimeName.BOUNDARY_UNSUPPORTED
-        assert classify_regime(3, 1.0 / 6.0, True).label == RegimeName.BOUNDARY_UNSUPPORTED
         assert classify_regime(2, 0.75, False).label == RegimeName.BOUNDARY_UNSUPPORTED
         assert classify_regime(2, 0.75, True).label == RegimeName.BOUNDARY_UNSUPPORTED
 
@@ -389,10 +389,5 @@ class TestTableAgreesWithClassifier:
                         continue
                     admissible += 1
                     label = classify_regime(kappa, hv, row.weighted).label
-                    if form == StatForm.ODD_WEIGHTED and kappa == 3 and hv == SIXTH:
-                        # the classifier labels this cell by the cubic theorem's
-                        # open endpoint; the odd drift statistic stays admissible
-                        assert label == RegimeName.BOUNDARY_UNSUPPORTED
-                    else:
-                        assert label in ALLOWED_REGIMES[form], (form, kappa, hv, label)
+                    assert label in ALLOWED_REGIMES[form], (form, kappa, hv, label)
             assert admissible > 0, form
