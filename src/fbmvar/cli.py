@@ -288,6 +288,20 @@ def cmd_selftest() -> int:
     return status
 
 
+def kappa_list(text: str) -> tuple:
+    kappas = tuple(int(tok) for tok in text.replace(",", " ").split())
+    if not kappas or min(kappas) < 2:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers >= 2, got {text!r}")
+    return kappas
+
+
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"expected a number > 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fbmvar", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -301,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--dump-paths", action="store_true", help="dump replica-0 paths as text")
 
     p_reg = sub.add_parser("regimes", help="print the regime classification table")
-    p_reg.add_argument("--kappas", default="2,3", help="comma-separated kappa list")
-    p_reg.add_argument("--h-step", type=float, default=0.05, help="H grid step")
+    p_reg.add_argument("--kappas", type=kappa_list, default="2,3", help="comma-separated kappa list (each >= 2)")
+    p_reg.add_argument("--h-step", type=positive_float, default=0.05, help="H grid step (> 0)")
     p_reg.add_argument("--csv", default=None, help="also write the table as CSV here")
 
     sub.add_parser("selftest", help="run the fast invariant suite")
@@ -322,8 +336,7 @@ def main(argv=None) -> int:
                 dump_paths=args.dump_paths,
             )
         if args.command == "regimes":
-            kappas = tuple(int(tok) for tok in args.kappas.replace(",", " ").split())
-            return cmd_regimes(kappas=kappas, h_step=args.h_step, csv_path=args.csv)
+            return cmd_regimes(kappas=args.kappas, h_step=args.h_step, csv_path=args.csv)
         if args.command == "selftest":
             return cmd_selftest()
     except FbmvarError as exc:
@@ -334,3 +347,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

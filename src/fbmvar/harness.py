@@ -45,6 +45,7 @@ class ExperimentPlan:
         object.__setattr__(self, "n_ladder", ladder)
         if self.replicas < 2:
             raise ValueError(f"replicas must be >= 2, got {self.replicas}")
+        SamplerConfig(method=self.method, seed=self.seed)  # ValueError on a bad method or seed
 
 
 @dataclass(frozen=True)

@@ -163,19 +163,12 @@ class BreuerMajorSpec:
 
     hurst: HurstIndex
     kappa: int
-    hermite_truncation: int | None = None
     lag_truncation: int = DEFAULT_LAG_TRUNCATION
 
     def __post_init__(self):
         object.__setattr__(self, "hurst", as_hurst(self.hurst))
         if self.kappa < 2:
             raise ValueError(f"kappa must be >= 2, got {self.kappa}")
-        if self.hermite_truncation is None:
-            object.__setattr__(self, "hermite_truncation", self.kappa)
-        if self.hermite_truncation < self.kappa:
-            raise ValueError(
-                f"hermite_truncation must be >= kappa, got {self.hermite_truncation} < {self.kappa}"
-            )
         if self.lag_truncation < 1:
             raise ValueError(f"lag_truncation must be >= 1, got {self.lag_truncation}")
         h = self.hurst.value
@@ -194,8 +187,8 @@ def breuer_major_variance(spec: BreuerMajorSpec) -> float:
 
     c_q are the Hermite coefficients of x^kappa, with the constant term dropped
     (mean centering) so the rank is q0 = 2 for even kappa and q0 = 1 for odd.
-    Coefficients vanish above q = kappa, so the Hermite truncation is exact at
-    its default; the lag truncation P controls the tail of each lag series.
+    Coefficients vanish above q = kappa, so the sum over q is finite; the lag
+    truncation P controls the tail of each lag series.
     """
     h = spec.hurst.value
     kappa = spec.kappa
@@ -203,7 +196,7 @@ def breuer_major_variance(spec: BreuerMajorSpec) -> float:
     q0 = 2 if kappa % 2 == 0 else 1
     rho = increment_autocov_seq(h, spec.lag_truncation)
     total = 0.0
-    for q in range(q0, min(spec.hermite_truncation, kappa) + 1, 2):
+    for q in range(q0, kappa + 1, 2):
         lag_sum = rho[0] ** q + 2.0 * float(np.sum(rho[1:] ** q))
         total += math.factorial(q) * c[q] ** 2 * lag_sum
     return total

@@ -7,8 +7,9 @@ limit displays for weighted/unweighted kappa-variations of fBm; weights are
 always evaluated at the left endpoint B_{k/n}. `limit_functional` provides the
 matching discrete right-hand side on the same path (left-endpoint Riemann sum
 with step 1/n), so the mean-square gap between the two is exactly the quantity
-the L2 theorems drive to zero. `classify_regime` maps (kappa, H, weighted?) to
-the governing limit regime.
+the L2 theorems drive to zero. `REGIMES` is the table of limit regimes, and
+`classify_regime` maps (kappa, H, weighted?) to its first matching row; both
+tables state their H intervals and kappa rules the same way.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import KappaError, OrderError, RegimeError
+from .errors import KappaError, RegimeError
 from .kernels import as_hurst, gaussian_moment
 from .sampler import FbmPath
 from .weights import WeightFunction
@@ -26,6 +27,26 @@ from .weights import WeightFunction
 # Endpoints of the theorems' H intervals, and how messages print them.
 SIXTH, QUARTER, HALF, THREE_QUARTERS = 1.0 / 6.0, 0.25, 0.5, 0.75
 _ENDPOINT_TEXT = {0.0: "0", SIXTH: "1/6", QUARTER: "1/4", HALF: "1/2", THREE_QUARTERS: "3/4"}
+
+
+def _admits(rule: tuple, kappa: int) -> bool:
+    """Whether kappa fits the rule (smallest kappa, step); step 0 admits only the smallest."""
+    first, step = rule
+    return kappa == first if step == 0 else kappa >= first and (kappa - first) % step == 0
+
+
+def _near(hv: float, b: float) -> bool:
+    return abs(hv - b) < 1e-12
+
+
+def _inside(hv: float, interval: tuple) -> bool:
+    """Whether hv lies in (lo, lo closed?, hi, hi closed?); within 1e-12 of an end is at that end."""
+    lo, lo_closed, hi, hi_closed = interval
+    return (lo_closed if _near(hv, lo) else hv > lo) and (hi_closed if _near(hv, hi) else hv < hi)
+
+
+def _point(p: float) -> tuple:
+    return (p, True, p, True)
 
 
 class StatForm(str, Enum):
@@ -53,12 +74,8 @@ class FormSpec:
     exponent: tuple  # (a, b) of the outer normalization n^{aH+b}
     centred: bool
     compensator: float
-    h_interval: tuple  # (lo, hi, hi closed?); lo is always open
+    h_interval: tuple  # (lo, lo closed?, hi, hi closed?); lo is always open
     limit: tuple | None
-
-    def admits_kappa(self, kappa: int) -> bool:
-        first, step = self.kappa
-        return kappa == first if step == 0 else kappa >= first and (kappa - first) % step == 0
 
     @property
     def kappa_rule(self) -> str:
@@ -70,18 +87,18 @@ class FormSpec:
 
     @property
     def h_rule(self) -> str:
-        lo, hi, closed = self.h_interval
-        return f"H in ({_ENDPOINT_TEXT[lo]}, {_ENDPOINT_TEXT[hi]}{']' if closed else ')'}"
+        lo, _, hi, hi_closed = self.h_interval
+        return f"H in ({_ENDPOINT_TEXT[lo]}, {_ENDPOINT_TEXT[hi]}{']' if hi_closed else ')'}"
 
 
 FORMS = {
     # form: FormSpec(kappa, weighted, exponent, centred, compensator, h_interval, limit)
-    StatForm.CENTERED_QUADRATIC:  FormSpec((2, 0), True,  (2, -1),   True,  0.0, (0.0, QUARTER, False),        (lambda k: 0.25, 2)),
-    StatForm.COMPENSATED_CUBIC:   FormSpec((3, 0), True,  (3, -1),   False, 1.5, (0.0, SIXTH, False),          (lambda k: -0.125, 3)),
-    StatForm.ODD_WEIGHTED:        FormSpec((1, 2), True,  (1, -1),   False, 0.0, (0.0, HALF, False),           (lambda k: -0.5 * gaussian_moment(k + 1), 1)),
-    StatForm.UNWEIGHTED_CENTERED: FormSpec((2, 2), False, (0, -0.5), True,  0.0, (0.0, THREE_QUARTERS, False), None),
-    StatForm.UNWEIGHTED_ODD:      FormSpec((3, 2), False, (0, -0.5), False, 0.0, (0.0, HALF, True),            None),
-    StatForm.MIXING_NORMALIZED:   FormSpec((2, 0), True,  (0, -0.5), True,  0.0, (QUARTER, HALF, True),        None),
+    StatForm.CENTERED_QUADRATIC:  FormSpec((2, 0), True,  (2, -1),   True,  0.0, (0.0, False, QUARTER, False),        (lambda k: 0.25, 2)),
+    StatForm.COMPENSATED_CUBIC:   FormSpec((3, 0), True,  (3, -1),   False, 1.5, (0.0, False, SIXTH, False),          (lambda k: -0.125, 3)),
+    StatForm.ODD_WEIGHTED:        FormSpec((1, 2), True,  (1, -1),   False, 0.0, (0.0, False, HALF, False),           (lambda k: -0.5 * gaussian_moment(k + 1), 1)),
+    StatForm.UNWEIGHTED_CENTERED: FormSpec((2, 2), False, (0, -0.5), True,  0.0, (0.0, False, THREE_QUARTERS, False), None),
+    StatForm.UNWEIGHTED_ODD:      FormSpec((3, 2), False, (0, -0.5), False, 0.0, (0.0, False, HALF, True),            None),
+    StatForm.MIXING_NORMALIZED:   FormSpec((2, 0), True,  (0, -0.5), True,  0.0, (QUARTER, False, HALF, True),        None),
 }
 
 
@@ -96,7 +113,7 @@ class StatisticSpec:
     def __post_init__(self):
         object.__setattr__(self, "form", StatForm(self.form))
         row = FORMS[self.form]
-        if not row.admits_kappa(self.kappa):
+        if not _admits(row.kappa, self.kappa):
             raise ValueError(f"{self.form.value} requires {row.kappa_rule}, got kappa = {self.kappa}")
         if not row.weighted and self.weight != "one":
             raise ValueError(f"{self.form.value} is unweighted and requires weight = one, got weight '{self.weight}'")
@@ -153,17 +170,11 @@ def limit_functional(path: FbmPath, h: WeightFunction, form: StatForm, kappa: in
         if row.kappa[1]:
             raise KappaError(f"{form.value} limit needs kappa to fix the drift constant")
         kappa = row.kappa[0]
-    if not row.admits_kappa(kappa):
+    if not _admits(row.kappa, kappa):
         raise KappaError(f"{form.value} limit requires {row.kappa_rule}, got {kappa}")
     constant, order = row.limit
-    if order > h.max_order:
-        raise OrderError(f"weight {h.id!r} lacks derivative order {order}")
     left = path.values[:-1]
     return constant(kappa) * float(np.mean(h.derivative(order)(left)))
-
-
-def _near(hv: float, b: float) -> bool:
-    return abs(hv - b) < 1e-12
 
 
 def require_form_admissible(form: StatForm, kappa: int, H) -> None:
@@ -177,114 +188,50 @@ def require_form_admissible(form: StatForm, kappa: int, H) -> None:
     form = StatForm(form)
     row = FORMS[form]
     hv = as_hurst(H).value
-    lo, hi, closed = row.h_interval
-    above = hv > lo and not _near(hv, lo)
-    below = (hv < hi or _near(hv, hi)) if closed else (hv < hi and not _near(hv, hi))
-    if not row.admits_kappa(kappa):
+    if not _admits(row.kappa, kappa):
         need = row.kappa_rule
-    elif not (above and below):
+    elif not _inside(hv, row.h_interval):
         need = row.h_rule
     else:
         return
     raise RegimeError(f"form {form.value} with kappa={kappa} requires {need}; got H={hv}")
 
 
-def classify_regime(kappa: int, H, weighted: bool) -> RegimeLabel:
-    """Map (kappa, H, weighted?) to the limit regime governing that cell.
+# The regime table: (weighted, kappa rule, H interval, regime, citation), first
+# matching row wins. H = 1/2 is pinned by the Brownian results (classical CLT
+# unweighted, Jacod-type mixing limits weighted); the open endpoints of the other
+# theorems (1/4, 3/4 where applicable) are point rows ahead of the intervals they
+# bound and label as boundary_unsupported, as do cells with no published
+# statement. At H = 1/6, the open end of the compensated cubic theorem, a
+# weighted cubic cell falls to the odd drift theorem, which holds for all H < 1/2.
+REGIMES = (
+    (False, (2, 1), _point(HALF),                         RegimeName.BROWNIAN_CLT,          "classical CLT for Brownian kappa-variation: N(0, mu_{2k} - mu_k^2)"),
+    (False, (2, 2), _point(THREE_QUARTERS),               RegimeName.BOUNDARY_UNSUPPORTED,  "H = 3/4 separates the Gaussian and Rosenblatt regimes"),
+    (False, (2, 2), (0.0, True, THREE_QUARTERS, False),   RegimeName.BREUER_MAJOR_CLT,      "Breuer-Major CLT, even power, H < 3/4: N(0, sigma^2(H, kappa))"),
+    (False, (2, 2), (THREE_QUARTERS, False, 1.0, True),   RegimeName.ROSENBLATT,            "non-central limit (Taqqu): n^{1-2H}-normalized sum tends to a Rosenblatt variable"),
+    (False, (3, 2), (0.0, True, HALF, False),             RegimeName.BREUER_MAJOR_CLT,      "Breuer-Major CLT, odd power, H < 1/2: N(0, sigma^2(H, kappa))"),
+    (False, (3, 2), (HALF, False, 1.0, True),             RegimeName.BREUER_MAJOR_CLT,      "Breuer-Major CLT, odd power, H > 1/2 with n^{-H} Sum n^{kappa H} normalization"),
+    (True,  (2, 2), _point(HALF),                         RegimeName.MIXING_CONJECTURE,     "Jacod-type mixing limit at H = 1/2 (even power): stochastic integral of h(B) against an independent Brownian motion"),
+    (True,  (3, 2), _point(HALF),                         RegimeName.MIXING_CONJECTURE,     "Jacod-type mixing limit at H = 1/2 (odd power): stochastic integral of h(B) against an independent Brownian motion"),
+    (True,  (2, 2), _point(THREE_QUARTERS),               RegimeName.BOUNDARY_UNSUPPORTED,  "H = 3/4 is the open endpoint of the mixing regime"),
+    (True,  (2, 2), (HALF, False, THREE_QUARTERS, False), RegimeName.MIXING_CONJECTURE,     "mixing limit (Leon-Ludena) for even power, 1/2 < H < 3/4: sigma Int h(B) dW"),
+    (True,  (2, 0), _point(QUARTER),                      RegimeName.BOUNDARY_UNSUPPORTED,  "H = 1/4 is the open endpoint of the weighted quadratic L2 theorem"),
+    (True,  (2, 0), (0.0, True, QUARTER, False),          RegimeName.WEIGHTED_L2_QUADRATIC, "weighted quadratic L2 limit, H < 1/4: n^{2H-1}-normalized sum tends to (1/4) Int h''(B_u) du"),
+    (True,  (2, 0), (QUARTER, False, HALF, False),        RegimeName.MIXING_CONJECTURE,     "conjectured mixing limit for 1/4 < H < 1/2: sigma_H Int h(B) dW (second moment scales like n)"),
+    (True,  (2, 0), (THREE_QUARTERS, False, 1.0, True),   RegimeName.BOUNDARY_UNSUPPORTED,  "weighted even-power regime for H > 3/4 has no published statement here"),
+    (True,  (4, 2), (0.0, True, 1.0, True),               RegimeName.BOUNDARY_UNSUPPORTED,  "weighted even power >= 4 outside (1/2, 3/4) has no published statement here"),
+    (True,  (3, 0), (0.0, True, SIXTH, False),            RegimeName.WEIGHTED_L2_CUBIC,     "compensated cubic L2 limit, H < 1/6: n^{3H-1}-normalized compensated sum tends to -(1/8) Int h'''(B_u) du"),
+    (True,  (3, 2), (0.0, True, HALF, False),             RegimeName.ODD_L2_DRIFT,          "odd-power drift limit (Gradinaru-Russo-Vallois), H < 1/2: n^{H-1}-normalized sum tends to -(mu_{kappa+1}/2) Int h'(B_s) ds"),
+    (True,  (3, 2), (HALF, False, 1.0, True),             RegimeName.BOUNDARY_UNSUPPORTED,  "weighted odd power for H > 1/2 has no published statement here"),
+)
 
-    Total on non-boundary H. H = 1/2 is pinned exactly by the Brownian results
-    (classical CLT unweighted, Jacod-type mixing limits weighted); the open
-    interval endpoints of the other theorems (1/4, 3/4 where applicable)
-    return boundary_unsupported, as do cells with no published statement. At
-    H = 1/6, the open end of the compensated cubic theorem, a weighted cubic
-    cell falls to the odd drift theorem, which holds for all H < 1/2.
-    """
+
+def classify_regime(kappa: int, H, weighted: bool) -> RegimeLabel:
+    """Map (kappa, H, weighted?) to the limit regime of its first matching `REGIMES` row."""
     if kappa < 2:
         raise ValueError(f"kappa must be >= 2, got {kappa}")
     hv = as_hurst(H).value
-    even = kappa % 2 == 0
-
-    if not weighted:
-        if _near(hv, HALF):
-            return RegimeLabel(
-                RegimeName.BROWNIAN_CLT,
-                "classical CLT for Brownian kappa-variation: N(0, mu_{2k} - mu_k^2)",
-            )
-        if even:
-            if _near(hv, THREE_QUARTERS):
-                return RegimeLabel(RegimeName.BOUNDARY_UNSUPPORTED, "H = 3/4 separates the Gaussian and Rosenblatt regimes")
-            if hv < THREE_QUARTERS:
-                return RegimeLabel(
-                    RegimeName.BREUER_MAJOR_CLT,
-                    "Breuer-Major CLT, even power, H < 3/4: N(0, sigma^2(H, kappa))",
-                )
-            return RegimeLabel(
-                RegimeName.ROSENBLATT,
-                "non-central limit (Taqqu): n^{1-2H}-normalized sum tends to a Rosenblatt variable",
-            )
-        if hv < HALF:
-            return RegimeLabel(
-                RegimeName.BREUER_MAJOR_CLT,
-                "Breuer-Major CLT, odd power, H < 1/2: N(0, sigma^2(H, kappa))",
-            )
-        return RegimeLabel(
-            RegimeName.BREUER_MAJOR_CLT,
-            "Breuer-Major CLT, odd power, H > 1/2 with n^{-H} Sum n^{kappa H} normalization",
-        )
-
-    # weighted
-    if _near(hv, HALF):
-        which = "even power" if even else "odd power"
-        return RegimeLabel(
-            RegimeName.MIXING_CONJECTURE,
-            f"Jacod-type mixing limit at H = 1/2 ({which}): stochastic integral of h(B) against an independent Brownian motion",
-        )
-    if even:
-        if kappa == 2:
-            if _near(hv, QUARTER):
-                return RegimeLabel(RegimeName.BOUNDARY_UNSUPPORTED, "H = 1/4 is the open endpoint of the weighted quadratic L2 theorem")
-            if hv < QUARTER:
-                return RegimeLabel(
-                    RegimeName.WEIGHTED_L2_QUADRATIC,
-                    "weighted quadratic L2 limit, H < 1/4: n^{2H-1}-normalized sum tends to (1/4) Int h''(B_u) du",
-                )
-            if hv < HALF:
-                return RegimeLabel(
-                    RegimeName.MIXING_CONJECTURE,
-                    "conjectured mixing limit for 1/4 < H < 1/2: sigma_H Int h(B) dW (second moment scales like n)",
-                )
-            if _near(hv, THREE_QUARTERS):
-                return RegimeLabel(RegimeName.BOUNDARY_UNSUPPORTED, "H = 3/4 is the open endpoint of the mixing regime")
-            if hv < THREE_QUARTERS:
-                return RegimeLabel(
-                    RegimeName.MIXING_CONJECTURE,
-                    "mixing limit (Leon-Ludena) for even power, 1/2 < H < 3/4: sigma Int h(B) dW",
-                )
-            return RegimeLabel(RegimeName.BOUNDARY_UNSUPPORTED, "weighted even-power regime for H > 3/4 has no published statement here")
-        # even kappa >= 4
-        if _near(hv, THREE_QUARTERS):
-            return RegimeLabel(RegimeName.BOUNDARY_UNSUPPORTED, "H = 3/4 is the open endpoint of the mixing regime")
-        if HALF < hv < THREE_QUARTERS:
-            return RegimeLabel(
-                RegimeName.MIXING_CONJECTURE,
-                "mixing limit (Leon-Ludena) for even power, 1/2 < H < 3/4: sigma Int h(B) dW",
-            )
-        return RegimeLabel(
-            RegimeName.BOUNDARY_UNSUPPORTED,
-            "weighted even power >= 4 outside (1/2, 3/4) has no published statement here",
-        )
-    # odd kappa, weighted
-    if kappa == 3 and hv < SIXTH and not _near(hv, SIXTH):
-        return RegimeLabel(
-            RegimeName.WEIGHTED_L2_CUBIC,
-            "compensated cubic L2 limit, H < 1/6: n^{3H-1}-normalized compensated sum tends to -(1/8) Int h'''(B_u) du",
-        )
-    if hv < HALF:
-        return RegimeLabel(
-            RegimeName.ODD_L2_DRIFT,
-            "odd-power drift limit (Gradinaru-Russo-Vallois), H < 1/2: n^{H-1}-normalized sum tends to -(mu_{kappa+1}/2) Int h'(B_s) ds",
-        )
-    return RegimeLabel(
-        RegimeName.BOUNDARY_UNSUPPORTED,
-        "weighted odd power for H > 1/2 has no published statement here",
-    )
+    for row_weighted, rule, interval, name, citation in REGIMES:
+        if row_weighted == bool(weighted) and _admits(rule, kappa) and _inside(hv, interval):
+            return RegimeLabel(name, citation)
+    raise AssertionError(f"no REGIMES row covers kappa={kappa}, H={hv}, weighted={weighted}")

@@ -1,6 +1,10 @@
 """CLI: config parsing, report files, exit codes, selftest."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +69,21 @@ class TestParseConfig:
             cli.parse_config(write(tmp_path, bad))
         rc = cli.main(["run", "--config", str(write(tmp_path, bad)), "--out", str(tmp_path / "out")])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "edit, seed, field",
+        [(("circulant", "chol"), None, "method"), (("seed = 1", "seed = -3"), None, "seed"), (None, -1, "seed")],
+    )
+    def test_bad_method_or_seed_exits_2(self, tmp_path, capsys, edit, seed, field):
+        text = "[p]\nhurst = 0.1\nkappa = 2\nweight = x2\nform = centered_quadratic\n"
+        text += "n_ladder = 16\nreplicas = 4\nseed = 1\nmethod = circulant\n"
+        cfg = write(tmp_path, text.replace(*edit) if edit else text)
+        with pytest.raises(cli.ConfigError, match=rf"\[p\].*{field}"):
+            cli.parse_config(cfg, seed_override=seed)
+        override = [] if seed is None else ["--seed", str(seed)]
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), *override]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_raw_form_not_runnable(self, tmp_path):
         with pytest.raises(cli.ConfigError, match=r"\[quad_small\].*raw_weighted"):
@@ -211,6 +230,30 @@ class TestCmdRegimes:
         lines = target.read_text().strip().split("\n")
         assert lines[0] == "kappa,H,unweighted_regime,unweighted_citation,weighted_regime,weighted_citation"
         assert len(lines) == 1 + 3
+
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--kappas", "1"), ("--kappas", "x"), ("--kappas", "2,1"), ("--h-step", "0"), ("--h-step", "-0.5")]
+    )
+    def test_bad_flag_exits_2(self, capsys, flag, value):
+        # validated while parsing, so a step of 0 cannot reach the grid loop
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["regimes", flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert captured.out == ""
+
+    def test_python_dash_m(self, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fbmvar.cli", "regimes", "--kappas", "2", "--h-step", "0.25"],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "# regime table" in proc.stdout
+        assert "    2     0.25  breuer_major_clt         boundary_unsupported" in proc.stdout
 
 
 class TestCmdSelftest:

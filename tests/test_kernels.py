@@ -270,16 +270,11 @@ class TestBreuerMajorVariance:
             v = breuer_major_variance(BreuerMajorSpec(hurst=h, kappa=2, lag_truncation=P))
             assert v >= prev
             prev = v
-        lo = breuer_major_variance(BreuerMajorSpec(hurst=h, kappa=4, hermite_truncation=4, lag_truncation=100))
-        hi = breuer_major_variance(BreuerMajorSpec(hurst=h, kappa=4, hermite_truncation=6, lag_truncation=100))
-        assert hi >= lo
-        assert lo >= 0.0
+        assert breuer_major_variance(BreuerMajorSpec(hurst=h, kappa=4, lag_truncation=100)) >= 0.0
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             BreuerMajorSpec(hurst=HurstIndex(0.3), kappa=1)
-        with pytest.raises(ValueError):
-            BreuerMajorSpec(hurst=HurstIndex(0.3), kappa=2, hermite_truncation=1)
         with pytest.raises(ValueError):
             BreuerMajorSpec(hurst=HurstIndex(0.3), kappa=2, lag_truncation=0)
 

@@ -294,6 +294,65 @@ class TestStatisticSpecValidation:
             assert evaluate_statistic(p, builtin(spec.weight), spec) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+# (label, citation) of every regime the classifier reports, written out here so
+# that a change to the REGIMES table cannot move them unnoticed
+CITED = {
+    "bm_even": (RegimeName.BREUER_MAJOR_CLT, "Breuer-Major CLT, even power, H < 3/4: N(0, sigma^2(H, kappa))"),
+    "brownian": (RegimeName.BROWNIAN_CLT, "classical CLT for Brownian kappa-variation: N(0, mu_{2k} - mu_k^2)"),
+    "gauss_rosenblatt_end": (RegimeName.BOUNDARY_UNSUPPORTED, "H = 3/4 separates the Gaussian and Rosenblatt regimes"),
+    "rosenblatt": (RegimeName.ROSENBLATT, "non-central limit (Taqqu): n^{1-2H}-normalized sum tends to a Rosenblatt variable"),
+    "bm_odd_low": (RegimeName.BREUER_MAJOR_CLT, "Breuer-Major CLT, odd power, H < 1/2: N(0, sigma^2(H, kappa))"),
+    "bm_odd_high": (RegimeName.BREUER_MAJOR_CLT, "Breuer-Major CLT, odd power, H > 1/2 with n^{-H} Sum n^{kappa H} normalization"),
+    "l2_quadratic": (RegimeName.WEIGHTED_L2_QUADRATIC, "weighted quadratic L2 limit, H < 1/4: n^{2H-1}-normalized sum tends to (1/4) Int h''(B_u) du"),
+    "quadratic_end": (RegimeName.BOUNDARY_UNSUPPORTED, "H = 1/4 is the open endpoint of the weighted quadratic L2 theorem"),
+    "mixing_low": (RegimeName.MIXING_CONJECTURE, "conjectured mixing limit for 1/4 < H < 1/2: sigma_H Int h(B) dW (second moment scales like n)"),
+    "jacod_even": (RegimeName.MIXING_CONJECTURE, "Jacod-type mixing limit at H = 1/2 (even power): stochastic integral of h(B) against an independent Brownian motion"),
+    "leon_ludena": (RegimeName.MIXING_CONJECTURE, "mixing limit (Leon-Ludena) for even power, 1/2 < H < 3/4: sigma Int h(B) dW"),
+    "mixing_end": (RegimeName.BOUNDARY_UNSUPPORTED, "H = 3/4 is the open endpoint of the mixing regime"),
+    "even_high": (RegimeName.BOUNDARY_UNSUPPORTED, "weighted even-power regime for H > 3/4 has no published statement here"),
+    "l2_cubic": (RegimeName.WEIGHTED_L2_CUBIC, "compensated cubic L2 limit, H < 1/6: n^{3H-1}-normalized compensated sum tends to -(1/8) Int h'''(B_u) du"),
+    "odd_drift": (RegimeName.ODD_L2_DRIFT, "odd-power drift limit (Gradinaru-Russo-Vallois), H < 1/2: n^{H-1}-normalized sum tends to -(mu_{kappa+1}/2) Int h'(B_s) ds"),
+    "jacod_odd": (RegimeName.MIXING_CONJECTURE, "Jacod-type mixing limit at H = 1/2 (odd power): stochastic integral of h(B) against an independent Brownian motion"),
+    "odd_high": (RegimeName.BOUNDARY_UNSUPPORTED, "weighted odd power for H > 1/2 has no published statement here"),
+    "even4_outside": (RegimeName.BOUNDARY_UNSUPPORTED, "weighted even power >= 4 outside (1/2, 3/4) has no published statement here"),
+}
+# (weighted, kappa, endpoint e): regimes at e - 2e-12, at e +- 5e-13 and at e + 2e-12
+SLIVERS = {
+    (False, 2, SIXTH): ("bm_even", "bm_even", "bm_even"),
+    (False, 2, QUARTER): ("bm_even", "bm_even", "bm_even"),
+    (False, 2, HALF): ("bm_even", "brownian", "bm_even"),
+    (False, 2, THREE_QUARTERS): ("bm_even", "gauss_rosenblatt_end", "rosenblatt"),
+    (False, 3, SIXTH): ("bm_odd_low", "bm_odd_low", "bm_odd_low"),
+    (False, 3, QUARTER): ("bm_odd_low", "bm_odd_low", "bm_odd_low"),
+    (False, 3, HALF): ("bm_odd_low", "brownian", "bm_odd_high"),
+    (False, 3, THREE_QUARTERS): ("bm_odd_high", "bm_odd_high", "bm_odd_high"),
+    (False, 4, SIXTH): ("bm_even", "bm_even", "bm_even"),
+    (False, 4, QUARTER): ("bm_even", "bm_even", "bm_even"),
+    (False, 4, HALF): ("bm_even", "brownian", "bm_even"),
+    (False, 4, THREE_QUARTERS): ("bm_even", "gauss_rosenblatt_end", "rosenblatt"),
+    (False, 5, SIXTH): ("bm_odd_low", "bm_odd_low", "bm_odd_low"),
+    (False, 5, QUARTER): ("bm_odd_low", "bm_odd_low", "bm_odd_low"),
+    (False, 5, HALF): ("bm_odd_low", "brownian", "bm_odd_high"),
+    (False, 5, THREE_QUARTERS): ("bm_odd_high", "bm_odd_high", "bm_odd_high"),
+    (True, 2, SIXTH): ("l2_quadratic", "l2_quadratic", "l2_quadratic"),
+    (True, 2, QUARTER): ("l2_quadratic", "quadratic_end", "mixing_low"),
+    (True, 2, HALF): ("mixing_low", "jacod_even", "leon_ludena"),
+    (True, 2, THREE_QUARTERS): ("leon_ludena", "mixing_end", "even_high"),
+    (True, 3, SIXTH): ("l2_cubic", "odd_drift", "odd_drift"),
+    (True, 3, QUARTER): ("odd_drift", "odd_drift", "odd_drift"),
+    (True, 3, HALF): ("odd_drift", "jacod_odd", "odd_high"),
+    (True, 3, THREE_QUARTERS): ("odd_high", "odd_high", "odd_high"),
+    (True, 4, SIXTH): ("even4_outside", "even4_outside", "even4_outside"),
+    (True, 4, QUARTER): ("even4_outside", "even4_outside", "even4_outside"),
+    (True, 4, HALF): ("even4_outside", "jacod_even", "leon_ludena"),
+    (True, 4, THREE_QUARTERS): ("leon_ludena", "mixing_end", "even4_outside"),
+    (True, 5, SIXTH): ("odd_drift", "odd_drift", "odd_drift"),
+    (True, 5, QUARTER): ("odd_drift", "odd_drift", "odd_drift"),
+    (True, 5, HALF): ("odd_drift", "jacod_odd", "odd_high"),
+    (True, 5, THREE_QUARTERS): ("odd_high", "odd_high", "odd_high"),
+}
+
+
 class TestClassifyRegime:
     def test_paper_cells(self):
         assert classify_regime(2, 0.10, True).label == RegimeName.WEIGHTED_L2_QUADRATIC
@@ -318,6 +377,14 @@ class TestClassifyRegime:
         assert classify_regime(4, 0.2, True).label == RegimeName.BOUNDARY_UNSUPPORTED
         assert classify_regime(2, 0.9, True).label == RegimeName.BOUNDARY_UNSUPPORTED
         assert classify_regime(3, 0.7, True).label == RegimeName.BOUNDARY_UNSUPPORTED
+
+    def test_endpoint_slivers(self):
+        # within 1e-12 of a theorem endpoint is at the endpoint; 2e-12 away is not
+        for (weighted, kappa, e), (below, at, above) in SLIVERS.items():
+            for hv, key in ((e - 2e-12, below), (e - 5e-13, at), (e + 5e-13, at), (e + 2e-12, above)):
+                got = classify_regime(kappa, hv, weighted)
+                assert (got.label, got.citation) == CITED[key], (weighted, kappa, e, hv)
+        assert {key for cells in SLIVERS.values() for key in cells} == set(CITED)
 
     def test_exhaustive_and_deterministic_on_lattice(self):
         for kappa in range(2, 7):
