@@ -1,24 +1,24 @@
 #!/usr/bin/env python3
-"""Time each layer of one circulant `sample_fbm` call and print one JSON line.
+"""Time each layer of one block of replicas and print one JSON line.
 
-Layers, in microseconds per call, at each grid size n:
+The harness evaluates replicas in blocks of B = `harness.block_size(n)`
+paths; this script times one such block at each grid size n and reports
+microseconds per replica (the block's time divided by B):
 
-- `philox_us`: `_rng(seed, stream)`, which hands out the generator keyed to
-  the start of the stream;
-- `normals_us`: the 2n standard normals drawn from it;
-- `synthesis_us`: `_sample_fgn_circulant` minus its normals, i.e. the
-  spectral synthesis of the increments from cached coefficients;
+- `rekey_normals_us`: `_block_normals`, which re-keys the thread's Philox
+  generator to each row's `(seed, stream)` and draws the row's 2n normals;
+- `synthesis_us`: `_block_fgn`, the half-spectrum products and the one
+  inverse FFT along the rows;
 - `assembly_us`: `sample_fbm` minus the two calls above, i.e. the cumulative
-  sum, the n^{-H} scale where the synthesis does not fold it in, and the
-  `FbmPath` validation and copy;
-- `sample_fbm_us`: the whole call.
+  sum and the `FbmPath` validation and copy;
+- `statistic_us`: `evaluate_statistic` on the block;
+- `limit_us`: `limit_functional` on the block;
+- `total_us`: the sum of the five.
 
-Each timed call is the minimum over RUNS runs of its mean over CALLS calls,
-after one warm-up call that fills the coefficient cache; the two derived
-layers are differences of those minima. The layers are measured through the
-sampler's private names `_rng` and `_sample_fgn_circulant`, which have the
-same signatures in earlier versions, so the script can time an older checkout
-by putting its `src` first on PYTHONPATH.
+The plan is acceptance criterion 6's (H = 0.1, centred quadratic form,
+weight x2). Each timed call is the minimum over RUNS runs of its mean over
+CALLS calls, after one warm-up call that fills the coefficient cache;
+assembly is a difference of those minima.
 
     PYTHONPATH=src python3 scripts/bench_sampler.py
 """
@@ -29,12 +29,14 @@ import time
 
 import numpy as np
 
-from fbmvar import SamplerConfig, sample_fbm
+from fbmvar import SamplerConfig, StatForm, StatisticSpec, builtin, evaluate_statistic, limit_functional, sample_fbm
+from fbmvar import harness
 from fbmvar import sampler as sampler_mod
 
-HURST = 0.3  # the clt_n8192 workload's H
+HURST = 0.1
+SPEC = StatisticSpec(kappa=2, weight="x2", form=StatForm.CENTERED_QUADRATIC)
 GRID_SIZES = (128, 2048, 8192)
-CALLS = 200
+CALLS = 100
 RUNS = 5
 
 
@@ -61,38 +63,45 @@ def best_us(ops, calls, runs):
     return best
 
 
-def layer_times(h, n, calls, runs):
+def layer_times(n, calls, runs):
     seed, stream = 20080612, 7
+    block = harness.block_size(n)
     config = SamplerConfig(seed=seed, stream=stream)
-    rng = sampler_mod._rng(seed, stream)
+    h = builtin(SPEC.weight)
+    z = sampler_mod._block_normals(seed, stream, block, n)
+    path = sample_fbm(HURST, n, config, block)
     t = best_us(
         {
-            "philox": lambda: sampler_mod._rng(seed, stream),
-            "normals": lambda: rng.standard_normal(2 * n),
-            "fgn": lambda: sampler_mod._sample_fgn_circulant(h, n, rng),
-            "total": lambda: sample_fbm(h, n, config),
+            "normals": lambda: sampler_mod._block_normals(seed, stream, block, n),
+            "fgn": lambda: sampler_mod._block_fgn(HURST, n, z),
+            "sample": lambda: sample_fbm(HURST, n, config, block),
+            "statistic": lambda: evaluate_statistic(path, h, SPEC),
+            "limit": lambda: limit_functional(path, h, SPEC.form, SPEC.kappa),
         },
         calls,
         runs,
     )
     layers = {
-        "philox_us": t["philox"],
-        "normals_us": t["normals"],
-        "synthesis_us": t["fgn"] - t["normals"],
-        "assembly_us": t["total"] - t["philox"] - t["fgn"],
-        "sample_fbm_us": t["total"],
+        "rekey_normals_us": t["normals"],
+        "synthesis_us": t["fgn"],
+        "assembly_us": t["sample"] - t["normals"] - t["fgn"],
+        "statistic_us": t["statistic"],
+        "limit_us": t["limit"],
+        "total_us": t["sample"] + t["statistic"] + t["limit"],
     }
-    return {name: round(us, 2) for name, us in layers.items()}
+    return {"block": block, **{name: round(us / block, 2) for name, us in layers.items()}}
 
 
 def main():
     result = {
         "hurst": HURST,
+        "form": SPEC.form.value,
+        "weight": SPEC.weight,
         "calls": CALLS,
         "runs": RUNS,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "layers": {f"n{n}": layer_times(HURST, n, CALLS, RUNS) for n in GRID_SIZES},
+        "layers": {f"n{n}": layer_times(n, CALLS, RUNS) for n in GRID_SIZES},
     }
     print(json.dumps(result))
 

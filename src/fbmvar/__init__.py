@@ -1,6 +1,6 @@
 """Weighted power variations of fractional Brownian motion.
 
-Exact fBm samplers (circulant embedding / Cholesky), the renormalized
+Exact fBm sampling by circulant embedding in blocks of paths, the renormalized
 weighted and unweighted kappa-variation statistics with their pathwise limit
 functionals, Hermite-series variance constants for the CLT regimes, and a
 seeded Monte Carlo harness measuring mean-square convergence along ladders
@@ -15,7 +15,6 @@ from .errors import (
     KappaError,
     OrderError,
     RegimeError,
-    SizeError,
     UnknownWeight,
 )
 from .harness import (
@@ -43,7 +42,7 @@ from .kernels import (
     increment_autocov,
     increment_autocov_seq,
 )
-from .sampler import FbmPath, SamplerConfig, increments, sample_fbm
+from .sampler import FbmPath, SamplerConfig, sample_fbm
 from .statistics import (
     FORMS,
     FormSpec,

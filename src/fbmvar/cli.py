@@ -15,6 +15,7 @@ import configparser
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -29,6 +30,8 @@ from .statistics import FORMS, StatisticSpec, classify_regime
 # every McRecord field but n, which leads the row before the plan columns
 _STAT_FIELDS = tuple(f.name for f in dataclasses.fields(McRecord) if f.name != "n")
 CSV_HEADER = ",".join(("n", "H", "kappa", "weight", "form") + _STAT_FIELDS)
+# `regimes` refuses a table of more (kappa, H) rows than this (exit 2).
+REGIMES_MAX_ROWS = 1_000_000
 
 
 def _fmt(x: float) -> str:
@@ -151,8 +154,7 @@ def cmd_run(config_path, out_dir, seed=None, replicas=None, threads=1, dump_path
             _write_dat(out / f"{entry.out_stem}.dat", plan, report)
             if dump_paths:
                 for n in plan.n_ladder:
-                    cfg = SamplerConfig(method=plan.method, seed=plan.seed, stream=0)
-                    path = sample_fbm(plan.hurst, n, cfg)
+                    path = sample_fbm(plan.hurst, n, SamplerConfig(method=plan.method, seed=plan.seed, stream=0))
                     with open(out / f"{entry.out_stem}_n{n}.path", "w", encoding="utf-8", newline="\n") as fh:
                         dump_path(path, fh)
     except RegimeError as exc:
@@ -168,40 +170,36 @@ def cmd_regimes(kappas=(2, 3), h_step=0.05, csv_path=None) -> int:
     """Print the (kappa, H) -> regime table, one row per (kappa, H).
 
     Each row carries the unweighted and the weighted regime label; the legend
-    below the table maps every label that occurred to its citation.
+    below the table maps every label that occurred to its citation. Rows are
+    written as they are classified; a table of more than REGIMES_MAX_ROWS rows
+    is refused with exit 2 before any row is built.
     """
-    grid = []
-    k = 1
-    while True:
-        hv = k * h_step
-        if hv >= 1.0 - 1e-12:
-            break
-        grid.append(round(hv, 12))
-        k += 1
+    rows = len(kappas) * max(0, math.ceil((1.0 - 1e-12) / h_step) - 1)
+    if rows > REGIMES_MAX_ROWS:
+        print(f"error: --h-step {h_step:g} gives {rows} rows, more than the cap of {REGIMES_MAX_ROWS}", file=sys.stderr)
+        return 2
     print(f"# regime table: H grid = multiples of {h_step:g} strictly inside (0, 1)")
     print("# open theorem endpoints (1/4, 3/4 where applicable) label as boundary_unsupported")
     print(f"{'kappa':>5} {'H':>8}  {'unweighted':<24} {'weighted':<24}")
-    rows = []
     legend = {}
-    for kappa in kappas:
-        for hv in grid:
-            plain = classify_regime(kappa, hv, False)
-            weighted = classify_regime(kappa, hv, True)
-            rows.append((kappa, hv, plain, weighted))
-            legend[(plain.label.value, plain.citation)] = None
-            legend[(weighted.label.value, weighted.citation)] = None
-            print(f"{kappa:>5} {hv:>8.4g}  {plain.label.value:<24} {weighted.label.value:<24}")
+    # without --csv the CSV rows go to the null device
+    with open(os.devnull if csv_path is None else csv_path, "w", encoding="utf-8", newline="\n") as csv:
+        csv.write("kappa,H,unweighted_regime,unweighted_citation,weighted_regime,weighted_citation\n")
+        for kappa in kappas:
+            for k in range(1, rows // len(kappas) + 1):
+                hv = round(k * h_step, 12)
+                plain = classify_regime(kappa, hv, False)
+                weighted = classify_regime(kappa, hv, True)
+                legend[(plain.label.value, plain.citation)] = None
+                legend[(weighted.label.value, weighted.citation)] = None
+                print(f"{kappa:>5} {hv:>8.4g}  {plain.label.value:<24} {weighted.label.value:<24}")
+                csv.write(
+                    f"{kappa},{_fmt(hv)},{plain.label.value},\"{plain.citation}\","
+                    f"{weighted.label.value},\"{weighted.citation}\"\n"
+                )
     print("# legend:")
     for name, citation in legend:
         print(f"#   {name}: {citation}")
-    if csv_path is not None:
-        lines = ["kappa,H,unweighted_regime,unweighted_citation,weighted_regime,weighted_citation"]
-        for kappa, hv, plain, weighted in rows:
-            lines.append(
-                f"{kappa},{_fmt(hv)},{plain.label.value},\"{plain.citation}\","
-                f"{weighted.label.value},\"{weighted.citation}\""
-            )
-        Path(csv_path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return 0
 
 
@@ -316,7 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_reg = sub.add_parser("regimes", help="print the regime classification table")
     p_reg.add_argument("--kappas", type=kappa_list, default="2,3", help="comma-separated kappa list (each >= 2)")
-    p_reg.add_argument("--h-step", type=positive_float, default=0.05, help="H grid step (> 0)")
+    p_reg.add_argument(
+        "--h-step", type=positive_float, default=0.05,
+        help=f"H grid step (> 0; at most {REGIMES_MAX_ROWS} rows in all)",
+    )
     p_reg.add_argument("--csv", default=None, help="also write the table as CSV here")
 
     sub.add_parser("selftest", help="run the fast invariant suite")

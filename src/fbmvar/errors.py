@@ -13,10 +13,6 @@ class EmbeddingError(FbmvarError):
     """Circulant embedding produced an eigenvalue too negative to clamp."""
 
 
-class SizeError(FbmvarError):
-    """A cost guard (e.g. Cholesky grid size) was exceeded."""
-
-
 class KappaError(FbmvarError):
     """A statistic was requested with a power of the wrong parity."""
 

@@ -1,8 +1,9 @@
 """Monte Carlo estimation of mean-square gaps and CLT diagnostics.
 
 Replica r of a plan always samples from the stream keyed (seed, r), so results
-are a pure function of the plan: workers may be added or removed freely and
-the per-replica values land in a buffer indexed by r before any reduction.
+are a pure function of the plan. Replicas are evaluated in blocks of B paths,
+B a function of the grid size alone; workers may be added or removed freely
+and each block's values land in a buffer indexed by r before any reduction.
 All reductions go through numpy's pairwise summation on those buffers, which
 makes every reported number bit-identical across thread counts.
 """
@@ -13,7 +14,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,6 +23,10 @@ from .kernels import HurstIndex, as_hurst
 from .sampler import SamplerConfig, sample_fbm
 from .statistics import FORMS, StatisticSpec, evaluate_statistic, limit_functional, require_form_admissible
 from .weights import builtin
+
+# A block of B >= 1 replicas at grid size n holds B * n <= BLOCK_POINTS points: its buffers
+# stay well under 1 MB, and the per-call cost is paid once per block, not once per path.
+BLOCK_POINTS = 8192
 
 
 @dataclass(frozen=True)
@@ -74,24 +79,36 @@ class McReport:
     rate_fit: RateFit | None
 
 
-def _replica_map(fn: Callable[[int], tuple], replicas: int, threads: int) -> np.ndarray:
-    """Evaluate fn(r) for r = 0..replicas-1 into an array ordered by r.
+def block_size(n: int) -> int:
+    """Replicas per block at grid size n: the largest B with B * n <= BLOCK_POINTS, at least 1."""
+    return max(1, BLOCK_POINTS // n)
 
-    Workers are capped by the cores this process may run on and by the
-    replica count: more threads than that only add switching cost.
+
+def _replica_values(plan: ExperimentPlan, h, n: int, threads: int, block: int) -> np.ndarray:
+    """(statistic, limit or 0) of replicas 0..R-1 at grid size n, row r of a (R, 2) array.
+
+    Replicas are drawn and evaluated in blocks of `block`. Workers are capped
+    by the cores this process may run on and by the block count: more threads
+    than that only add switching cost.
     """
-    out = np.empty((replicas, 2), dtype=np.float64)
+    spec = plan.spec
+    has_limit = FORMS[spec.form].limit is not None
+    out = np.empty((plan.replicas, 2), dtype=np.float64)
+    starts = range(0, plan.replicas, block)
 
-    def work(r: int) -> None:
-        out[r, :] = fn(r)
+    def work(r0: int) -> None:
+        count = min(block, plan.replicas - r0)
+        path = sample_fbm(plan.hurst, n, SamplerConfig(method=plan.method, seed=plan.seed, stream=r0), count)
+        out[r0 : r0 + count, 0] = evaluate_statistic(path, h, spec)
+        out[r0 : r0 + count, 1] = limit_functional(path, h, spec.form, spec.kappa) if has_limit else 0.0
 
-    workers = min(threads, len(os.sched_getaffinity(0)), replicas)
+    workers = min(threads, len(os.sched_getaffinity(0)), len(starts))
     if workers <= 1:
-        for r in range(replicas):
-            work(r)
+        for r0 in starts:
+            work(r0)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, range(replicas)))
+            list(pool.map(work, starts))
     return out
 
 
@@ -135,13 +152,7 @@ def _run_ladder(plan: ExperimentPlan, threads: int) -> McReport:
     h = builtin(spec.weight)
     records = []
     for n in plan.n_ladder:
-        def one(r: int, n=n) -> tuple:
-            cfg = SamplerConfig(method=plan.method, seed=plan.seed, stream=r)
-            path = sample_fbm(plan.hurst, n, cfg)
-            stat = evaluate_statistic(path, h, spec)
-            return stat, (limit_functional(path, h, spec.form, spec.kappa) if has_limit else 0.0)
-
-        vals = _replica_map(one, plan.replicas, threads)
+        vals = _replica_values(plan, h, n, threads, block_size(n))
         stats = vals[:, 0]
         if has_limit:
             gaps_sq = (stats - vals[:, 1]) ** 2

@@ -1,15 +1,16 @@
-"""Exact fBm sampling on the grid {k/n} by circulant embedding or Cholesky.
+"""Exact fBm sampling on the grid {k/n} by circulant embedding, in blocks of paths.
 
-Both methods draw from the exact finite-dimensional law N(0, [R_H(t_j, t_k)]).
-The circulant route embeds the unit-variance fGn autocovariance rho_H into a
-length-2n circulant (Wood & Chan 1994, Dietrich & Newsam 1997) whose spectrum
-is Hermitian, so one real inverse FFT of the n+1 half-spectrum synthesizes the
-n^{-H}-scaled increments in O(n log n); a cumulative sum gives the path. The
-Cholesky route factors the full path covariance and is kept as the O(n^3)
-reference.
+The circulant route draws from the exact finite-dimensional law
+N(0, [R_H(t_j, t_k)]). It embeds the unit-variance fGn autocovariance rho_H
+into a length-2n circulant (Wood & Chan 1994, Dietrich & Newsam 1997) whose
+spectrum is Hermitian, so one real inverse FFT of the n+1 half-spectrum
+synthesizes the n^{-H}-scaled increments in O(n log n); a cumulative sum gives
+the path. A block of B paths is B rows of one normal buffer, transformed by
+one inverse FFT along its rows.
 
-Randomness is counter-based: a Philox generator keyed by (seed, stream), so a
-replica's draws depend only on its own key and never on execution order.
+Randomness is counter-based: row i of a block draws from a Philox generator
+keyed by (seed, stream + i), so a path depends only on its own key and never
+on the block it is drawn in or on execution order.
 """
 
 from __future__ import annotations
@@ -22,13 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmbeddingError, SizeError
-from .kernels import HurstIndex, as_hurst, covariance_matrix, increment_autocov_seq
+from .errors import EmbeddingError
+from .kernels import HurstIndex, as_hurst, increment_autocov_seq
 
-CHOLESKY_MAX_N = 4096
-# Each sampler cache below keeps at most this many bytes of arrays. One
-# n = 4096 Cholesky factor (128 MiB) still fits, so that guarded size is
-# factored once per H rather than once per path.
+# The coefficient cache below keeps at most this many bytes of arrays.
 CACHE_MAX_BYTES = 256 * 2**20
 # Circulant eigenvalues of the fGn embedding are nonnegative in exact
 # arithmetic; anything dipping below -EIG_TOL * max is treated as a failed
@@ -36,7 +34,6 @@ CACHE_MAX_BYTES = 256 * 2**20
 EIG_TOL = 1e-9
 
 METHOD_CIRCULANT = "circulant"
-METHOD_CHOLESKY = "cholesky"
 _MAX_UINT64 = 2**64
 
 
@@ -49,8 +46,8 @@ class SamplerConfig:
     stream: int = 0
 
     def __post_init__(self):
-        if self.method not in (METHOD_CIRCULANT, METHOD_CHOLESKY):
-            raise ValueError(f"unknown sampling method {self.method!r}")
+        if self.method != METHOD_CIRCULANT:
+            raise ValueError(f"method must be '{METHOD_CIRCULANT}', got {self.method!r}")
         if not 0 <= int(self.seed) < _MAX_UINT64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if not 0 <= int(self.stream) < _MAX_UINT64:
@@ -59,27 +56,26 @@ class SamplerConfig:
 
 @dataclass(frozen=True, eq=False)
 class FbmPath:
-    """One trajectory (B_0, B_{1/n}, ..., B_1); values are immutable."""
+    """A block of trajectories: row i is (B_0, B_{1/n}, ..., B_1) of one path; values are immutable."""
 
     hurst: HurstIndex
     n: int
     values: np.ndarray
-    seed_tag: str
 
     def __post_init__(self):
         object.__setattr__(self, "hurst", as_hurst(self.hurst))
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape != (self.n + 1,):
-            raise ValueError(f"expected {self.n + 1} values, got shape {vals.shape}")
-        if vals[0] != 0.0:
-            raise ValueError(f"path must start at 0, got {vals[0]!r}")
-        vals = vals.copy()
+        vals = np.array(self.values, dtype=np.float64)
+        if vals.ndim != 2 or vals.shape[0] < 1 or vals.shape[1] != self.n + 1:
+            raise ValueError(f"expected a (paths, {self.n + 1}) block, got shape {vals.shape}")
+        if np.any(vals[:, 0] != 0.0):
+            raise ValueError(f"paths must start at 0, got {vals[:, 0]!r}")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.n + 1) / self.n
+    def left(self) -> np.ndarray:
+        """Left endpoints B_{k/n}, k = 0..n-1, of every path (a view)."""
+        return self.values[:, :-1]
 
 
 # A Philox state at counter 0 with an empty output buffer, as a fresh
@@ -194,59 +190,45 @@ def circulant_eigenvalues(H, n: int) -> np.ndarray:
     return np.fft.fft(row).real
 
 
-def _sample_fgn_circulant(h: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n^{-H}-scaled fGn increments from one real inverse FFT of the half-spectrum.
+def _block_normals(seed: int, first: int, count: int, n: int) -> np.ndarray:
+    """(count, 2n) standard normals; row i is the start of stream (seed, first + i)."""
+    z = np.empty((count, 2 * n))
+    for i in range(count):
+        _rng(seed, first + i).standard_normal(out=z[i])
+    return z
 
-    The 2n normals fill the Hermitian half-spectrum b_0..b_n: z_0 and z_1 the
-    real DC and Nyquist terms, (z_{2j}, z_{2j+1}) the conjugated b_j.
+
+def _block_fgn(h: float, n: int, z: np.ndarray) -> np.ndarray:
+    """Rows of n^{-H}-scaled fGn increments, one real inverse FFT of each row's half-spectrum.
+
+    Row i's 2n normals fill its Hermitian half-spectrum b_0..b_n: z_0 and z_1
+    the real DC and Nyquist terms, (z_{2j}, z_{2j+1}) the conjugated b_j.
     """
     h0, hn, coef = _circulant_coeffs(h, n)
-    z = rng.standard_normal(2 * n)
-    b = np.empty(n + 1, dtype=np.complex128)
-    np.multiply(z[2:], coef, out=b.view(np.float64)[2 : 2 * n])
-    b[0] = h0 * z[0]
-    b[n] = hn * z[1]
-    return np.fft.irfft(b, 2 * n, norm="forward")[:n]
+    b = np.empty((z.shape[0], n + 1), dtype=np.complex128)
+    np.multiply(z[:, 2:], coef, out=b.view(np.float64)[:, 2 : 2 * n])
+    b[:, 0] = h0 * z[:, 0]
+    b[:, n] = hn * z[:, 1]
+    return np.fft.irfft(b, 2 * n, axis=1, norm="forward")[:, :n]
 
 
-@_ByteBudgetCache
-def _cholesky_factor(h: float, n: int) -> np.ndarray:
-    sigma = covariance_matrix(h, n)[1:, 1:]
-    factor = np.linalg.cholesky(sigma)
-    factor.flags.writeable = False
-    return factor
-
-
-def sample_fbm(H, n: int, config: SamplerConfig) -> FbmPath:
-    """Draw one exact fBm path on {k/n, k = 0..n}.
-
-    Deterministic in (H, n, method, seed, stream). The circulant method works
-    for any n; Cholesky is guarded at n <= CHOLESKY_MAX_N.
-    """
+def sample_fbm(H, n: int, config: SamplerConfig, count: int = 1) -> FbmPath:
+    """A block of `count` exact fBm paths on {k/n}; row i is stream (seed, config.stream + i)'s path."""
     hurst = as_hurst(H)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rng = _rng(int(config.seed), int(config.stream))
-    if config.method == METHOD_CIRCULANT:
-        values = np.empty(n + 1)
-        values[0] = 0.0
-        np.cumsum(_sample_fgn_circulant(hurst.value, n, rng), out=values[1:])
-    else:
-        if n > CHOLESKY_MAX_N:
-            raise SizeError(f"cholesky sampling guarded at n <= {CHOLESKY_MAX_N}, got {n}")
-        factor = _cholesky_factor(hurst.value, n)
-        values = np.concatenate([[0.0], factor @ rng.standard_normal(n)])
-    tag = f"{config.method}:{config.seed}:{config.stream}"
-    return FbmPath(hurst=hurst, n=n, values=values, seed_tag=tag)
-
-
-def increments(path: FbmPath) -> np.ndarray:
-    """Increment vector (values[k+1] - values[k]) of length n."""
-    return np.diff(path.values)
+    first = int(config.stream)
+    if count < 1 or first + count > _MAX_UINT64:
+        raise ValueError(f"streams {first}..{first + count - 1} must be nonempty and below 2^64")
+    fgn = _block_fgn(hurst.value, n, _block_normals(int(config.seed), first, count, n))
+    values = np.zeros((count, n + 1))
+    np.cumsum(fgn, axis=1, out=values[:, 1:])
+    return FbmPath(hurst=hurst, n=n, values=values)
 
 
 def dump_path(path: FbmPath, fileobj) -> None:
-    """Write the path as one 'k/n value' line per grid point."""
+    """Write each path of the block as one 'k/n value' line per grid point."""
     n = path.n
-    for k, v in enumerate(path.values):
-        fileobj.write(f"{k}/{n} {v:.17g}\n")
+    for row in path.values:
+        for k, v in enumerate(row):
+            fileobj.write(f"{k}/{n} {v:.17g}\n")

@@ -136,28 +136,29 @@ class RegimeLabel:
     citation: str
 
 
-def evaluate_statistic(path: FbmPath, h: WeightFunction, spec: StatisticSpec) -> float:
-    """The statistic of `spec`'s form row on `path`; h is unused by unweighted forms."""
+def evaluate_statistic(path: FbmPath, h: WeightFunction, spec: StatisticSpec) -> np.ndarray:
+    """The statistic of `spec`'s form row on each path of the block; h is unused by unweighted forms."""
     row = FORMS[spec.form]
     hv = path.hurst.value
     n = float(path.n)
-    left, diff = path.values[:-1], np.diff(path.values)
+    left = path.left
+    diff = path.values[:, 1:] - left
     # left to right, ((n^{kappa H} Delta) Delta) ...
     terms = n ** (spec.kappa * hv) * diff
     for _ in range(spec.kappa - 1):
-        terms = terms * diff
+        terms *= diff
     if row.centred:
-        terms = terms - gaussian_moment(spec.kappa)
+        terms -= gaussian_moment(spec.kappa)
     if row.weighted:
-        terms = h(left) * terms
+        terms *= h(left)
     if row.compensator:
-        terms = terms + row.compensator * h.derivative(1)(left) * n ** (-hv)
+        terms += row.compensator * h.derivative(1)(left) * n ** (-hv)
     a, b = row.exponent
-    return n ** (a * hv + b) * float(np.sum(terms))
+    return n ** (a * hv + b) * np.sum(terms, axis=1)
 
 
-def limit_functional(path: FbmPath, h: WeightFunction, form: StatForm, kappa: int | None = None) -> float:
-    """Discrete limit c (1/n) sum_k g(B_{k/n}) matching the L2 statistic `form`.
+def limit_functional(path: FbmPath, h: WeightFunction, form: StatForm, kappa: int | None = None) -> np.ndarray:
+    """Discrete limit c (1/n) sum_k g(B_{k/n}) matching the L2 statistic `form`, per path of the block.
 
     (c, g) is (1/4, h'') for the quadratic form, (-1/8, h''') for the cubic
     form and (-mu_{kappa+1}/2, h') for the odd form, which needs kappa.
@@ -173,8 +174,7 @@ def limit_functional(path: FbmPath, h: WeightFunction, form: StatForm, kappa: in
     if not _admits(row.kappa, kappa):
         raise KappaError(f"{form.value} limit requires {row.kappa_rule}, got {kappa}")
     constant, order = row.limit
-    left = path.values[:-1]
-    return constant(kappa) * float(np.mean(h.derivative(order)(left)))
+    return constant(kappa) * np.mean(h.derivative(order)(path.left), axis=1)
 
 
 def require_form_admissible(form: StatForm, kappa: int, H) -> None:

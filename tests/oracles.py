@@ -3,15 +3,18 @@
 Everything here is deliberately written as plain Python loops over the
 displayed formulas (math.fsum reductions, no numpy vectorization and no reuse
 of the package's kernels beyond the scalar autocovariance), so agreement with
-the library is a genuine cross-check rather than a tautology. The one
-exception is `reference_circulant_path`, the full complex-FFT synthesis that
-the sampler's half-spectrum synthesis is checked against.
+the library is a genuine cross-check rather than a tautology. The exceptions
+are the two reference samplers: `reference_circulant_path`, the full
+complex-FFT synthesis that the sampler's half-spectrum synthesis is checked
+against, and `reference_cholesky_path`, a second exact route to the same law.
 """
 
+import functools
 import math
 
 import numpy as np
 
+from fbmvar.kernels import covariance_matrix
 from fbmvar.sampler import circulant_eigenvalues
 
 
@@ -147,3 +150,20 @@ def reference_circulant_path(H, n, seed, stream):
         a[m - 1 : n : -1] = np.conj(a[1:n])
     fgn = np.fft.fft(a).real[:n] * float(n) ** (-H)
     return np.concatenate([[0.0], np.cumsum(fgn)])
+
+
+@functools.lru_cache(maxsize=8)
+def _cholesky_factor(H, n):
+    return np.linalg.cholesky(covariance_matrix(H, n)[1:, 1:])
+
+
+def reference_cholesky_path(H, n, seed, stream):
+    """fBm path values as L z, L the Cholesky factor of the path covariance.
+
+    The O(n^3) route to the exact law N(0, [R_H(j/n, k/n)]), with n normals of
+    a fresh Philox keyed (seed, stream); it shares no code with the circulant
+    sampler beyond the covariance R_H.
+    """
+    key = np.array([seed, stream], dtype=np.uint64)
+    z = np.random.Generator(np.random.Philox(key=key)).standard_normal(n)
+    return np.concatenate([[0.0], _cholesky_factor(H, n) @ z])

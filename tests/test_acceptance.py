@@ -218,9 +218,7 @@ def test_criterion_03_sampler_law():
     ok = True
     detail = []
     for h in (0.1, 0.3, 0.7):
-        paths = np.empty((reps, n + 1))
-        for r in range(reps):
-            paths[r] = sample_fbm(h, n, SamplerConfig(seed=ACCEPTANCE_SEED, stream=r)).values
+        paths = sample_fbm(h, n, SamplerConfig(seed=ACCEPTANCE_SEED, stream=0), reps).values
         emp = paths.T @ paths / reps
         exact = covariance_matrix(h, n)
         se = np.sqrt((np.outer(np.diag(exact), np.diag(exact)) + exact**2) / reps)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +73,12 @@ class TestParseConfig:
 
     @pytest.mark.parametrize(
         "edit, seed, field",
-        [(("circulant", "chol"), None, "method"), (("seed = 1", "seed = -3"), None, "seed"), (None, -1, "seed")],
+        [
+            (("circulant", "chol"), None, "method"),
+            (("seed = 1", "seed = -3"), None, "seed"),
+            (None, -1, "seed"),
+            (("circulant", "cholesky"), None, "method"),
+        ],
     )
     def test_bad_method_or_seed_exits_2(self, tmp_path, capsys, edit, seed, field):
         text = "[p]\nhurst = 0.1\nkappa = 2\nweight = x2\nform = centered_quadratic\n"
@@ -243,6 +249,22 @@ class TestCmdRegimes:
         captured = capsys.readouterr()
         assert flag in captured.err
         assert captured.out == ""
+
+    def test_row_cap_refuses_fine_step_promptly(self, tmp_path, capsys):
+        target = tmp_path / "table.csv"
+        t0 = time.perf_counter()
+        rc = cli.main(["regimes", "--kappas", "2,3", "--h-step", "1e-9", "--csv", str(target)])
+        assert time.perf_counter() - t0 < 5.0
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "--h-step" in captured.err and str(cli.REGIMES_MAX_ROWS) in captured.err
+        assert captured.out == "" and not target.exists()
+
+    def test_row_cap_admits_a_table_at_the_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "REGIMES_MAX_ROWS", 6)
+        assert cli.main(["regimes", "--kappas", "2,3", "--h-step", "0.25"]) == 0
+        assert cli.main(["regimes", "--kappas", "2,3", "--h-step", "0.2"]) == 2
+        capsys.readouterr()
 
     def test_python_dash_m(self, tmp_path):
         src = str(Path(cli.__file__).resolve().parents[1])

@@ -1,15 +1,20 @@
 """Monte Carlo harness: determinism, stderr scaling, rate fitting."""
 
+import sys
+import time
+
 import numpy as np
 import pytest
 
 from fbmvar import (
+    FORMS,
     DegenerateFit,
     ExperimentPlan,
     HurstIndex,
     RegimeError,
     StatForm,
     StatisticSpec,
+    builtin,
     fit_rate,
     run_clt_diagnostics,
     run_l2_experiment,
@@ -99,11 +104,18 @@ class TestRunL2Experiment:
 
         monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        plan = l2_plan(replicas=4, ladder=(16,))
+        # workers = min(threads, cores, blocks); B = 1 at n = 8192 and 2 at n = 4096
+        plan = l2_plan(replicas=4, ladder=(8192,))
         assert run_l2_experiment(plan, threads=10**6) == run_l2_experiment(plan, threads=1)
         assert asked == [3]
-        run_l2_experiment(l2_plan(replicas=2, ladder=(16,)), threads=10**6)
+        run_l2_experiment(l2_plan(replicas=4, ladder=(4096,)), threads=10**6)
         assert asked == [3, 2]
+        run_l2_experiment(l2_plan(replicas=4, ladder=(8192,)), threads=2)
+        assert asked == [3, 2, 2]
+        # a single block runs on the calling thread, without a pool
+        run_l2_experiment(l2_plan(replicas=2 * harness.block_size(16), ladder=(16,)), threads=10**6)
+        run_l2_experiment(l2_plan(replicas=harness.block_size(16), ladder=(16,)), threads=10**6)
+        assert asked == [3, 2, 2, 2]
 
     def test_vanishing_limit_reduces_to_second_moment(self):
         # h = x2 has h''' = 0, so the cubic limit functional is identically 0
@@ -133,6 +145,73 @@ class TestRunL2Experiment:
         se_small = np.std(sample[:1000], ddof=1) / np.sqrt(1000)
         se_big = np.std(sample, ddof=1) / np.sqrt(4000)
         assert 2.0 * 0.8 <= se_small / se_big <= 2.0 * 1.2
+
+
+# One admissible (H, kappa, weight) per form. The weights are transcendental,
+# whose vector kernels are the likeliest to round differently on differently
+# shaped inputs, and nonzero at B_0 = 0, so that even at n = 1 every replica
+# has its own value.
+BLOCK_CASES = {
+    StatForm.CENTERED_QUADRATIC: (0.1, 2, "cos"),
+    StatForm.COMPENSATED_CUBIC: (0.1, 3, "exp_neg_x2"),
+    StatForm.ODD_WEIGHTED: (0.35, 3, "cos"),
+    StatForm.UNWEIGHTED_CENTERED: (0.3, 2, "one"),
+    StatForm.UNWEIGHTED_ODD: (0.4, 3, "one"),
+    StatForm.MIXING_NORMALIZED: (0.35, 2, "exp_neg_x2"),
+}
+
+
+class TestReplicaBlocks:
+    def test_cases_cover_every_form(self):
+        assert set(BLOCK_CASES) == set(FORMS)
+
+    @pytest.mark.parametrize("form", list(StatForm), ids=lambda f: f.value)
+    @pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 8192])
+    def test_blocks_match_single_replica_blocks(self, form, n):
+        # the block runner's per-replica (stat, limit) against blocks of one;
+        # the replica count leaves a partial last block wherever B > 1
+        H, kappa, weight = BLOCK_CASES[form]
+        block = harness.block_size(n)
+        replicas = 3 if block == 1 else block + block // 2 + 1
+        plan = ExperimentPlan(
+            hurst=HurstIndex(H),
+            spec=StatisticSpec(kappa=kappa, weight=weight, form=form),
+            n_ladder=(n,),
+            replicas=replicas,
+            seed=20080612,
+        )
+        h = builtin(weight)
+        blocked = harness._replica_values(plan, h, n, 1, block)
+        single = harness._replica_values(plan, h, n, 1, 1)
+        assert blocked.shape == (replicas, 2)
+        assert np.array_equal(blocked, single)
+        assert np.array_equal(harness._replica_values(plan, h, n, 2, block), single)
+        if FORMS[form].limit is None:
+            assert np.all(blocked[:, 1] == 0.0)
+
+    def test_more_workers_than_cores_match_serial(self, monkeypatch):
+        # four workers on at most two real cores, switching every microsecond,
+        # each writing its own rows of the shared buffer
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        plan = l2_plan(replicas=9, ladder=(2048,))
+        h = builtin("x2")
+        serial = harness._replica_values(plan, h, 2048, 1, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            start = time.perf_counter()
+            for _ in range(5):
+                assert np.array_equal(harness._replica_values(plan, h, 2048, 4, 1), serial)
+            assert time.perf_counter() - start < 60.0
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_block_size_within_budget(self):
+        for n in [*range(1, 20000), 2**15, 10**6, 2**40]:
+            b = harness.block_size(n)
+            assert b >= 1
+            assert b * n <= harness.BLOCK_POINTS or b == 1
+            assert (b + 1) * n > harness.BLOCK_POINTS
 
 
 class TestRunCltDiagnostics:

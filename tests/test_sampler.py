@@ -13,51 +13,48 @@ from fbmvar import (
     FbmPath,
     HurstIndex,
     SamplerConfig,
-    SizeError,
     covariance_matrix,
     increment_autocov,
-    increments,
     sample_fbm,
 )
-from fbmvar.sampler import CHOLESKY_MAX_N, circulant_eigenvalues, dump_path
-from oracles import reference_circulant_path
+from fbmvar.sampler import circulant_eigenvalues, dump_path
+from oracles import reference_cholesky_path, reference_circulant_path
 
 # Seeds and streams at both ends of the 64-bit key words and at the acceptance seed.
 KEY_WORDS = (0, 1, 20080612, 2**64 - 1)
 
 
 def _paths_matrix(H, n, reps, method="circulant", seed=101):
-    return np.stack(
-        [sample_fbm(H, n, SamplerConfig(method=method, seed=seed, stream=r)).values for r in range(reps)]
-    )
+    """Paths of streams (seed, 0..reps-1): one circulant block, or the Cholesky oracle path by path."""
+    if method == "cholesky":
+        return np.stack([reference_cholesky_path(H, n, seed, r) for r in range(reps)])
+    return sample_fbm(H, n, SamplerConfig(seed=seed, stream=0), reps).values
 
 
 class TestFbmPathType:
     def test_rejects_nonzero_start(self):
         with pytest.raises(ValueError):
-            FbmPath(hurst=HurstIndex(0.3), n=2, values=np.array([0.1, 0.2, 0.3]), seed_tag="t")
+            FbmPath(hurst=HurstIndex(0.3), n=2, values=np.array([[0.1, 0.2, 0.3]]))
+        with pytest.raises(ValueError):
+            FbmPath(hurst=HurstIndex(0.3), n=2, values=np.array([[0.0, 0.2, 0.3], [1e-300, 0.2, 0.3]]))
 
     def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            FbmPath(hurst=HurstIndex(0.3), n=3, values=np.array([0.0, 0.2, 0.3]), seed_tag="t")
+        for values in ([[0.0, 0.2, 0.3]], [0.0, 0.2, 0.3, 0.4], np.zeros((0, 4))):
+            with pytest.raises(ValueError):
+                FbmPath(hurst=HurstIndex(0.3), n=3, values=np.array(values))
 
     def test_values_frozen(self):
-        p = sample_fbm(0.3, 8, SamplerConfig(seed=1, stream=0))
+        p = sample_fbm(0.3, 8, SamplerConfig(seed=1, stream=0), 2)
         with pytest.raises(ValueError):
-            p.values[1] = 99.0
-
-    def test_times_grid(self):
-        p = sample_fbm(0.3, 4, SamplerConfig(seed=1, stream=0))
-        assert np.allclose(p.times, [0.0, 0.25, 0.5, 0.75, 1.0])
+            p.values[1, 1] = 99.0
 
 
 class TestReproducibility:
-    @pytest.mark.parametrize("method", ["circulant", "cholesky"])
+    @pytest.mark.parametrize("method", ["circulant"])
     def test_bit_identical(self, method):
-        a = sample_fbm(0.2, 33, SamplerConfig(method=method, seed=42, stream=7))
-        b = sample_fbm(0.2, 33, SamplerConfig(method=method, seed=42, stream=7))
+        a = sample_fbm(0.2, 33, SamplerConfig(method=method, seed=42, stream=7), 3)
+        b = sample_fbm(0.2, 33, SamplerConfig(method=method, seed=42, stream=7), 3)
         assert np.array_equal(a.values, b.values)
-        assert a.seed_tag == b.seed_tag == f"{method}:42:7"
 
     def test_streams_differ(self):
         a = sample_fbm(0.2, 16, SamplerConfig(seed=42, stream=0))
@@ -71,17 +68,22 @@ class TestReproducibility:
 
 
 class TestGuards:
-    def test_cholesky_size_guard(self):
-        with pytest.raises(SizeError):
-            sample_fbm(0.3, CHOLESKY_MAX_N + 1, SamplerConfig(method="cholesky", seed=0, stream=0))
-
     def test_invalid_method(self):
-        with pytest.raises(ValueError):
-            SamplerConfig(method="hosking", seed=0, stream=0)
+        for method in ("hosking", "cholesky"):
+            with pytest.raises(ValueError, match="method"):
+                SamplerConfig(method=method, seed=0, stream=0)
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             sample_fbm(0.3, 0, SamplerConfig(seed=0, stream=0))
+
+    def test_block_count_and_last_stream(self):
+        with pytest.raises(ValueError):
+            sample_fbm(0.3, 4, SamplerConfig(seed=0, stream=0), 0)
+        with pytest.raises(ValueError):
+            sample_fbm(0.3, 4, SamplerConfig(seed=0, stream=2**64 - 2), 3)
+        last = sample_fbm(0.3, 4, SamplerConfig(seed=0, stream=2**64 - 2), 2).values[1]
+        assert np.array_equal(last, sample_fbm(0.3, 4, SamplerConfig(seed=0, stream=2**64 - 1)).values[0])
 
     def test_seed_range(self):
         with pytest.raises(ValueError):
@@ -120,23 +122,26 @@ class TestCirculantSpectrum:
 class TestHalfSpectrumSynthesis:
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 128, 8192])
     def test_matches_full_fft_reference(self, n):
+        # row i of a block drawn from stream s is the reference path of stream s + i
         for h in (0.05, 0.1, 0.25, 0.3, 0.5, 0.7, 0.95):
-            for stream in (0, 1, 977):
-                got = sample_fbm(h, n, SamplerConfig(seed=20080612, stream=stream)).values
-                want = reference_circulant_path(h, n, 20080612, stream)
-                assert got[0] == 0.0
-                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (h, n, stream)
+            for first, count in ((0, 2), (976, 3)):
+                block = sample_fbm(h, n, SamplerConfig(seed=20080612, stream=first), count).values
+                assert block.shape == (count, n + 1)
+                for i, got in enumerate(block):
+                    want = reference_circulant_path(h, n, 20080612, first + i)
+                    assert got[0] == 0.0
+                    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (h, n, first + i)
 
 
 def _draw(key):
-    method, n, seed, stream = key
-    return sample_fbm(0.3, n, SamplerConfig(method=method, seed=seed, stream=stream)).values
+    n, count, seed, stream = key
+    return sample_fbm(0.3, n, SamplerConfig(seed=seed, stream=stream), count).values
 
 
-# (method, n, seed, stream) keys mixing both methods, grid sizes and streams.
+# (n, paths per block, seed, first stream) keys mixing grid sizes, block sizes and streams.
 PATH_KEYS = [
-    (method, n, seed, stream)
-    for method, n in (("circulant", 16), ("cholesky", 8), ("circulant", 128))
+    (n, count, seed, stream)
+    for n, count in ((16, 1), (8, 3), (128, 2))
     for seed in (3, 2**64 - 1)
     for stream in range(4)
 ]
@@ -183,7 +188,8 @@ class TestStreamIdentity:
 
 
 class TestCacheBudget:
-    CACHES = [("_circulant_coeffs", 64), ("_cholesky_factor", 16)]
+    # the coefficient cache at two entry sizes
+    CACHES = [("_circulant_coeffs", 64), ("_circulant_coeffs", 1024)]
 
     @pytest.fixture
     def budgeted(self, monkeypatch, request):
@@ -247,31 +253,10 @@ class TestCholeskyFactor:
             assert np.max(np.abs(factor @ factor.T - sigma)) < 1e-10
 
 
-class TestIncrements:
-    def test_constant_zero_path(self):
-        p = FbmPath(hurst=HurstIndex(0.3), n=4, values=np.zeros(5), seed_tag="z")
-        assert np.all(increments(p) == 0.0)
-
-    def test_up_down(self):
-        p = FbmPath(hurst=HurstIndex(0.3), n=2, values=np.array([0.0, 1.0, 0.0]), seed_tag="z")
-        assert np.array_equal(increments(p), [1.0, -1.0])
-
-    def test_telescoping_sum(self):
-        p = sample_fbm(0.15, 257, SamplerConfig(seed=5, stream=3))
-        total = np.sum(increments(p))
-        assert total == pytest.approx(p.values[-1], rel=1e-12, abs=1e-13)
-
-    def test_length(self):
-        p = sample_fbm(0.15, 31, SamplerConfig(seed=5, stream=3))
-        assert increments(p).shape == (31,)
-
-
 class TestSampledLaw:
     def test_brownian_endpoint_variance(self):
         reps = 100_000
-        vals = np.array(
-            [sample_fbm(0.5, 1, SamplerConfig(seed=11, stream=r)).values[1] for r in range(reps)]
-        )
+        vals = _paths_matrix(0.5, 1, reps, seed=11)[:, 1]
         # Var = 1; se of sample variance ~ sqrt(2/R)
         assert abs(vals.var() - 1.0) < 4 * np.sqrt(2.0 / reps)
 
@@ -296,7 +281,7 @@ class TestSampledLaw:
         assert np.all(paths[:, 0] == 0.0)
 
     def test_methods_agree_on_increment_autocovariance(self):
-        # same law from both samplers: lag 0..5 autocovariances within
+        # same law from the sampler and the Cholesky oracle: lag 0..5 autocovariances within
         # 5 combined standard errors of each other and of n^{-2H} rho(p)
         H, n, reps = 0.3, 32, 10_000
         lag_means = {}
@@ -329,4 +314,4 @@ class TestDump:
         for k, line in enumerate(lines):
             frac, val = line.split(" ")
             assert frac == f"{k}/8"
-            assert float(val) == p.values[k]
+            assert float(val) == p.values[0, k]

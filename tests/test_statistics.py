@@ -38,33 +38,45 @@ from oracles import (
 
 
 def synthetic_path(values, H=0.3):
+    """A block holding the one path `values`."""
     values = np.asarray(values, dtype=np.float64)
-    return FbmPath(hurst=HurstIndex(H), n=len(values) - 1, values=values, seed_tag="synthetic")
+    return FbmPath(hurst=HurstIndex(H), n=len(values) - 1, values=values[np.newaxis, :])
 
 
 def sampled(H, n, seed=2024, stream=0):
+    """A block holding the one path of stream (seed, stream)."""
     return sample_fbm(H, n, SamplerConfig(seed=seed, stream=stream))
 
 
+def only(per_path):
+    """The value of a one-path block."""
+    assert per_path.shape == (1,)
+    return per_path[0]
+
+
 def quadratic(p, h):
-    return evaluate_statistic(p, h, StatisticSpec(2, h.id, StatForm.CENTERED_QUADRATIC))
+    return only(evaluate_statistic(p, h, StatisticSpec(2, h.id, StatForm.CENTERED_QUADRATIC)))
 
 
 def cubic(p, h):
-    return evaluate_statistic(p, h, StatisticSpec(3, h.id, StatForm.COMPENSATED_CUBIC))
+    return only(evaluate_statistic(p, h, StatisticSpec(3, h.id, StatForm.COMPENSATED_CUBIC)))
 
 
 def odd(p, h, kappa):
-    return evaluate_statistic(p, h, StatisticSpec(kappa, h.id, StatForm.ODD_WEIGHTED))
+    return only(evaluate_statistic(p, h, StatisticSpec(kappa, h.id, StatForm.ODD_WEIGHTED)))
 
 
 def unweighted(p, kappa):
     form = StatForm.UNWEIGHTED_CENTERED if kappa % 2 == 0 else StatForm.UNWEIGHTED_ODD
-    return evaluate_statistic(p, builtin("one"), StatisticSpec(kappa, "one", form))
+    return only(evaluate_statistic(p, builtin("one"), StatisticSpec(kappa, "one", form)))
 
 
 def mixing(p, h):
-    return evaluate_statistic(p, h, StatisticSpec(2, h.id, StatForm.MIXING_NORMALIZED))
+    return only(evaluate_statistic(p, h, StatisticSpec(2, h.id, StatForm.MIXING_NORMALIZED)))
+
+
+def limit(p, h, form, kappa=None):
+    return only(limit_functional(p, h, form, kappa))
 
 
 class TestCenteredQuadratic:
@@ -83,13 +95,13 @@ class TestCenteredQuadratic:
     def test_term_by_term_oracle(self):
         p = sampled(0.1, 8, seed=99)
         got = quadratic(p, builtin("x2"))
-        want = centered_quadratic_oracle(list(p.values), 0.1, lambda x: x * x)
+        want = centered_quadratic_oracle(list(p.values[0]), 0.1, lambda x: x * x)
         assert got == pytest.approx(want, rel=1e-13)
 
     def test_one_weight_reduces_to_quadratic_variation(self):
         p = sampled(0.15, 128, seed=3)
         n, H = p.n, 0.15
-        qv = np.sum(np.diff(p.values) ** 2)
+        qv = np.sum(np.diff(p.values[0]) ** 2)
         want = n ** (2 * H - 1) * (n ** (2 * H) * qv - n)
         assert quadratic(p, builtin("one")) == pytest.approx(want, rel=1e-12)
 
@@ -98,7 +110,7 @@ class TestCompensatedCubic:
     def test_one_weight_drops_compensator(self):
         p = sampled(0.12, 64, seed=5)
         n, H = p.n, 0.12
-        d = np.diff(p.values)
+        d = np.diff(p.values[0])
         want = n ** (3 * H - 1) * np.sum(n ** (3 * H) * d**3)
         assert cubic(p, builtin("one")) == pytest.approx(want, rel=1e-12)
 
@@ -110,7 +122,7 @@ class TestCompensatedCubic:
     def test_term_by_term_oracle(self):
         p = sampled(0.12, 16, seed=17)
         got = cubic(p, builtin("sin"))
-        want = compensated_cubic_oracle(list(p.values), 0.12, math.sin, math.cos)
+        want = compensated_cubic_oracle(list(p.values[0]), 0.12, math.sin, math.cos)
         assert got == pytest.approx(want, rel=1e-13)
 
 
@@ -127,13 +139,13 @@ class TestOddWeighted:
     def test_term_by_term_oracle(self):
         p = sampled(0.35, 32, seed=8)
         got = odd(p, builtin("x"), 3)
-        want = odd_weighted_oracle(list(p.values), 0.35, lambda x: x, 3)
+        want = odd_weighted_oracle(list(p.values[0]), 0.35, lambda x: x, 3)
         assert got == pytest.approx(want, rel=1e-13)
 
     def test_kappa_five(self):
         p = sampled(0.3, 16, seed=8)
         got = odd(p, builtin("cos"), 5)
-        want = odd_weighted_oracle(list(p.values), 0.3, math.cos, 5)
+        want = odd_weighted_oracle(list(p.values[0]), 0.3, math.cos, 5)
         assert got == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("kappa", [3, 5])
@@ -156,12 +168,12 @@ class TestUnweighted:
 
     def test_mirrored_path_flips_odd_statistic(self):
         p = sampled(0.3, 64, seed=21)
-        q = FbmPath(hurst=p.hurst, n=p.n, values=-p.values, seed_tag="mirror")
+        q = FbmPath(hurst=p.hurst, n=p.n, values=-p.values)
         assert unweighted(q, 3) == -unweighted(p, 3)
 
     def test_term_by_term_oracle_kappa4(self):
         p = sampled(0.3, 32, seed=12)
-        assert unweighted(p, 4) == pytest.approx(unweighted_oracle(list(p.values), 0.3, 4), rel=1e-13)
+        assert unweighted(p, 4) == pytest.approx(unweighted_oracle(list(p.values[0]), 0.3, 4), rel=1e-13)
 
 
 class TestMixingNormalized:
@@ -180,7 +192,7 @@ class TestMixingNormalized:
     def test_term_by_term_oracle(self):
         p = sampled(0.35, 16, seed=41)
         got = mixing(p, builtin("x2"))
-        want = mixing_normalized_oracle(list(p.values), 0.35, lambda x: x * x)
+        want = mixing_normalized_oracle(list(p.values[0]), 0.35, lambda x: x * x)
         assert got == pytest.approx(want, rel=1e-13)
 
 
@@ -188,16 +200,16 @@ class TestLimitFunctional:
     def test_quadratic_constant_curvature(self):
         p = sampled(0.1, 64)
         # h'' = 2 everywhere: (1/4) * mean(2) = 1/2 for any path
-        assert limit_functional(p, builtin("x2"), StatForm.CENTERED_QUADRATIC) == pytest.approx(0.5, rel=1e-15)
+        assert limit(p, builtin("x2"), StatForm.CENTERED_QUADRATIC) == pytest.approx(0.5, rel=1e-15)
 
     def test_cubic_vanishing_third_derivative(self):
         p = sampled(0.1, 64)
-        assert limit_functional(p, builtin("x2"), StatForm.COMPENSATED_CUBIC) == 0.0
+        assert limit(p, builtin("x2"), StatForm.COMPENSATED_CUBIC) == 0.0
 
     def test_odd_constant_slope(self):
         p = sampled(0.35, 64)
         # -(mu_4 / 2) * mean(1) = -3/2
-        got = limit_functional(p, builtin("x"), StatForm.ODD_WEIGHTED, kappa=3)
+        got = limit(p, builtin("x"), StatForm.ODD_WEIGHTED, kappa=3)
         assert got == pytest.approx(-1.5, rel=1e-15)
 
     def test_odd_requires_kappa(self):
@@ -217,8 +229,8 @@ class TestLimitFunctional:
 
     def test_oracle_match_sin(self):
         p = sampled(0.12, 32, seed=14)
-        got = limit_functional(p, builtin("sin"), StatForm.COMPENSATED_CUBIC)
-        want = limit_functional_oracle(list(p.values), -0.125, lambda x: -math.cos(x))
+        got = limit(p, builtin("sin"), StatForm.COMPENSATED_CUBIC)
+        want = limit_functional_oracle(list(p.values[0]), -0.125, lambda x: -math.cos(x))
         assert got == pytest.approx(want, rel=1e-13)
 
     def test_no_functional_for_diagnostic_forms(self):
@@ -250,7 +262,7 @@ class TestLinearity:
 class TestOddSymmetry:
     def test_negated_path_flips_odd_statistics_exactly(self):
         p = sampled(0.3, 64, seed=77)
-        q = FbmPath(hurst=p.hurst, n=p.n, values=-p.values, seed_tag="mirror")
+        q = FbmPath(hurst=p.hurst, n=p.n, values=-p.values)
         for weight in ("x2", "cos", "one"):  # even weights
             h = builtin(weight)
             assert odd(q, h, 3) == -odd(p, h, 3)
@@ -277,21 +289,23 @@ class TestStatisticSpecValidation:
                 StatisticSpec(kappa=kappa, weight="x2", form=form)
 
     def test_dispatch_matches_direct_calls(self):
-        # every row of the table against its own transcription of the display
+        # every row of the table against its own transcription of the display,
+        # on each path of a block
         H = 0.1
-        p = sampled(H, 32, seed=91)
-        v = list(p.values)
-        cases = [
-            (StatisticSpec(2, "x2", StatForm.CENTERED_QUADRATIC), centered_quadratic_oracle(v, H, lambda x: x * x)),
-            (StatisticSpec(2, "one", StatForm.UNWEIGHTED_CENTERED), unweighted_oracle(v, H, 2)),
-            (StatisticSpec(3, "one", StatForm.UNWEIGHTED_ODD), unweighted_oracle(v, H, 3)),
-            (StatisticSpec(2, "x2", StatForm.MIXING_NORMALIZED), mixing_normalized_oracle(v, H, lambda x: x * x)),
-            (StatisticSpec(3, "x", StatForm.ODD_WEIGHTED), odd_weighted_oracle(v, H, lambda x: x, 3)),
-            (StatisticSpec(3, "sin", StatForm.COMPENSATED_CUBIC), compensated_cubic_oracle(v, H, math.sin, math.cos)),
-        ]
-        assert {spec.form for spec, _ in cases} == set(FORMS) == set(StatForm)
-        for spec, want in cases:
-            assert evaluate_statistic(p, builtin(spec.weight), spec) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        block = sample_fbm(H, 32, SamplerConfig(seed=91, stream=0), 3)
+        for i, v in enumerate(map(list, block.values)):
+            cases = [
+                (StatisticSpec(2, "x2", StatForm.CENTERED_QUADRATIC), centered_quadratic_oracle(v, H, lambda x: x * x)),
+                (StatisticSpec(2, "one", StatForm.UNWEIGHTED_CENTERED), unweighted_oracle(v, H, 2)),
+                (StatisticSpec(3, "one", StatForm.UNWEIGHTED_ODD), unweighted_oracle(v, H, 3)),
+                (StatisticSpec(2, "x2", StatForm.MIXING_NORMALIZED), mixing_normalized_oracle(v, H, lambda x: x * x)),
+                (StatisticSpec(3, "x", StatForm.ODD_WEIGHTED), odd_weighted_oracle(v, H, lambda x: x, 3)),
+                (StatisticSpec(3, "sin", StatForm.COMPENSATED_CUBIC), compensated_cubic_oracle(v, H, math.sin, math.cos)),
+            ]
+            assert {spec.form for spec, _ in cases} == set(FORMS) == set(StatForm)
+            for spec, want in cases:
+                got = evaluate_statistic(block, builtin(spec.weight), spec)[i]
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 # (label, citation) of every regime the classifier reports, written out here so
