@@ -2,23 +2,28 @@
 """Time each layer of one block of replicas and print one JSON line.
 
 The harness evaluates replicas in blocks of B = `harness.block_size(n)`
-paths; this script times one such block at each grid size n and reports
-microseconds per replica (the block's time divided by B):
+paths; this script times the layers of one such block at each grid size n
+and reports microseconds per replica (a block's time divided by B):
 
 - `rekey_normals_us`: `_block_normals`, which re-keys the thread's Philox
   generator to each row's `(seed, stream)` and draws the row's 2n normals;
-- `synthesis_us`: `_block_fgn`, the half-spectrum products and the one
-  inverse FFT along the rows;
-- `assembly_us`: `sample_fbm` minus the two calls above, i.e. the cumulative
-  sum and the `FbmPath` validation and copy;
-- `statistic_us`: `evaluate_statistic` on the block;
-- `limit_us`: `limit_functional` on the block;
-- `total_us`: the sum of the five.
+- `synthesis_us`: `_block_fgn` on stored normals, the half-spectrum products
+  and the one inverse FFT along the rows;
+- `assembly_us`: `_block_paths` on stored increments, the cumulative sum and
+  the `FbmPath` validation and copy;
+- `statistic_us`: `evaluate_statistic` on a stored block;
+- `limit_us`: `limit_functional` on a stored block;
+- `layers_sum_us`: the sum of the five;
+- `block_us`: the harness's own loop (`_replica_values`) drawing and
+  evaluating whole blocks end to end, per replica. What it adds to
+  `layers_sum_us` is cost that no layer shows alone, such as the page faults
+  of large buffers that chained calls free and allocate again.
 
 The plan is acceptance criterion 6's (H = 0.1, centred quadratic form,
-weight x2). Each timed call is the minimum over RUNS runs of its mean over
-CALLS calls, after one warm-up call that fills the coefficient cache;
-assembly is a difference of those minima.
+weight x2). Each op is timed in its own loop over prebuilt inputs, so a call
+reuses the buffers that the previous call of the same op freed: each figure
+is the minimum over RUNS runs of the mean over CALLS calls, after one
+warm-up call that also fills the coefficient cache.
 
     PYTHONPATH=src python3 scripts/bench_sampler.py
 """
@@ -29,67 +34,60 @@ import time
 
 import numpy as np
 
-from fbmvar import SamplerConfig, StatForm, StatisticSpec, builtin, evaluate_statistic, limit_functional, sample_fbm
+from fbmvar import (
+    ExperimentPlan,
+    SamplerConfig,
+    StatForm,
+    StatisticSpec,
+    builtin,
+    evaluate_statistic,
+    limit_functional,
+    sample_fbm,
+)
 from fbmvar import harness
 from fbmvar import sampler as sampler_mod
 
 HURST = 0.1
+SEED = 20080612
 SPEC = StatisticSpec(kappa=2, weight="x2", form=StatForm.CENTERED_QUADRATIC)
 GRID_SIZES = (128, 2048, 8192)
 CALLS = 100
 RUNS = 5
 
 
-def best_us(ops, calls, runs):
-    """Per op, the minimum over `runs` of its mean wall time over `calls` calls, in us.
-
-    The ops are called in turn within each round, so a change of the host's
-    speed during a run reaches all of them alike and their differences stay
-    meaningful.
-    """
+def best_us(fn, calls, runs):
+    """The minimum over `runs` of the mean wall time of fn over `calls` calls, in us."""
     clock = time.perf_counter
-    for fn in ops.values():
-        fn()
-    best = dict.fromkeys(ops, float("inf"))
+    fn()
+    best = float("inf")
     for _ in range(runs):
-        spent = dict.fromkeys(ops, 0.0)
+        start = clock()
         for _ in range(calls):
-            for name, fn in ops.items():
-                start = clock()
-                fn()
-                spent[name] += clock() - start
-        for name in ops:
-            best[name] = min(best[name], spent[name] / calls * 1e6)
+            fn()
+        best = min(best, (clock() - start) / calls * 1e6)
     return best
 
 
 def layer_times(n, calls, runs):
-    seed, stream = 20080612, 7
     block = harness.block_size(n)
-    config = SamplerConfig(seed=seed, stream=stream)
     h = builtin(SPEC.weight)
-    z = sampler_mod._block_normals(seed, stream, block, n)
-    path = sample_fbm(HURST, n, config, block)
-    t = best_us(
-        {
-            "normals": lambda: sampler_mod._block_normals(seed, stream, block, n),
-            "fgn": lambda: sampler_mod._block_fgn(HURST, n, z),
-            "sample": lambda: sample_fbm(HURST, n, config, block),
-            "statistic": lambda: evaluate_statistic(path, h, SPEC),
-            "limit": lambda: limit_functional(path, h, SPEC.form, SPEC.kappa),
-        },
-        calls,
-        runs,
-    )
-    layers = {
-        "rekey_normals_us": t["normals"],
-        "synthesis_us": t["fgn"],
-        "assembly_us": t["sample"] - t["normals"] - t["fgn"],
-        "statistic_us": t["statistic"],
-        "limit_us": t["limit"],
-        "total_us": t["sample"] + t["statistic"] + t["limit"],
+    z = sampler_mod._block_normals(SEED, 0, block, n)
+    fgn = sampler_mod._block_fgn(HURST, n, z)
+    path = sample_fbm(HURST, n, SamplerConfig(seed=SEED), block)
+    # at least two replicas, as a plan needs; a whole number of blocks
+    plan = ExperimentPlan(hurst=HURST, spec=SPEC, n_ladder=(n,), replicas=block * max(1, 2 // block), seed=SEED)
+    per_block = {
+        "rekey_normals_us": lambda: sampler_mod._block_normals(SEED, 0, block, n),
+        "synthesis_us": lambda: sampler_mod._block_fgn(HURST, n, z),
+        "assembly_us": lambda: sampler_mod._block_paths(path.hurst, n, fgn),
+        "statistic_us": lambda: evaluate_statistic(path, h, SPEC),
+        "limit_us": lambda: limit_functional(path, h, SPEC.form, SPEC.kappa),
     }
-    return {"block": block, **{name: round(us / block, 2) for name, us in layers.items()}}
+    layers = {name: best_us(fn, calls, runs) / block for name, fn in per_block.items()}
+    layers["layers_sum_us"] = sum(layers.values())
+    whole = best_us(lambda: harness._replica_values(plan, h, n, 1, block), calls, runs)
+    layers["block_us"] = whole / plan.replicas
+    return {"block": block, **{name: round(us, 2) for name, us in layers.items()}}
 
 
 def main():

@@ -37,7 +37,6 @@ from .kernels import (
     delta_delta_inner,
     eps_delta_inner,
     gaussian_moment,
-    gram_matrix,
     hermite_coefficients,
     increment_autocov,
     increment_autocov_seq,
@@ -55,7 +54,7 @@ from .statistics import (
     limit_functional,
     require_form_admissible,
 )
-from .weights import WeightFunction, builtin, check_derivatives, linear_combination
+from .weights import WeightFunction, builtin, check_derivatives
 
 __version__ = "0.1.0"
 

@@ -120,13 +120,6 @@ def covariance_matrix(H, n: int) -> np.ndarray:
     return 0.5 * (pw[:, None] + pw[None, :] - np.abs(t[:, None] - t[None, :]) ** two_h)
 
 
-def gram_matrix(H, n: int) -> np.ndarray:
-    """n x n Gram matrix of the increments, [n^{-2H} rho_H(k - ell)]."""
-    rho = increment_autocov_seq(H, n - 1)
-    idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    return float(n) ** (-2.0 * _hval(H)) * rho[idx]
-
-
 def gaussian_moment(kappa: int) -> float:
     """kappa-th moment of a standard Gaussian: 0 for odd, (kappa-1)!! for even."""
     k = int(kappa)

@@ -78,10 +78,6 @@ class FbmPath:
         return self.values[:, :-1]
 
 
-# A Philox state at counter 0 with an empty output buffer, as a fresh
-# Philox(key=...) starts; `_rng` copies it in under each new key.
-_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
-_ZERO_WORDS.flags.writeable = False
 _thread_state = threading.local()
 
 
@@ -96,10 +92,12 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
         gen = _thread_state.gen
     except AttributeError:
         gen = _thread_state.gen = np.random.Generator(np.random.Philox(key=0))
+    # Counter 0 and an empty output buffer, as a fresh Philox(key=...) starts.
+    # Plain lists are read into the state faster than uint64 arrays.
     gen.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": _ZERO_WORDS, "key": np.array([seed, stream], dtype=np.uint64)},
-        "buffer": _ZERO_WORDS,
+        "state": {"counter": [0, 0, 0, 0], "key": [seed, stream]},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
@@ -220,8 +218,12 @@ def sample_fbm(H, n: int, config: SamplerConfig, count: int = 1) -> FbmPath:
     first = int(config.stream)
     if count < 1 or first + count > _MAX_UINT64:
         raise ValueError(f"streams {first}..{first + count - 1} must be nonempty and below 2^64")
-    fgn = _block_fgn(hurst.value, n, _block_normals(int(config.seed), first, count, n))
-    values = np.zeros((count, n + 1))
+    return _block_paths(hurst, n, _block_fgn(hurst.value, n, _block_normals(int(config.seed), first, count, n)))
+
+
+def _block_paths(hurst: HurstIndex, n: int, fgn: np.ndarray) -> FbmPath:
+    """The block of paths whose rows start at 0 and have the rows of fgn as increments."""
+    values = np.zeros((fgn.shape[0], n + 1))
     np.cumsum(fgn, axis=1, out=values[:, 1:])
     return FbmPath(hurst=hurst, n=n, values=values)
 

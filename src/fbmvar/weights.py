@@ -10,6 +10,7 @@ deliberately not accepted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Callable, Tuple
 
 import numpy as np
@@ -83,91 +84,55 @@ def _gauss_bump_deriv(poly_coeffs) -> Callable:
     return f
 
 
-# d^i/dx^i exp(-x^2) = (-1)^i H_i(x) exp(-x^2) with H_i the physicists'
-# Hermite polynomials; signs folded into the coefficient tuples below.
-_GAUSS_BUMP_POLYS = (
-    (1.0,),
-    (0.0, -2.0),
-    (-2.0, 0.0, 4.0),
-    (0.0, 12.0, 0.0, -8.0),
-    (12.0, 0.0, -48.0, 0.0, 16.0),
-    (0.0, -120.0, 0.0, 160.0, 0.0, -32.0),
-    (-120.0, 0.0, 720.0, 0.0, -480.0, 0.0, 64.0),
-)
+# Plain tuples, not numpy.polynomial: importing it would add about 0.8 MB of
+# peak RSS and 5-18 ms to every process start.
+def _derivative(coeffs: tuple) -> tuple:
+    """Coefficients of p' from those of p, both in increasing degree order."""
+    return tuple(k * c for k, c in enumerate(coeffs))[1:] or (0.0,)
+
+
+def _polynomial(coeffs: tuple) -> Tuple[Callable, ...]:
+    """h and its derivatives for h with coefficients in increasing degree order."""
+    out = []
+    for _ in range(MAX_ORDER + 1):
+        out.append(_const(coeffs[0]) if len(coeffs) == 1 else _poly(*coeffs))
+        coeffs = _derivative(coeffs)
+    return tuple(out)
+
+
+def _neg(f: Callable) -> Callable:
+    return lambda x: -f(np.asarray(x, dtype=np.float64))
+
+
+# sin' = cos, cos' = -sin, ...: order i of the weight at phase p is _TRIG_CYCLE[(p + i) % 4].
+_TRIG_CYCLE = (np.sin, np.cos, _neg(np.sin), _neg(np.cos))
+
+
+def _trig(phase: int) -> Tuple[Callable, ...]:
+    return tuple(_TRIG_CYCLE[(phase + i) % 4] for i in range(MAX_ORDER + 1))
+
+
+def _gauss_bump() -> Tuple[Callable, ...]:
+    """exp(-x^2) and its derivatives p_i(x) exp(-x^2), with p_0 = 1 and p_{i+1} = p_i' - 2x p_i."""
+    p = (1.0,)
+    out = []
+    for _ in range(MAX_ORDER + 1):
+        out.append(_gauss_bump_deriv(p))
+        p = tuple(a - 2.0 * b for a, b in zip_longest(_derivative(p), (0.0,) + p, fillvalue=0.0))
+    return tuple(out)
+
 
 _BUILTINS = {
-    "one": WeightFunction(
-        id="one",
-        evaluators=(_const(1.0),) + tuple(_const(0.0) for _ in range(MAX_ORDER)),
-        max_order=MAX_ORDER,
-        growth_class=POLYNOMIAL,
-        growth_bound=(1.0, 0),
-    ),
-    "x": WeightFunction(
-        id="x",
-        evaluators=(_poly(0.0, 1.0), _const(1.0)) + tuple(_const(0.0) for _ in range(MAX_ORDER - 1)),
-        max_order=MAX_ORDER,
-        growth_class=POLYNOMIAL,
-        growth_bound=(1.0, 1),
-    ),
-    "x2": WeightFunction(
-        id="x2",
-        evaluators=(_poly(0.0, 0.0, 1.0), _poly(0.0, 2.0), _const(2.0))
-        + tuple(_const(0.0) for _ in range(MAX_ORDER - 2)),
-        max_order=MAX_ORDER,
-        growth_class=POLYNOMIAL,
-        growth_bound=(2.0, 2),
-    ),
-    "x3": WeightFunction(
-        id="x3",
-        evaluators=(
-            _poly(0.0, 0.0, 0.0, 1.0),
-            _poly(0.0, 0.0, 3.0),
-            _poly(0.0, 6.0),
-            _const(6.0),
-        )
-        + tuple(_const(0.0) for _ in range(MAX_ORDER - 3)),
-        max_order=MAX_ORDER,
-        growth_class=POLYNOMIAL,
-        growth_bound=(6.0, 3),
-    ),
-    "sin": WeightFunction(
-        id="sin",
-        evaluators=(
-            np.sin,
-            np.cos,
-            lambda x: -np.sin(np.asarray(x, dtype=np.float64)),
-            lambda x: -np.cos(np.asarray(x, dtype=np.float64)),
-            np.sin,
-            np.cos,
-            lambda x: -np.sin(np.asarray(x, dtype=np.float64)),
-        ),
-        max_order=MAX_ORDER,
-        growth_class=BOUNDED_SMOOTH,
-        growth_bound=(1.0, 0),
-    ),
-    "cos": WeightFunction(
-        id="cos",
-        evaluators=(
-            np.cos,
-            lambda x: -np.sin(np.asarray(x, dtype=np.float64)),
-            lambda x: -np.cos(np.asarray(x, dtype=np.float64)),
-            np.sin,
-            np.cos,
-            lambda x: -np.sin(np.asarray(x, dtype=np.float64)),
-            lambda x: -np.cos(np.asarray(x, dtype=np.float64)),
-        ),
-        max_order=MAX_ORDER,
-        growth_class=BOUNDED_SMOOTH,
-        growth_bound=(1.0, 0),
-    ),
-    "exp_neg_x2": WeightFunction(
-        id="exp_neg_x2",
-        evaluators=tuple(_gauss_bump_deriv(p) for p in _GAUSS_BUMP_POLYS),
-        max_order=MAX_ORDER,
-        growth_class=BOUNDED_SMOOTH,
-        growth_bound=(130.0, 0),
-    ),
+    wid: WeightFunction(id=wid, evaluators=evaluators, max_order=MAX_ORDER, growth_class=klass, growth_bound=bound)
+    for wid, evaluators, klass, bound in (
+        ("one", _polynomial((1.0,)), POLYNOMIAL, (1.0, 0)),
+        ("x", _polynomial((0.0, 1.0)), POLYNOMIAL, (1.0, 1)),
+        ("x2", _polynomial((0.0, 0.0, 1.0)), POLYNOMIAL, (2.0, 2)),
+        ("x3", _polynomial((0.0, 0.0, 0.0, 1.0)), POLYNOMIAL, (6.0, 3)),
+        ("sin", _trig(0), BOUNDED_SMOOTH, (1.0, 0)),
+        ("cos", _trig(1), BOUNDED_SMOOTH, (1.0, 0)),
+        ("exp_neg_x2", _gauss_bump(), BOUNDED_SMOOTH, (130.0, 0)),
+    )
 }
 
 BUILTIN_IDS = tuple(sorted(_BUILTINS))
@@ -179,28 +144,6 @@ def builtin(weight_id: str) -> WeightFunction:
         return _BUILTINS[weight_id]
     except KeyError:
         raise UnknownWeight(f"no builtin weight {weight_id!r}; known ids: {', '.join(BUILTIN_IDS)}") from None
-
-
-def linear_combination(a: float, w1: WeightFunction, b: float, w2: WeightFunction) -> WeightFunction:
-    """Weight a*w1 + b*w2 with derivatives combined order by order."""
-    order = min(w1.max_order, w2.max_order)
-
-    def comb(i):
-        f, g = w1.evaluators[i], w2.evaluators[i]
-        return lambda x: a * f(x) + b * g(x)
-
-    klass = POLYNOMIAL if POLYNOMIAL in (w1.growth_class, w2.growth_class) else BOUNDED_SMOOTH
-    bound = (
-        abs(a) * w1.growth_bound[0] + abs(b) * w2.growth_bound[0],
-        max(w1.growth_bound[1], w2.growth_bound[1]),
-    )
-    return WeightFunction(
-        id=f"{a}*{w1.id}+{b}*{w2.id}",
-        evaluators=tuple(comb(i) for i in range(order + 1)),
-        max_order=order,
-        growth_class=klass,
-        growth_bound=bound,
-    )
 
 
 def check_derivatives(w: WeightFunction, order: int, grid, step: float) -> float:

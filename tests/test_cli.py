@@ -34,6 +34,9 @@ seed = 99
 """
 
 
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
+
+
 def write(tmp_path, text, name="plans.ini"):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
@@ -205,6 +208,17 @@ class TestCmdRun:
         assert len(lines) == 17
         assert lines[0].split(" ")[0] == "0/16"
         assert float(lines[0].split(" ")[1]) == 0.0
+
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.name)
+    def test_shipped_config_runs(self, config, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(config), "--out", str(out), "--replicas", "2"]) == 0
+        stems = [entry.out_stem for entry in cli.parse_config(config)]
+        assert stems
+        for stem in stems:
+            for suffix in (".csv", ".json", ".dat"):
+                assert (out / f"{stem}{suffix}").is_file(), f"{config.name}: no {stem}{suffix}"
 
 
 class TestCmdRegimes:

@@ -1,6 +1,5 @@
 """Kernel exactness: closed forms against covariance-difference oracles."""
 
-import itertools
 import math
 
 import numpy as np
@@ -19,7 +18,6 @@ from fbmvar import (
     delta_delta_inner,
     eps_delta_inner,
     gaussian_moment,
-    gram_matrix,
     hermite_coefficients,
     increment_autocov,
     increment_autocov_seq,
@@ -151,19 +149,12 @@ class TestInnerProducts:
         assert got == pytest.approx(-0.045877276439170384, abs=1e-15)
 
     def test_gram_matrix_positive_semidefinite(self):
+        # the Gram matrix of the path values B_{k/n}, k = 1..n
         for h in (0.05, 0.25, 0.5, 0.75, 0.95):
             for n in (16, 64, 128):
-                g = gram_matrix(h, n)
+                g = covariance_matrix(h, n)[1:, 1:]
                 eig = np.linalg.eigvalsh(g)
                 assert eig.min() >= -1e-10 * max(eig.max(), 1e-30)
-
-    def test_gram_matrix_matches_scalar_op(self):
-        n = 9
-        g = gram_matrix(0.35, n)
-        for k, ell in itertools.product(range(n), repeat=2):
-            assert g[k, ell] == pytest.approx(
-                delta_delta_inner(0.35, GridIndexPair(n=n, k=k, ell=ell)), rel=1e-14
-            )
 
 
 class TestGridIndexPair:

@@ -17,15 +17,16 @@ from fbmvar import (
     SamplerConfig,
     StatForm,
     StatisticSpec,
+    WeightFunction,
     builtin,
     classify_regime,
     evaluate_statistic,
     limit_functional,
-    linear_combination,
     require_form_admissible,
     sample_fbm,
 )
 from fbmvar.statistics import HALF, QUARTER, SIXTH, THREE_QUARTERS, RegimeName
+from fbmvar.weights import POLYNOMIAL
 from oracles import (
     centered_quadratic_oracle,
     compensated_cubic_oracle,
@@ -79,6 +80,22 @@ def limit(p, h, form, kappa=None):
     return only(limit_functional(p, h, form, kappa))
 
 
+def weight_from(*evaluators):
+    """A test weight with evaluators (h, h', ..., h^(k)); k is its max order."""
+    return WeightFunction(
+        id="test", evaluators=evaluators, max_order=len(evaluators) - 1, growth_class=POLYNOMIAL, growth_bound=(1.0, 6)
+    )
+
+
+def combination(a, w1, b, w2):
+    """The weight a*w1 + b*w2, derivatives combined order by order."""
+    return weight_from(*(lambda x, f=f, g=g: a * f(x) + b * g(x) for f, g in zip(w1.evaluators, w2.evaluators)))
+
+
+def zeros(x):
+    return np.zeros_like(np.asarray(x, dtype=np.float64))
+
+
 class TestCenteredQuadratic:
     def test_unit_bracket_vanishes(self):
         n, H = 8, 0.25
@@ -89,8 +106,7 @@ class TestCenteredQuadratic:
 
     def test_zero_weight(self):
         p = sampled(0.1, 32)
-        zero = linear_combination(0.0, builtin("x"), 0.0, builtin("x"))
-        assert quadratic(p, zero) == 0.0
+        assert quadratic(p, weight_from(zeros, zeros, zeros)) == 0.0
 
     def test_term_by_term_oracle(self):
         p = sampled(0.1, 8, seed=99)
@@ -116,8 +132,7 @@ class TestCompensatedCubic:
 
     def test_zero_weight(self):
         p = sampled(0.12, 16)
-        zero = linear_combination(0.0, builtin("sin"), 0.0, builtin("x"))
-        assert cubic(p, zero) == 0.0
+        assert cubic(p, weight_from(zeros, zeros)) == 0.0
 
     def test_term_by_term_oracle(self):
         p = sampled(0.12, 16, seed=17)
@@ -221,9 +236,7 @@ class TestLimitFunctional:
 
     def test_order_guard(self):
         p = sampled(0.1, 8)
-        shallow = linear_combination(1.0, builtin("x"), 0.0, builtin("x"))
-        object.__setattr__(shallow, "evaluators", shallow.evaluators[:2])
-        object.__setattr__(shallow, "max_order", 1)
+        shallow = weight_from(*builtin("x").evaluators[:2])
         with pytest.raises(OrderError):
             limit_functional(p, shallow, StatForm.CENTERED_QUADRATIC)
 
@@ -244,7 +257,7 @@ class TestLinearity:
     @settings(max_examples=25, deadline=None)
     def test_centered_quadratic_linear_in_weight(self, a, b):
         p = sampled(0.1, 32, seed=61)
-        combo = linear_combination(a, builtin("x2"), b, builtin("sin"))
+        combo = combination(a, builtin("x2"), b, builtin("sin"))
         lhs = quadratic(p, combo)
         rhs = a * quadratic(p, builtin("x2")) + b * quadratic(p, builtin("sin"))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
@@ -253,7 +266,7 @@ class TestLinearity:
     @settings(max_examples=25, deadline=None)
     def test_odd_weighted_linear_in_weight(self, a, b):
         p = sampled(0.35, 32, seed=62)
-        combo = linear_combination(a, builtin("x"), b, builtin("cos"))
+        combo = combination(a, builtin("x"), b, builtin("cos"))
         lhs = odd(p, combo, 3)
         rhs = a * odd(p, builtin("x"), 3) + b * odd(p, builtin("cos"), 3)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)

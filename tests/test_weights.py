@@ -1,14 +1,69 @@
-"""Weight registry: derivative tables verified by central differences."""
+"""Weight registry: derivative tables verified by central differences and a hand-typed oracle."""
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from fbmvar import OrderError, UnknownWeight, builtin, check_derivatives, linear_combination
+from fbmvar import OrderError, UnknownWeight, builtin, check_derivatives
 from fbmvar.weights import BUILTIN_IDS
 
 GRID = np.linspace(-5.0, 5.0, 81)
+
+
+def _poly(*coeffs):
+    # Horner, coefficients in increasing degree order
+    def f(x):
+        x = np.asarray(x, dtype=np.float64)
+        out = np.zeros_like(x)
+        for c in reversed(coeffs):
+            out = out * x + c
+        return out
+
+    return f
+
+
+def _const(c):
+    return lambda x: np.full_like(np.asarray(x, dtype=np.float64), c)
+
+
+def _neg(f):
+    return lambda x: -f(np.asarray(x, dtype=np.float64))
+
+
+def _bump(*coeffs):
+    # p(x) * exp(-x^2)
+    p = _poly(*coeffs)
+
+    def f(x):
+        x = np.asarray(x, dtype=np.float64)
+        return p(x) * np.exp(-x * x)
+
+    return f
+
+
+_ZERO = _const(0.0)
+
+# The derivative tables typed out by hand: (h, h', ..., h^(6)) per builtin.
+# d^i/dx^i exp(-x^2) = (-1)^i H_i(x) exp(-x^2), H_i the physicists' Hermite polynomials.
+HAND_TABLES = {
+    "one": (_const(1.0),) + (_ZERO,) * 6,
+    "x": (_poly(0.0, 1.0), _const(1.0)) + (_ZERO,) * 5,
+    "x2": (_poly(0.0, 0.0, 1.0), _poly(0.0, 2.0), _const(2.0)) + (_ZERO,) * 4,
+    "x3": (_poly(0.0, 0.0, 0.0, 1.0), _poly(0.0, 0.0, 3.0), _poly(0.0, 6.0), _const(6.0)) + (_ZERO,) * 3,
+    "sin": (np.sin, np.cos, _neg(np.sin), _neg(np.cos), np.sin, np.cos, _neg(np.sin)),
+    "cos": (np.cos, _neg(np.sin), _neg(np.cos), np.sin, np.cos, _neg(np.sin), _neg(np.cos)),
+    "exp_neg_x2": (
+        _bump(1.0),
+        _bump(0.0, -2.0),
+        _bump(-2.0, 0.0, 4.0),
+        _bump(0.0, 12.0, 0.0, -8.0),
+        _bump(12.0, 0.0, -48.0, 0.0, 16.0),
+        _bump(0.0, -120.0, 0.0, 160.0, 0.0, -32.0),
+        _bump(-120.0, 0.0, 720.0, 0.0, -480.0, 0.0, 64.0),
+    ),
+}
+
+# signed zeros, tiny and large magnitudes, and a dense stretch of the bulk
+ORACLE_GRID = np.concatenate([np.linspace(-6.0, 6.0, 241), [0.0, -0.0, 1e-300, -1e-300, 1e3, -1e3]])
 
 # empirical central-difference constants: truncation error <= C * step^2 on
 # [-5, 5] plus a roundoff floor; C tracks max |h^{(i+2)}| / 6 over the grid
@@ -53,6 +108,13 @@ class TestBuiltins:
 
 class TestDerivativeTables:
     @pytest.mark.parametrize("wid", BUILTIN_IDS)
+    def test_equal_to_hand_typed_table(self, wid):
+        w = builtin(wid)
+        assert w.max_order == len(HAND_TABLES[wid]) - 1 == 6
+        for order, want in enumerate(HAND_TABLES[wid]):
+            assert np.array_equal(w.derivative(order)(ORACLE_GRID), want(ORACLE_GRID)), (wid, order)
+
+    @pytest.mark.parametrize("wid", BUILTIN_IDS)
     def test_central_difference_all_orders(self, wid):
         w = builtin(wid)
         step = 1e-4
@@ -96,18 +158,3 @@ class TestGrowthCertificates:
     def test_bounded_smooth_have_degree_zero(self):
         for wid in ("sin", "cos", "exp_neg_x2"):
             assert builtin(wid).growth_bound[1] == 0
-
-
-class TestLinearCombination:
-    @given(a=st.floats(-5, 5), b=st.floats(-5, 5))
-    def test_pointwise(self, a, b):
-        combo = linear_combination(a, builtin("x2"), b, builtin("sin"))
-        x = np.linspace(-2, 2, 17)
-        for order in range(combo.max_order + 1):
-            want = a * builtin("x2").derivative(order)(x) + b * builtin("sin").derivative(order)(x)
-            assert np.allclose(combo.derivative(order)(x), want, rtol=0, atol=1e-12)
-
-    def test_derivative_consistency(self):
-        combo = linear_combination(2.0, builtin("x3"), -1.0, builtin("cos"))
-        err = check_derivatives(combo, 3, GRID, 1e-4)
-        assert err < 5e-7
