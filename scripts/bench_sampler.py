@@ -81,7 +81,7 @@ def layer_times(n, calls, runs):
         "synthesis_us": lambda: sampler_mod._block_fgn(HURST, n, z),
         "assembly_us": lambda: sampler_mod._block_paths(path.hurst, n, fgn),
         "statistic_us": lambda: evaluate_statistic(path, h, SPEC),
-        "limit_us": lambda: limit_functional(path, h, SPEC.form, SPEC.kappa),
+        "limit_us": lambda: limit_functional(path, h, SPEC),
     }
     layers = {name: best_us(fn, calls, runs) / block for name, fn in per_block.items()}
     layers["layers_sum_us"] = sum(layers.values())

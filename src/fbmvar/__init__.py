@@ -12,7 +12,6 @@ from .errors import (
     DegenerateFit,
     EmbeddingError,
     FbmvarError,
-    KappaError,
     OrderError,
     RegimeError,
     UnknownWeight,

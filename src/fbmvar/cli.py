@@ -5,7 +5,8 @@ weight, form, n_ladder, replicas, seed, method and optionally out (file stem).
 `run` writes one CSV, one JSON summary and one .dat (log-log plot data) per
 plan; numeric CSV fields carry 17 significant digits so they round-trip to the
 exact float64. Diagnostics go to stderr, data to files/stdout. Exit codes:
-0 ok, 2 config error, 3 regime error, 4 embedding error (1 = failed selftest).
+0 ok, 2 config or usage error, 3 regime error, 4 embedding error (1 = failed
+selftest).
 """
 
 from __future__ import annotations
@@ -143,7 +144,11 @@ def cmd_run(config_path, out_dir, seed=None, replicas=None, threads=1, dump_path
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: --out {out_dir}: {exc.strerror}", file=sys.stderr)
+        return 2
     try:
         for entry in entries:
             plan = entry.plan
@@ -178,12 +183,17 @@ def cmd_regimes(kappas=(2, 3), h_step=0.05, csv_path=None) -> int:
     if rows > REGIMES_MAX_ROWS:
         print(f"error: --h-step {h_step:g} gives {rows} rows, more than the cap of {REGIMES_MAX_ROWS}", file=sys.stderr)
         return 2
-    print(f"# regime table: H grid = multiples of {h_step:g} strictly inside (0, 1)")
-    print("# open theorem endpoints (1/4, 3/4 where applicable) label as boundary_unsupported")
-    print(f"{'kappa':>5} {'H':>8}  {'unweighted':<24} {'weighted':<24}")
-    legend = {}
     # without --csv the CSV rows go to the null device
-    with open(os.devnull if csv_path is None else csv_path, "w", encoding="utf-8", newline="\n") as csv:
+    try:
+        csv = open(os.devnull if csv_path is None else csv_path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        print(f"error: --csv {csv_path}: {exc.strerror}", file=sys.stderr)
+        return 2
+    legend = {}
+    with csv:
+        print(f"# regime table: H grid = multiples of {h_step:g} strictly inside (0, 1)")
+        print("# open theorem endpoints (1/4, 3/4 where applicable) label as boundary_unsupported")
+        print(f"{'kappa':>5} {'H':>8}  {'unweighted':<24} {'weighted':<24}")
         csv.write("kappa,H,unweighted_regime,unweighted_citation,weighted_regime,weighted_citation\n")
         for kappa in kappas:
             for k in range(1, rows // len(kappas) + 1):

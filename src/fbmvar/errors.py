@@ -13,10 +13,6 @@ class EmbeddingError(FbmvarError):
     """Circulant embedding produced an eigenvalue too negative to clamp."""
 
 
-class KappaError(FbmvarError):
-    """A statistic was requested with a power of the wrong parity."""
-
-
 class OrderError(FbmvarError):
     """A derivative order beyond what a weight function registers."""
 

@@ -100,7 +100,7 @@ def _replica_values(plan: ExperimentPlan, h, n: int, threads: int, block: int) -
         count = min(block, plan.replicas - r0)
         path = sample_fbm(plan.hurst, n, SamplerConfig(method=plan.method, seed=plan.seed, stream=r0), count)
         out[r0 : r0 + count, 0] = evaluate_statistic(path, h, spec)
-        out[r0 : r0 + count, 1] = limit_functional(path, h, spec.form, spec.kappa) if has_limit else 0.0
+        out[r0 : r0 + count, 1] = limit_functional(path, h, spec) if has_limit else 0.0
 
     workers = min(threads, len(os.sched_getaffinity(0)), len(starts))
     if workers <= 1:
@@ -130,10 +130,8 @@ def _sample_moments(x: np.ndarray):
     return mean, var, skew, exkurt, m2, m4
 
 
-def variance_stderr(x: np.ndarray) -> float:
-    """Standard error of the unbiased sample variance of x."""
-    r = x.size
-    _, _, _, _, m2, m4 = _sample_moments(x)
+def variance_stderr(m2: float, m4: float, r: int) -> float:
+    """Standard error of the unbiased variance of a size-r sample with central moments m2 and m4."""
     inner = m4 - m2 * m2 * (r - 3) / (r - 1)
     return math.sqrt(max(inner, 0.0) / r)
 
@@ -154,13 +152,13 @@ def _run_ladder(plan: ExperimentPlan, threads: int) -> McReport:
     for n in plan.n_ladder:
         vals = _replica_values(plan, h, n, threads, block_size(n))
         stats = vals[:, 0]
+        mean, var, skew, exkurt, m2, m4 = _sample_moments(stats)
         if has_limit:
             gaps_sq = (stats - vals[:, 1]) ** 2
             l2 = float(np.mean(gaps_sq))
             stderr = float(np.std(gaps_sq, ddof=1) / math.sqrt(plan.replicas))
         else:
-            l2, stderr = 0.0, variance_stderr(stats)
-        mean, var, skew, exkurt, _, _ = _sample_moments(stats)
+            l2, stderr = 0.0, variance_stderr(m2, m4, plan.replicas)
         records.append(
             McRecord(
                 n=n,

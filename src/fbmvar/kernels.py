@@ -39,10 +39,6 @@ def as_hurst(h) -> HurstIndex:
     return HurstIndex(float(h))
 
 
-def _hval(h) -> float:
-    return h.value if isinstance(h, HurstIndex) else HurstIndex(float(h)).value
-
-
 @dataclass(frozen=True)
 class GridIndexPair:
     """A pair of increment indices (k, ell) on the grid {0, 1/n, ..., 1}."""
@@ -68,7 +64,7 @@ def _abs_pow(x: float, two_h: float) -> float:
 
 def covariance(H, s: float, t: float) -> float:
     """fBm covariance R_H(s, t) = (t^{2H} + s^{2H} - |t-s|^{2H}) / 2."""
-    two_h = 2.0 * _hval(H)
+    two_h = 2.0 * as_hurst(H).value
     return 0.5 * (_abs_pow(t, two_h) + _abs_pow(s, two_h) - _abs_pow(t - s, two_h))
 
 
@@ -78,14 +74,14 @@ def increment_autocov(H, p: int) -> float:
     rho_H(p) = (|p+1|^{2H} + |p-1|^{2H} - 2|p|^{2H}) / 2; rho_H(0) = 1 and
     rho vanishes at all nonzero lags when H = 1/2.
     """
-    two_h = 2.0 * _hval(H)
+    two_h = 2.0 * as_hurst(H).value
     q = abs(int(p))
     return 0.5 * (_abs_pow(q + 1, two_h) + _abs_pow(q - 1, two_h) - 2.0 * _abs_pow(q, two_h))
 
 
 def increment_autocov_seq(H, max_lag: int) -> np.ndarray:
     """Vector of rho_H(p) for p = 0 .. max_lag."""
-    two_h = 2.0 * _hval(H)
+    two_h = 2.0 * as_hurst(H).value
     p = np.arange(max_lag + 1, dtype=np.float64)
     return 0.5 * ((p + 1.0) ** two_h + np.abs(p - 1.0) ** two_h - 2.0 * p**two_h)
 
@@ -96,7 +92,7 @@ def eps_delta_inner(H, pair: GridIndexPair) -> float:
     Equals E[B_{ell/n} (B_{(k+1)/n} - B_{k/n})], i.e.
     n^{-2H} ((k+1)^{2H} - k^{2H} - |ell-k-1|^{2H} + |ell-k|^{2H}) / 2.
     """
-    two_h = 2.0 * _hval(H)
+    two_h = 2.0 * as_hurst(H).value
     n, k, ell = pair.n, pair.k, pair.ell
     bracket = (
         _abs_pow(k + 1, two_h)
@@ -109,13 +105,13 @@ def eps_delta_inner(H, pair: GridIndexPair) -> float:
 
 def delta_delta_inner(H, pair: GridIndexPair) -> float:
     """Covariance of two grid increments: n^{-2H} rho_H(k - ell)."""
-    return float(pair.n) ** (-2.0 * _hval(H)) * increment_autocov(H, pair.k - pair.ell)
+    return float(pair.n) ** (-2.0 * as_hurst(H).value) * increment_autocov(H, pair.k - pair.ell)
 
 
 def covariance_matrix(H, n: int) -> np.ndarray:
     """(n+1) x (n+1) matrix [R_H(j/n, k/n)] over the full grid including 0."""
     t = np.arange(n + 1, dtype=np.float64) / n
-    two_h = 2.0 * _hval(H)
+    two_h = 2.0 * as_hurst(H).value
     pw = t**two_h
     return 0.5 * (pw[:, None] + pw[None, :] - np.abs(t[:, None] - t[None, :]) ** two_h)
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +25,6 @@ import numpy as np
 from .errors import EmbeddingError
 from .kernels import HurstIndex, as_hurst, increment_autocov_seq
 
-# The coefficient cache below keeps at most this many bytes of arrays.
-CACHE_MAX_BYTES = 256 * 2**20
 # Circulant eigenvalues of the fGn embedding are nonnegative in exact
 # arithmetic; anything dipping below -EIG_TOL * max is treated as a failed
 # embedding instead of being silently clamped.
@@ -105,52 +102,9 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return gen
 
 
-def _nbytes(value) -> int:
-    parts = value if isinstance(value, tuple) else (value,)
-    return sum(np.asarray(p).nbytes for p in parts)
-
-
-class _ByteBudgetCache:
-    """Thread-safe LRU memo whose cached values total at most CACHE_MAX_BYTES.
-
-    The budget is read at every insertion. A value larger than the whole
-    budget is returned uncached, so it is rebuilt on every call.
-    """
-
-    def __init__(self, fn):
-        functools.update_wrapper(self, fn)
-        self._fn = fn
-        self._entries = OrderedDict()  # key -> (value, bytes), oldest first
-        self._lock = threading.Lock()
-        self.nbytes = 0
-
-    def __call__(self, *key):
-        with self._lock:
-            hit = self._entries.get(key)
-            if hit is not None:
-                self._entries.move_to_end(key)
-                return hit[0]
-        value = self._fn(*key)
-        size = _nbytes(value)
-        with self._lock:
-            if key not in self._entries and size <= CACHE_MAX_BYTES:
-                self._entries[key] = (value, size)
-                self.nbytes += size
-                while self.nbytes > CACHE_MAX_BYTES:
-                    _, (_, evicted) = self._entries.popitem(last=False)
-                    self.nbytes -= evicted
-        return value
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def cache_clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.nbytes = 0
-
-
-@_ByteBudgetCache
+# One entry holds 16(n-1) bytes. The most (H, n) keys a shipped config draws
+# is 10, so no run builds the same embedding twice.
+@functools.lru_cache(maxsize=16)
 def _circulant_coeffs(h: float, n: int):
     """Half-spectrum synthesis coefficients (h0, hn, coef) for n^{-H}-scaled fGn.
 

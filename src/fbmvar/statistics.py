@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import KappaError, RegimeError
+from .errors import RegimeError
 from .kernels import as_hurst, gaussian_moment
 from .sampler import FbmPath
 from .weights import WeightFunction
@@ -157,24 +157,17 @@ def evaluate_statistic(path: FbmPath, h: WeightFunction, spec: StatisticSpec) ->
     return n ** (a * hv + b) * np.sum(terms, axis=1)
 
 
-def limit_functional(path: FbmPath, h: WeightFunction, form: StatForm, kappa: int | None = None) -> np.ndarray:
-    """Discrete limit c (1/n) sum_k g(B_{k/n}) matching the L2 statistic `form`, per path of the block.
+def limit_functional(path: FbmPath, h: WeightFunction, spec: StatisticSpec) -> np.ndarray:
+    """Discrete limit c (1/n) sum_k g(B_{k/n}) matching the L2 statistic of `spec`, per path of the block.
 
     (c, g) is (1/4, h'') for the quadratic form, (-1/8, h''') for the cubic
-    form and (-mu_{kappa+1}/2, h') for the odd form, which needs kappa.
+    form and (-mu_{kappa+1}/2, h') for the odd form.
     """
-    form = StatForm(form)
-    row = FORMS[form]
+    row = FORMS[spec.form]
     if row.limit is None:
-        raise ValueError(f"no pathwise limit functional for form {form.value!r}")
-    if kappa is None:
-        if row.kappa[1]:
-            raise KappaError(f"{form.value} limit needs kappa to fix the drift constant")
-        kappa = row.kappa[0]
-    if not _admits(row.kappa, kappa):
-        raise KappaError(f"{form.value} limit requires {row.kappa_rule}, got {kappa}")
+        raise ValueError(f"no pathwise limit functional for form {spec.form.value!r}")
     constant, order = row.limit
-    return constant(kappa) * np.mean(h.derivative(order)(path.left), axis=1)
+    return constant(spec.kappa) * np.mean(h.derivative(order)(path.left), axis=1)
 
 
 def require_form_admissible(form: StatForm, kappa: int, H) -> None:

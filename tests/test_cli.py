@@ -165,6 +165,16 @@ class TestCmdRun:
         assert "--threads" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_out_path_of_a_file_exits_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, GOOD_CONFIG)
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        rc = cli.main(["run", "--config", str(cfg), "--out", str(taken)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: --out {taken}: ") and "Traceback" not in err
+        assert taken.read_text() == "keep\n"
+
     def test_config_error_exits_2(self, tmp_path, capsys):
         cfg = write(tmp_path, "[p]\nhurst = 0.1\n")
         rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -250,6 +260,14 @@ class TestCmdRegimes:
         lines = target.read_text().strip().split("\n")
         assert lines[0] == "kappa,H,unweighted_regime,unweighted_citation,weighted_regime,weighted_citation"
         assert len(lines) == 1 + 3
+
+    def test_csv_in_missing_dir_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "table.csv"
+        rc = cli.main(["regimes", "--csv", str(target)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith(f"error: --csv {target}: ") and captured.out == ""
+        assert not target.parent.exists()
 
 
     @pytest.mark.parametrize(

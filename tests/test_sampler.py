@@ -187,61 +187,45 @@ class TestStreamIdentity:
             sys.setswitchinterval(interval)
 
 
-class TestCacheBudget:
-    # the coefficient cache at two entry sizes
-    CACHES = [("_circulant_coeffs", 64), ("_circulant_coeffs", 1024)]
-
+class TestCacheBound:
     @pytest.fixture
-    def budgeted(self, monkeypatch, request):
-        """The named cache, emptied, with the byte budget set to three of its n-sized entries."""
+    def cache(self):
+        """The coefficient cache, emptied before and after the test."""
         import fbmvar.sampler as sampler_mod
 
-        name, n = request.param
-        cache = getattr(sampler_mod, name)
+        cache = sampler_mod._circulant_coeffs
         cache.cache_clear()
-        cache(0.3, n)
-        entry = cache.nbytes
-        cache.cache_clear()
-        monkeypatch.setattr(sampler_mod, "CACHE_MAX_BYTES", 3 * entry)
-        yield cache, n, entry, sampler_mod
+        yield cache
         cache.cache_clear()
 
-    @pytest.mark.parametrize("budgeted", CACHES, indirect=True)
-    def test_evicts_least_recent_to_stay_under_budget(self, budgeted):
-        cache, n, entry, _ = budgeted
-        hs = (0.1, 0.2, 0.3, 0.4, 0.6)
-        first = {}
-        for h in hs:
-            first[h] = cache(h, n)
-            assert cache.nbytes <= 3 * entry
-        assert len(cache) == 3 and cache.nbytes == 3 * entry
-        for h in hs[-3:]:
-            assert cache(h, n) is first[h]
-        for h in hs[:2]:
-            assert cache(h, n) is not first[h]
-        assert cache.nbytes == 3 * entry
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_evicts_least_recent_past_maxsize(self, cache, n):
+        maxsize = cache.cache_info().maxsize
+        hs = [round(0.05 * (i + 1), 2) for i in range(maxsize + 1)]
+        first = {h: cache(h, n) for h in hs[:maxsize]}
+        assert cache(hs[0], n) is first[hs[0]]  # hs[0] is now the most recent, hs[1] the least
+        first[hs[-1]] = cache(hs[-1], n)
+        assert cache.cache_info().currsize == maxsize
+        for h in [hs[0], *hs[2:]]:
+            assert cache(h, n) is first[h], h
+        assert cache(hs[1], n) is not first[hs[1]]
 
-    @pytest.mark.parametrize("budgeted", CACHES, indirect=True)
-    def test_entry_over_budget_is_returned_uncached(self, budgeted, monkeypatch):
-        cache, n, entry, sampler_mod = budgeted
-        monkeypatch.setattr(sampler_mod, "CACHE_MAX_BYTES", entry - 1)
-        value = cache(0.3, n)
-        assert value is not None and len(cache) == 0 and cache.nbytes == 0
-
-    @pytest.mark.parametrize("budgeted", CACHES[:1], indirect=True)
-    def test_byte_count_survives_concurrent_fills(self, budgeted):
-        cache, n, entry, _ = budgeted
-        hs = [round(0.05 + 0.05 * i, 2) for i in range(18)]
+    def test_concurrent_fills_stay_bounded(self, cache):
+        n = 64
+        maxsize = cache.cache_info().maxsize
+        keys = [(round(0.04 * (i + 1), 2), s) for i in range(maxsize + 4) for s in range(4)]
+        serial = {(h, s): sample_fbm(h, n, SamplerConfig(seed=1, stream=s)).values for h, s in keys}
+        cache.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(sample_fbm, h, n, SamplerConfig(seed=1, stream=s)) for s in range(4) for h in hs]
-                for fut in futures:
-                    fut.result(timeout=60)
+                futures = [(key, pool.submit(sample_fbm, key[0], n, SamplerConfig(seed=1, stream=key[1]))) for key in keys]
+                for key, fut in futures:
+                    assert np.array_equal(fut.result(timeout=60).values, serial[key]), key
         finally:
             sys.setswitchinterval(interval)
-        assert len(cache) == 3 and cache.nbytes == 3 * entry
+        assert cache.cache_info().currsize <= maxsize
 
 
 class TestCholeskyFactor:

@@ -11,7 +11,6 @@ from fbmvar import (
     FORMS,
     FbmPath,
     HurstIndex,
-    KappaError,
     OrderError,
     RegimeError,
     SamplerConfig,
@@ -77,7 +76,8 @@ def mixing(p, h):
 
 
 def limit(p, h, form, kappa=None):
-    return only(limit_functional(p, h, form, kappa))
+    """The limit functional of the form at kappa, or at the form's smallest kappa."""
+    return only(limit_functional(p, h, StatisticSpec(kappa or FORMS[form].kappa[0], h.id, form)))
 
 
 def weight_from(*evaluators):
@@ -228,17 +228,17 @@ class TestLimitFunctional:
         assert got == pytest.approx(-1.5, rel=1e-15)
 
     def test_odd_requires_kappa(self):
+        # the drift constant -mu_{kappa+1}/2 follows the spec's kappa, which must be odd
         p = sampled(0.35, 8)
-        with pytest.raises(KappaError):
-            limit_functional(p, builtin("x"), StatForm.ODD_WEIGHTED)
-        with pytest.raises(KappaError):
-            limit_functional(p, builtin("x"), StatForm.ODD_WEIGHTED, kappa=2)
+        assert limit(p, builtin("x"), StatForm.ODD_WEIGHTED, kappa=5) == pytest.approx(-7.5, rel=1e-15)
+        with pytest.raises(ValueError, match="odd kappa"):
+            StatisticSpec(2, "x", StatForm.ODD_WEIGHTED)
 
     def test_order_guard(self):
         p = sampled(0.1, 8)
         shallow = weight_from(*builtin("x").evaluators[:2])
         with pytest.raises(OrderError):
-            limit_functional(p, shallow, StatForm.CENTERED_QUADRATIC)
+            limit(p, shallow, StatForm.CENTERED_QUADRATIC)
 
     def test_oracle_match_sin(self):
         p = sampled(0.12, 32, seed=14)
@@ -248,8 +248,8 @@ class TestLimitFunctional:
 
     def test_no_functional_for_diagnostic_forms(self):
         p = sampled(0.3, 8)
-        with pytest.raises(ValueError):
-            limit_functional(p, builtin("one"), StatForm.UNWEIGHTED_CENTERED)
+        with pytest.raises(ValueError, match="no pathwise limit"):
+            limit(p, builtin("one"), StatForm.UNWEIGHTED_CENTERED)
 
 
 class TestLinearity:
