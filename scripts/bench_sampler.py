@@ -9,15 +9,17 @@ and reports microseconds per replica (a block's time divided by B):
   generator to each row's `(seed, stream)` and draws the row's 2n normals;
 - `synthesis_us`: `_block_fgn` on stored normals, the half-spectrum products
   and the one inverse FFT along the rows;
-- `assembly_us`: `_block_paths` on stored increments, the cumulative sum and
-  the `FbmPath` validation and copy;
+- `assembly_us`: `_block_paths` on stored increments, the cumulative sum into
+  a new path array and the `FbmPath` validation;
 - `statistic_us`: `evaluate_statistic` on a stored block;
 - `limit_us`: `limit_functional` on a stored block;
 - `layers_sum_us`: the sum of the five;
 - `block_us`: the harness's own loop (`_replica_values`) drawing and
   evaluating whole blocks end to end, per replica. What it adds to
   `layers_sum_us` is cost that no layer shows alone, such as the page faults
-  of large buffers that chained calls free and allocate again.
+  of large buffers that chained calls free and allocate again;
+- `block_minflt`: the minor page faults (`resource.getrusage`) of that loop
+  per block, over CALLS calls after a warm-up call.
 
 The plan is acceptance criterion 6's (H = 0.1, centred quadratic form,
 weight x2). Each op is timed in its own loop over prebuilt inputs, so a call
@@ -30,6 +32,7 @@ warm-up call that also fills the coefficient cache.
 
 import json
 import platform
+import resource
 import time
 
 import numpy as np
@@ -68,11 +71,21 @@ def best_us(fn, calls, runs):
     return best
 
 
+def faults_per_call(fn, calls):
+    """Minor page faults of the process per call of fn, over `calls` calls after a warm-up call."""
+    fn()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        fn()
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
+
+
 def layer_times(n, calls, runs):
     block = harness.block_size(n)
     h = builtin(SPEC.weight)
-    z = sampler_mod._block_normals(SEED, 0, block, n)
-    fgn = sampler_mod._block_fgn(HURST, n, z)
+    # copies: both calls return this thread's scratch buffers, which the next draw overwrites
+    z = sampler_mod._block_normals(SEED, 0, block, n).copy()
+    fgn = sampler_mod._block_fgn(HURST, n, z).copy()
     path = sample_fbm(HURST, n, SamplerConfig(seed=SEED), block)
     # at least two replicas, as a plan needs; a whole number of blocks
     plan = ExperimentPlan(hurst=HURST, spec=SPEC, n_ladder=(n,), replicas=block * max(1, 2 // block), seed=SEED)
@@ -85,9 +98,13 @@ def layer_times(n, calls, runs):
     }
     layers = {name: best_us(fn, calls, runs) / block for name, fn in per_block.items()}
     layers["layers_sum_us"] = sum(layers.values())
-    whole = best_us(lambda: harness._replica_values(plan, h, n, 1, block), calls, runs)
-    layers["block_us"] = whole / plan.replicas
-    return {"block": block, **{name: round(us, 2) for name, us in layers.items()}}
+    def whole_blocks():
+        return harness._replica_values({plan: h}, n, 1, block)[plan]
+
+    layers["block_us"] = best_us(whole_blocks, calls, runs) / plan.replicas
+    out = {"block": block, **{name: round(us, 2) for name, us in layers.items()}}
+    out["block_minflt"] = round(faults_per_call(whole_blocks, calls) * block / plan.replicas, 2)
+    return out
 
 
 def main():

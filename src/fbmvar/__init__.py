@@ -20,6 +20,7 @@ from .harness import (
     ExperimentPlan,
     McRecord,
     McReport,
+    PathGroups,
     RateFit,
     fit_rate,
     run_clt_diagnostics,

@@ -24,9 +24,17 @@ import numpy as np
 
 from . import kernels, weights
 from .errors import ConfigError, EmbeddingError, FbmvarError, RegimeError
-from .harness import ExperimentPlan, McRecord, McReport, rate_target, run_clt_diagnostics, run_l2_experiment
+from .harness import (
+    ExperimentPlan,
+    McRecord,
+    McReport,
+    PathGroups,
+    rate_target,
+    run_clt_diagnostics,
+    run_l2_experiment,
+)
 from .sampler import SamplerConfig, dump_path, sample_fbm
-from .statistics import FORMS, StatisticSpec, classify_regime
+from .statistics import FORMS, StatisticSpec, classify_regime, require_form_admissible
 
 # every McRecord field but n, which leads the row before the plan columns
 _STAT_FIELDS = tuple(f.name for f in dataclasses.fields(McRecord) if f.name != "n")
@@ -134,6 +142,19 @@ def _write_dat(path: Path, plan: ExperimentPlan, report: McReport) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+def _write_plan(out: Path, entry: PlanEntry, report: McReport, dump_paths: bool) -> None:
+    """The plan's .csv, .json and .dat, and with dump_paths its replica-0 path per grid size."""
+    plan = entry.plan
+    _write_csv(out / f"{entry.out_stem}.csv", plan, report)
+    _write_json(out / f"{entry.out_stem}.json", entry.name, plan, report)
+    _write_dat(out / f"{entry.out_stem}.dat", plan, report)
+    if dump_paths:
+        for n in plan.n_ladder:
+            path = sample_fbm(plan.hurst, n, SamplerConfig(method=plan.method, seed=plan.seed, stream=0))
+            with open(out / f"{entry.out_stem}_n{n}.path", "w", encoding="utf-8", newline="\n") as fh:
+                dump_path(path, fh)
+
+
 def cmd_run(config_path, out_dir, seed=None, replicas=None, threads=1, dump_paths=False) -> int:
     if threads < 1:
         print(f"error: --threads must be >= 1, got {threads}", file=sys.stderr)
@@ -143,31 +164,34 @@ def cmd_run(config_path, out_dir, seed=None, replicas=None, threads=1, dump_path
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    try:
+        # every plan is checked before the first group runs, so a bad one leaves no files
+        for entry in entries:
+            spec = entry.plan.spec
+            require_form_admissible(spec.form, spec.kappa, entry.plan.hurst)
+    except RegimeError as exc:
+        print(f"regime error: {exc}", file=sys.stderr)
+        return 3
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"error: --out {out_dir}: {exc.strerror}", file=sys.stderr)
         return 2
-    try:
-        for entry in entries:
-            plan = entry.plan
-            runner = run_clt_diagnostics if FORMS[plan.spec.form].limit is None else run_l2_experiment
-            report = runner(plan, threads=threads)
-            _write_csv(out / f"{entry.out_stem}.csv", plan, report)
-            _write_json(out / f"{entry.out_stem}.json", entry.name, plan, report)
-            _write_dat(out / f"{entry.out_stem}.dat", plan, report)
-            if dump_paths:
-                for n in plan.n_ladder:
-                    path = sample_fbm(plan.hurst, n, SamplerConfig(method=plan.method, seed=plan.seed, stream=0))
-                    with open(out / f"{entry.out_stem}_n{n}.path", "w", encoding="utf-8", newline="\n") as fh:
-                        dump_path(path, fh)
-    except RegimeError as exc:
-        print(f"regime error: {exc}", file=sys.stderr)
-        return 3
-    except EmbeddingError as exc:
-        print(f"embedding error: {exc}", file=sys.stderr)
-        return 4
+    groups = PathGroups([entry.plan for entry in entries])
+    for entry in entries:
+        plan = entry.plan
+        runner = run_clt_diagnostics if FORMS[plan.spec.form].limit is None else run_l2_experiment
+        try:
+            report = runner(plan, threads=threads, groups=groups)
+        except EmbeddingError as exc:
+            print(f"embedding error: {exc}", file=sys.stderr)
+            return 4
+        try:
+            _write_plan(out, entry, report, dump_paths)
+        except OSError as exc:
+            print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+            return 2
     return 0
 
 

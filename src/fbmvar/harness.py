@@ -1,11 +1,14 @@
 """Monte Carlo estimation of mean-square gaps and CLT diagnostics.
 
 Replica r of a plan always samples from the stream keyed (seed, r), so results
-are a pure function of the plan. Replicas are evaluated in blocks of B paths,
-B a function of the grid size alone; workers may be added or removed freely
-and each block's values land in a buffer indexed by r before any reduction.
-All reductions go through numpy's pairwise summation on those buffers, which
-makes every reported number bit-identical across thread counts.
+are a pure function of the plan. Plans with equal (hurst, seed, method) read
+the same paths and run as one group: each block of paths is drawn once and
+every member evaluates its statistic on it. Replicas are evaluated in blocks
+of B paths, B a function of the grid size alone; workers may be added or
+removed freely and each block's values land in a buffer indexed by r before
+any reduction. All reductions go through numpy's pairwise summation on those
+buffers, which makes every reported number bit-identical across thread counts
+and the same whether a plan runs alone or in a group.
 """
 
 from __future__ import annotations
@@ -20,13 +23,9 @@ import numpy as np
 
 from .errors import DegenerateFit
 from .kernels import HurstIndex, as_hurst
-from .sampler import SamplerConfig, sample_fbm
+from .sampler import SamplerConfig, block_size, sample_fbm
 from .statistics import FORMS, StatisticSpec, evaluate_statistic, limit_functional, require_form_admissible
 from .weights import builtin
-
-# A block of B >= 1 replicas at grid size n holds B * n <= BLOCK_POINTS points: its buffers
-# stay well under 1 MB, and the per-call cost is paid once per block, not once per path.
-BLOCK_POINTS = 8192
 
 
 @dataclass(frozen=True)
@@ -79,28 +78,36 @@ class McReport:
     rate_fit: RateFit | None
 
 
-def block_size(n: int) -> int:
-    """Replicas per block at grid size n: the largest B with B * n <= BLOCK_POINTS, at least 1."""
-    return max(1, BLOCK_POINTS // n)
+def _path_key(plan: ExperimentPlan):
+    """What fixes a plan's paths: replica r reads stream (seed, r) of this sampler at this H."""
+    return plan.hurst, plan.seed, plan.method
 
 
-def _replica_values(plan: ExperimentPlan, h, n: int, threads: int, block: int) -> np.ndarray:
-    """(statistic, limit or 0) of replicas 0..R-1 at grid size n, row r of a (R, 2) array.
+def _replica_values(weights: dict, n: int, threads: int, block: int) -> dict:
+    """(statistic, limit or 0) of each plan's replicas at grid size n, row r of a (R, 2) array per plan.
 
-    Replicas are drawn and evaluated in blocks of `block`. Workers are capped
-    by the cores this process may run on and by the block count: more threads
-    than that only add switching cost.
+    `weights` maps plans of one path key to their weight functions. Blocks of
+    `block` paths are drawn once, up to the largest replica count, and every
+    plan evaluates its statistic on each block and keeps the rows below its own
+    count. Workers are capped by the cores this process may run on and by the
+    block count: more threads than that only add switching cost.
     """
-    spec = plan.spec
-    has_limit = FORMS[spec.form].limit is not None
-    out = np.empty((plan.replicas, 2), dtype=np.float64)
-    starts = range(0, plan.replicas, block)
+    hurst, seed, method = _path_key(next(iter(weights)))
+    total = max(plan.replicas for plan in weights)
+    outs = {plan: np.empty((plan.replicas, 2), dtype=np.float64) for plan in weights}
+    starts = range(0, total, block)
 
     def work(r0: int) -> None:
-        count = min(block, plan.replicas - r0)
-        path = sample_fbm(plan.hurst, n, SamplerConfig(method=plan.method, seed=plan.seed, stream=r0), count)
-        out[r0 : r0 + count, 0] = evaluate_statistic(path, h, spec)
-        out[r0 : r0 + count, 1] = limit_functional(path, h, spec) if has_limit else 0.0
+        count = min(block, total - r0)
+        path = sample_fbm(hurst, n, SamplerConfig(method=method, seed=seed, stream=r0), count)
+        for plan, h in weights.items():
+            rows = min(count, plan.replicas - r0)
+            if rows <= 0:
+                continue
+            out = outs[plan][r0 : r0 + rows]
+            out[:, 0] = evaluate_statistic(path, h, plan.spec)[:rows]
+            has_limit = FORMS[plan.spec.form].limit is not None
+            out[:, 1] = limit_functional(path, h, plan.spec)[:rows] if has_limit else 0.0
 
     workers = min(threads, len(os.sched_getaffinity(0)), len(starts))
     if workers <= 1:
@@ -109,7 +116,7 @@ def _replica_values(plan: ExperimentPlan, h, n: int, threads: int, block: int) -
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(work, starts))
-    return out
+    return outs
 
 
 def _sample_moments(x: np.ndarray):
@@ -142,65 +149,101 @@ def rate_target(spec: StatisticSpec, rec: McRecord) -> float:
     return rec.n * rec.stat_var if FORMS[spec.form].limit is None else rec.l2_error
 
 
-def _run_ladder(plan: ExperimentPlan, threads: int) -> McReport:
-    """The ladder loop of both runners; its reduction depends on whether the form has a limit."""
-    spec = plan.spec
-    has_limit = FORMS[spec.form].limit is not None
-    require_form_admissible(spec.form, spec.kappa, plan.hurst)
-    h = builtin(spec.weight)
-    records = []
-    for n in plan.n_ladder:
-        vals = _replica_values(plan, h, n, threads, block_size(n))
-        stats = vals[:, 0]
-        mean, var, skew, exkurt, m2, m4 = _sample_moments(stats)
-        if has_limit:
-            gaps_sq = (stats - vals[:, 1]) ** 2
-            l2 = float(np.mean(gaps_sq))
-            stderr = float(np.std(gaps_sq, ddof=1) / math.sqrt(plan.replicas))
-        else:
-            l2, stderr = 0.0, variance_stderr(m2, m4, plan.replicas)
-        records.append(
-            McRecord(
-                n=n,
-                l2_error=l2,
-                stderr=stderr,
-                stat_mean=mean,
-                stat_var=var,
-                skewness=skew,
-                excess_kurtosis=exkurt,
-            )
-        )
-    fit = None
-    ys = [rate_target(spec, rec) for rec in records]
-    if len(records) >= 3 and all(y > 0 for y in ys):
-        fit = fit_rate([rec.n for rec in records], ys)
-    return McReport(records=tuple(records), rate_fit=fit)
+def _record(plan: ExperimentPlan, n: int, vals: np.ndarray) -> McRecord:
+    """One ladder step's summary of the (R, 2) replica values; its reduction depends on whether the form has a limit."""
+    stats = vals[:, 0]
+    mean, var, skew, exkurt, m2, m4 = _sample_moments(stats)
+    if FORMS[plan.spec.form].limit is not None:
+        gaps_sq = (stats - vals[:, 1]) ** 2
+        l2 = float(np.mean(gaps_sq))
+        stderr = float(np.std(gaps_sq, ddof=1) / math.sqrt(plan.replicas))
+    else:
+        l2, stderr = 0.0, variance_stderr(m2, m4, plan.replicas)
+    return McRecord(
+        n=n,
+        l2_error=l2,
+        stderr=stderr,
+        stat_mean=mean,
+        stat_var=var,
+        skewness=skew,
+        excess_kurtosis=exkurt,
+    )
 
 
-def run_l2_experiment(plan: ExperimentPlan, threads: int = 1) -> McReport:
+def _run_group(plans: Sequence[ExperimentPlan], threads: int) -> dict:
+    """The report of every plan of one path key, from one draw of the shared paths.
+
+    Grid sizes run in increasing order over the union of the ladders; at each,
+    only the plans whose ladder holds it take part, and each holds one (R, 2)
+    buffer until its records are reduced.
+    """
+    for plan in plans:
+        require_form_admissible(plan.spec.form, plan.spec.kappa, plan.hurst)
+    weights = {plan: builtin(plan.spec.weight) for plan in plans}
+    records = {plan: [] for plan in plans}
+    for n in sorted({n for plan in plans for n in plan.n_ladder}):
+        at_n = {plan: h for plan, h in weights.items() if n in plan.n_ladder}
+        for plan, vals in _replica_values(at_n, n, threads, block_size(n)).items():
+            records[plan].append(_record(plan, n, vals))
+    reports = {}
+    for plan, recs in records.items():
+        fit = None
+        ys = [rate_target(plan.spec, rec) for rec in recs]
+        if len(recs) >= 3 and all(y > 0 for y in ys):
+            fit = fit_rate([rec.n for rec in recs], ys)
+        reports[plan] = McReport(records=tuple(recs), rate_fit=fit)
+    return reports
+
+
+class PathGroups:
+    """The plans of one run grouped by the paths they read, and each group's reports once computed.
+
+    Plans with equal (hurst, seed, method) read the same (seed, r) streams. The
+    first report asked of a group runs all its members on one draw of the
+    shared paths; later requests return the stored reports.
+    """
+
+    def __init__(self, plans: Sequence[ExperimentPlan]):
+        self._groups = {}
+        for plan in plans:
+            self._groups.setdefault(_path_key(plan), {})[plan] = None
+        self._reports = {}
+
+    def report(self, plan: ExperimentPlan, threads: int) -> McReport:
+        if plan not in self._reports:
+            members = self._groups.get(_path_key(plan), {})
+            if plan not in members:
+                raise ValueError("plan is not one of this run's plans")
+            self._reports.update(_run_group(tuple(members), threads))
+        return self._reports[plan]
+
+
+def run_l2_experiment(plan: ExperimentPlan, threads: int = 1, groups: PathGroups | None = None) -> McReport:
     """Estimate E[(statistic - pathwise limit)^2] along the ladder.
 
     For each n the report records the mean of the squared pathwise gap, its
     standard error, and moments of the statistic sample; the rate fit
-    regresses log(l2_error) on log(n).
+    regresses log(l2_error) on log(n). With `groups`, the plan shares its
+    paths with the other plans of its group; without, it runs alone.
     """
     if FORMS[plan.spec.form].limit is None:
         raise ValueError(f"run_l2_experiment needs an L2-limit form, got {plan.spec.form.value}")
-    return _run_ladder(plan, threads)
+    return (PathGroups([plan]) if groups is None else groups).report(plan, threads)
 
 
-def run_clt_diagnostics(plan: ExperimentPlan, threads: int = 1) -> McReport:
+def run_clt_diagnostics(plan: ExperimentPlan, threads: int = 1, groups: PathGroups | None = None) -> McReport:
     """Moment diagnostics for the CLT/mixing regimes.
 
     l2_error is not meaningful here and is reported as 0; the stderr column
     carries the standard error of stat_var, which is the quantity the variance
     targets are checked against. The rate fit regresses the log of the
     unnormalized sum variance, log(n * stat_var), on log(n), matching the
-    second-moment scaling question for the mixing regime.
+    second-moment scaling question for the mixing regime. `groups` is as for
+    `run_l2_experiment`.
     """
     if FORMS[plan.spec.form].limit is not None:
         raise ValueError(f"run_clt_diagnostics needs a diagnostic form, got {plan.spec.form.value}")
-    return _run_ladder(plan, threads)
+    return (PathGroups([plan]) if groups is None else groups).report(plan, threads)
 
 
 def fit_rate(ns: Sequence[float], errors: Sequence[float]) -> RateFit:

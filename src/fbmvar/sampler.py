@@ -11,6 +11,11 @@ one inverse FFT along its rows.
 Randomness is counter-based: row i of a block draws from a Philox generator
 keyed by (seed, stream + i), so a path depends only on its own key and never
 on the block it is drawn in or on execution order.
+
+Each thread keeps the normals, half-spectrum and inverse-FFT buffers of its
+last block between draws, so a run of blocks at one grid size allocates them
+once instead of freeing and faulting in three large buffers per block. Only
+the path array is new for each block.
 """
 
 from __future__ import annotations
@@ -33,6 +38,15 @@ EIG_TOL = 1e-9
 METHOD_CIRCULANT = "circulant"
 _MAX_UINT64 = 2**64
 
+# A block of B >= 1 paths at grid size n holds B * n <= BLOCK_POINTS points: its buffers
+# stay well under 1 MB, and the per-call cost is paid once per block, not once per path.
+BLOCK_POINTS = 8192
+
+
+def block_size(n: int) -> int:
+    """Paths per block at grid size n: the largest B with B * n <= BLOCK_POINTS, at least 1."""
+    return max(1, BLOCK_POINTS // n)
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -53,7 +67,11 @@ class SamplerConfig:
 
 @dataclass(frozen=True, eq=False)
 class FbmPath:
-    """A block of trajectories: row i is (B_0, B_{1/n}, ..., B_1) of one path; values are immutable."""
+    """A block of trajectories: row i is (B_0, B_{1/n}, ..., B_1) of one path; values are immutable.
+
+    A read-only float64 array is kept as given; anything else is copied, so the
+    caller's writable array is neither aliased nor frozen.
+    """
 
     hurst: HurstIndex
     n: int
@@ -61,7 +79,9 @@ class FbmPath:
 
     def __post_init__(self):
         object.__setattr__(self, "hurst", as_hurst(self.hurst))
-        vals = np.array(self.values, dtype=np.float64)
+        vals = self.values
+        if not (isinstance(vals, np.ndarray) and vals.dtype == np.float64 and not vals.flags.writeable):
+            vals = np.array(vals, dtype=np.float64)
         if vals.ndim != 2 or vals.shape[0] < 1 or vals.shape[1] != self.n + 1:
             raise ValueError(f"expected a (paths, {self.n + 1}) block, got shape {vals.shape}")
         if np.any(vals[:, 0] != 0.0):
@@ -142,9 +162,33 @@ def circulant_eigenvalues(H, n: int) -> np.ndarray:
     return np.fft.fft(row).real
 
 
+def _scratch(count: int, n: int):
+    """This thread's (normals, half-spectrum, inverse FFT) buffers for `count` rows at grid size n.
+
+    Blocks of up to block_size(n) rows share the buffers the thread keeps for
+    its last grid size, about 3 * 16 * max(BLOCK_POINTS, n) bytes; a larger
+    block gets buffers of its own. The thread's next draw overwrites them.
+    """
+    rows = block_size(n)
+    if count > rows:
+        return np.empty((count, 2 * n)), np.empty((count, n + 1), dtype=np.complex128), np.empty((count, 2 * n))
+    held = getattr(_thread_state, "scratch", None)
+    if held is None or held[0] != n:
+        held = _thread_state.scratch = (
+            n,
+            np.empty((rows, 2 * n)),
+            np.empty((rows, n + 1), dtype=np.complex128),
+            np.empty((rows, 2 * n)),
+        )
+    return tuple(buf[:count] for buf in held[1:])
+
+
 def _block_normals(seed: int, first: int, count: int, n: int) -> np.ndarray:
-    """(count, 2n) standard normals; row i is the start of stream (seed, first + i)."""
-    z = np.empty((count, 2 * n))
+    """(count, 2n) standard normals; row i is the start of stream (seed, first + i).
+
+    The result is this thread's scratch buffer (see `_scratch`).
+    """
+    z = _scratch(count, n)[0]
     for i in range(count):
         _rng(seed, first + i).standard_normal(out=z[i])
     return z
@@ -154,14 +198,15 @@ def _block_fgn(h: float, n: int, z: np.ndarray) -> np.ndarray:
     """Rows of n^{-H}-scaled fGn increments, one real inverse FFT of each row's half-spectrum.
 
     Row i's 2n normals fill its Hermitian half-spectrum b_0..b_n: z_0 and z_1
-    the real DC and Nyquist terms, (z_{2j}, z_{2j+1}) the conjugated b_j.
+    the real DC and Nyquist terms, (z_{2j}, z_{2j+1}) the conjugated b_j. The
+    result is a view of this thread's scratch buffer (see `_scratch`).
     """
     h0, hn, coef = _circulant_coeffs(h, n)
-    b = np.empty((z.shape[0], n + 1), dtype=np.complex128)
+    _, b, synth = _scratch(z.shape[0], n)
     np.multiply(z[:, 2:], coef, out=b.view(np.float64)[:, 2 : 2 * n])
     b[:, 0] = h0 * z[:, 0]
     b[:, n] = hn * z[:, 1]
-    return np.fft.irfft(b, 2 * n, axis=1, norm="forward")[:, :n]
+    return np.fft.irfft(b, 2 * n, axis=1, norm="forward", out=synth)[:, :n]
 
 
 def sample_fbm(H, n: int, config: SamplerConfig, count: int = 1) -> FbmPath:
@@ -176,9 +221,13 @@ def sample_fbm(H, n: int, config: SamplerConfig, count: int = 1) -> FbmPath:
 
 
 def _block_paths(hurst: HurstIndex, n: int, fgn: np.ndarray) -> FbmPath:
-    """The block of paths whose rows start at 0 and have the rows of fgn as increments."""
+    """The block of paths whose rows start at 0 and have the rows of fgn as increments.
+
+    The path array is new and read-only, so `FbmPath` keeps it without a copy.
+    """
     values = np.zeros((fgn.shape[0], n + 1))
     np.cumsum(fgn, axis=1, out=values[:, 1:])
+    values.flags.writeable = False
     return FbmPath(hurst=hurst, n=n, values=values)
 
 

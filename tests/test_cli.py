@@ -175,6 +175,25 @@ class TestCmdRun:
         assert err.startswith(f"error: --out {taken}: ") and "Traceback" not in err
         assert taken.read_text() == "keep\n"
 
+    @pytest.mark.parametrize("blocked", ["quad_small.csv", "diag_small.json", "diag_small.dat", "quad_small_n32.path"])
+    def test_unwritable_output_file_exits_2(self, tmp_path, capsys, blocked):
+        cfg = write(tmp_path, GOOD_CONFIG)
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        rc = cli.main(["run", "--config", str(cfg), "--out", str(out), "--dump-paths"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {out / blocked}: ") and "Traceback" not in err
+
+    def test_inadmissible_last_plan_exits_3_before_any_file(self, tmp_path, capsys):
+        late = GOOD_CONFIG + "\n[late_quad]\nhurst = 0.3\nkappa = 2\nweight = x2\nform = centered_quadratic\n"
+        late += "n_ladder = 16\nreplicas = 4\nseed = 1\n"
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--config", str(write(tmp_path, late)), "--out", str(out)])
+        assert rc == 3
+        assert "regime" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_error_exits_2(self, tmp_path, capsys):
         cfg = write(tmp_path, "[p]\nhurst = 0.1\n")
         rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])

@@ -1,5 +1,6 @@
 """Monte Carlo harness: determinism, stderr scaling, rate fitting."""
 
+import math
 import sys
 import time
 
@@ -11,6 +12,7 @@ from fbmvar import (
     DegenerateFit,
     ExperimentPlan,
     HurstIndex,
+    PathGroups,
     RegimeError,
     StatForm,
     StatisticSpec,
@@ -19,7 +21,7 @@ from fbmvar import (
     run_clt_diagnostics,
     run_l2_experiment,
 )
-from fbmvar import harness
+from fbmvar import harness, sampler
 
 
 def l2_plan(replicas=32, ladder=(16, 32, 64), H=0.1, seed=7):
@@ -181,11 +183,11 @@ class TestReplicaBlocks:
             seed=20080612,
         )
         h = builtin(weight)
-        blocked = harness._replica_values(plan, h, n, 1, block)
-        single = harness._replica_values(plan, h, n, 1, 1)
+        blocked = harness._replica_values({plan: h}, n, 1, block)[plan]
+        single = harness._replica_values({plan: h}, n, 1, 1)[plan]
         assert blocked.shape == (replicas, 2)
         assert np.array_equal(blocked, single)
-        assert np.array_equal(harness._replica_values(plan, h, n, 2, block), single)
+        assert np.array_equal(harness._replica_values({plan: h}, n, 2, block)[plan], single)
         if FORMS[form].limit is None:
             assert np.all(blocked[:, 1] == 0.0)
 
@@ -195,13 +197,13 @@ class TestReplicaBlocks:
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         plan = l2_plan(replicas=9, ladder=(2048,))
         h = builtin("x2")
-        serial = harness._replica_values(plan, h, 2048, 1, 1)
+        serial = harness._replica_values({plan: h}, 2048, 1, 1)[plan]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             start = time.perf_counter()
             for _ in range(5):
-                assert np.array_equal(harness._replica_values(plan, h, 2048, 4, 1), serial)
+                assert np.array_equal(harness._replica_values({plan: h}, 2048, 4, 1)[plan], serial)
             assert time.perf_counter() - start < 60.0
         finally:
             sys.setswitchinterval(interval)
@@ -210,8 +212,90 @@ class TestReplicaBlocks:
         for n in [*range(1, 20000), 2**15, 10**6, 2**40]:
             b = harness.block_size(n)
             assert b >= 1
-            assert b * n <= harness.BLOCK_POINTS or b == 1
-            assert (b + 1) * n > harness.BLOCK_POINTS
+            assert b * n <= sampler.BLOCK_POINTS or b == 1
+            assert (b + 1) * n > sampler.BLOCK_POINTS
+
+
+def plan_of(H, kappa, weight, form, ladder, replicas, seed=20080612):
+    return ExperimentPlan(
+        hurst=HurstIndex(H),
+        spec=StatisticSpec(kappa=kappa, weight=weight, form=form),
+        n_ladder=ladder,
+        replicas=replicas,
+        seed=seed,
+    )
+
+
+def runner_of(plan):
+    return run_clt_diagnostics if FORMS[plan.spec.form].limit is None else run_l2_experiment
+
+
+GROUP_CASES = {
+    "equal_ladders": (
+        plan_of(0.1, 2, "x2", StatForm.CENTERED_QUADRATIC, (16, 128, 512), 40),
+        plan_of(0.1, 3, "sin", StatForm.COMPENSATED_CUBIC, (16, 128, 512), 40),
+    ),
+    # B = 128 at n = 64 and 32 at n = 256: both counts leave partial blocks,
+    # and the 77-replica plan reads rows of blocks drawn for 130
+    "partial_blocks": (
+        plan_of(0.1, 2, "cos", StatForm.CENTERED_QUADRATIC, (16, 64, 256), 130),
+        plan_of(0.1, 2, "one", StatForm.UNWEIGHTED_CENTERED, (64, 256, 1024), 77),
+    ),
+    "l2_and_diagnostic": (
+        plan_of(0.35, 3, "x", StatForm.ODD_WEIGHTED, (32, 128, 512), 48),
+        plan_of(0.35, 2, "x2", StatForm.MIXING_NORMALIZED, (32, 128, 512), 48),
+    ),
+}
+
+
+class TestPathGroups:
+    @pytest.mark.parametrize("case", list(GROUP_CASES))
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_members_match_plans_run_alone(self, case, threads):
+        plans = GROUP_CASES[case]
+        groups = PathGroups(plans)
+        for plan in plans:
+            grouped = runner_of(plan)(plan, threads=threads, groups=groups)
+            alone = runner_of(plan)(plan)
+            assert grouped.records == alone.records
+            assert grouped.rate_fit == alone.rate_fit
+
+    def test_group_draws_each_block_once(self, monkeypatch):
+        draws = []
+
+        def counting(H, n, config, count=1):
+            draws.append((n, config.stream, count))
+            return sample(H, n, config, count)
+
+        sample = harness.sample_fbm
+        monkeypatch.setattr(harness, "sample_fbm", counting)
+        short, long_ = GROUP_CASES["partial_blocks"]
+        wide = plan_of(0.1, 2, "cos", StatForm.CENTERED_QUADRATIC, long_.n_ladder, 130)
+        groups = PathGroups([wide, long_])
+        groups.report(long_, threads=1)
+        for n in long_.n_ladder:
+            at_n = [d for d in draws if d[0] == n]
+            assert len(at_n) == math.ceil(130 / harness.block_size(n)), n
+            assert sorted(stream for _, stream, _ in at_n) == list(range(0, 130, harness.block_size(n)))
+        # the other member's report is stored, not drawn again
+        drawn = len(draws)
+        groups.report(wide, threads=1)
+        assert len(draws) == drawn
+
+    def test_groups_split_by_path_key(self):
+        base = GROUP_CASES["equal_ladders"][0]
+        others = [
+            plan_of(0.2, 2, "x2", StatForm.CENTERED_QUADRATIC, base.n_ladder, base.replicas),
+            plan_of(0.1, 2, "x2", StatForm.CENTERED_QUADRATIC, base.n_ladder, base.replicas, seed=3),
+        ]
+        groups = PathGroups([base, *others])
+        for plan in (base, *others):
+            assert groups.report(plan, threads=1) == runner_of(plan)(plan)
+
+    def test_plan_outside_the_groups_rejected(self):
+        plans = GROUP_CASES["equal_ladders"]
+        with pytest.raises(ValueError, match="not one of"):
+            PathGroups(plans[:1]).report(plans[1], threads=1)
 
 
 class TestRunCltDiagnostics:

@@ -49,6 +49,35 @@ class TestFbmPathType:
             p.values[1, 1] = 99.0
 
 
+class TestBufferOwnership:
+    def test_path_survives_later_draws(self):
+        # later draws at the same and other (H, n, count), including a block
+        # larger than block_size(n), reuse the thread's buffers but not the path's
+        path = sample_fbm(0.3, 64, SamplerConfig(seed=1, stream=0), 4)
+        kept = path.values.copy()
+        for H, n, count, stream in ((0.3, 64, 4, 9), (0.3, 64, 1, 2), (0.3, 256, 3, 0), (0.7, 64, 4, 0), (0.3, 64, 500, 0)):
+            sample_fbm(H, n, SamplerConfig(seed=2, stream=stream), count)
+            assert np.array_equal(path.values, kept), (H, n, count)
+
+    def test_consecutive_results_do_not_share_memory(self):
+        draws = [sample_fbm(0.3, n, SamplerConfig(seed=1, stream=0), count) for n, count in ((64, 4), (64, 4), (64, 2), (128, 4))]
+        for a, b in zip(draws, draws[1:]):
+            assert not np.shares_memory(a.values, b.values)
+
+    def test_caller_array_neither_aliased_nor_frozen(self):
+        values = np.zeros((2, 5))
+        path = FbmPath(hurst=HurstIndex(0.3), n=4, values=values)
+        assert not np.shares_memory(path.values, values)
+        assert values.flags.writeable and not path.values.flags.writeable
+        values[0, 1] = 5.0
+        assert path.values[0, 1] == 0.0
+
+    def test_read_only_array_kept_without_copy(self):
+        values = np.zeros((2, 5))
+        values.flags.writeable = False
+        assert FbmPath(hurst=HurstIndex(0.3), n=4, values=values).values is values
+
+
 class TestReproducibility:
     @pytest.mark.parametrize("method", ["circulant"])
     def test_bit_identical(self, method):
