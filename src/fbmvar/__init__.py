@@ -27,30 +27,30 @@ from .harness import (
     run_l2_experiment,
 )
 from .kernels import (
-    BreuerMajorSpec,
     GridIndexPair,
     HurstIndex,
     as_hurst,
-    breuer_major_variance,
     covariance,
     covariance_matrix,
     delta_delta_inner,
     eps_delta_inner,
     gaussian_moment,
-    hermite_coefficients,
     increment_autocov,
     increment_autocov_seq,
 )
 from .sampler import FbmPath, SamplerConfig, sample_fbm
 from .statistics import (
     FORMS,
+    BreuerMajorSpec,
     FormSpec,
     RegimeLabel,
     RegimeName,
     StatForm,
     StatisticSpec,
+    breuer_major_variance,
     classify_regime,
     evaluate_statistic,
+    hermite_coefficients,
     limit_functional,
     require_form_admissible,
 )

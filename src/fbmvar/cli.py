@@ -34,7 +34,7 @@ from .harness import (
     run_l2_experiment,
 )
 from .sampler import SamplerConfig, dump_path, sample_fbm
-from .statistics import FORMS, StatisticSpec, classify_regime, require_form_admissible
+from .statistics import FORMS, BreuerMajorSpec, StatisticSpec, breuer_major_variance, classify_regime
 
 # every McRecord field but n, which leads the row before the plan columns
 _STAT_FIELDS = tuple(f.name for f in dataclasses.fields(McRecord) if f.name != "n")
@@ -59,7 +59,12 @@ _KNOWN_KEYS = _REQUIRED_KEYS + ("method", "out")
 
 
 def parse_config(path, seed_override=None, replicas_override=None) -> list[PlanEntry]:
-    """Parse an experiment config document into plans; ConfigError on defects."""
+    """Parse an experiment config document into plans.
+
+    ConfigError on a defect, including an output stem that an earlier plan
+    already uses; RegimeError on a plan whose form does not admit its
+    (kappa, H). Both name the plan's section.
+    """
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -72,6 +77,7 @@ def parse_config(path, seed_override=None, replicas_override=None) -> list[PlanE
         raise ConfigError(f"{path}: config declares no plan sections")
 
     entries = []
+    stems = {}
     for section in parser.sections():
         sec = parser[section]
         where = f"{path}: plan [{section}]"
@@ -101,7 +107,13 @@ def parse_config(path, seed_override=None, replicas_override=None) -> list[PlanE
             )
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
-        entries.append(PlanEntry(name=section, plan=plan, out_stem=sec.get("out", section)))
+        except RegimeError as exc:
+            raise RegimeError(f"{where}: {exc}") from exc
+        stem = sec.get("out", section)
+        if stem in stems:
+            raise ConfigError(f"{where}: out stem '{stem}' is already used by plan [{stems[stem]}]")
+        stems[stem] = section
+        entries.append(PlanEntry(name=section, plan=plan, out_stem=stem))
     return entries
 
 
@@ -159,16 +171,12 @@ def cmd_run(config_path, out_dir, seed=None, replicas=None, threads=1, dump_path
     if threads < 1:
         print(f"error: --threads must be >= 1, got {threads}", file=sys.stderr)
         return 2
+    # every plan is built before the first group runs, so a bad one leaves no files
     try:
         entries = parse_config(config_path, seed_override=seed, replicas_override=replicas)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        # every plan is checked before the first group runs, so a bad one leaves no files
-        for entry in entries:
-            spec = entry.plan.spec
-            require_form_admissible(spec.form, spec.kappa, entry.plan.hurst)
     except RegimeError as exc:
         print(f"regime error: {exc}", file=sys.stderr)
         return 3
@@ -284,8 +292,8 @@ def _selftest_checks():
         return None
 
     def variance_constant():
-        spec = kernels.BreuerMajorSpec(hurst=kernels.HurstIndex(0.5), kappa=2, lag_truncation=10)
-        if abs(kernels.breuer_major_variance(spec) - 2.0) > 1e-12:
+        spec = BreuerMajorSpec(hurst=kernels.HurstIndex(0.5), kappa=2, lag_truncation=10)
+        if abs(breuer_major_variance(spec) - 2.0) > 1e-12:
             return "Brownian quadratic variance constant != 2"
         return None
 

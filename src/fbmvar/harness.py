@@ -23,14 +23,14 @@ import numpy as np
 
 from .errors import DegenerateFit
 from .kernels import HurstIndex, as_hurst
-from .sampler import SamplerConfig, block_size, sample_fbm
+from .sampler import MAX_GRID_SIZE, SamplerConfig, block_size, sample_fbm
 from .statistics import FORMS, StatisticSpec, evaluate_statistic, limit_functional, require_form_admissible
 from .weights import builtin
 
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """One experiment: a statistic, a ladder of grid sizes, seeded replicas."""
+    """One experiment: a statistic on a cell its form admits, a ladder of grid sizes, seeded replicas."""
 
     hurst: HurstIndex
     spec: StatisticSpec
@@ -46,10 +46,13 @@ class ExperimentPlan:
             raise ValueError(f"n_ladder must be strictly increasing and nonempty, got {self.n_ladder}")
         if any(n < 1 for n in ladder):
             raise ValueError("ladder entries must be positive")
+        if ladder[-1] > MAX_GRID_SIZE:
+            raise ValueError(f"n_ladder entries must be at most MAX_GRID_SIZE = {MAX_GRID_SIZE}, got {ladder[-1]}")
         object.__setattr__(self, "n_ladder", ladder)
         if self.replicas < 2:
             raise ValueError(f"replicas must be >= 2, got {self.replicas}")
         SamplerConfig(method=self.method, seed=self.seed)  # ValueError on a bad method or seed
+        require_form_admissible(self.spec.form, self.spec.kappa, self.hurst)
 
 
 @dataclass(frozen=True)
@@ -177,8 +180,6 @@ def _run_group(plans: Sequence[ExperimentPlan], threads: int) -> dict:
     only the plans whose ladder holds it take part, and each holds one (R, 2)
     buffer until its records are reduced.
     """
-    for plan in plans:
-        require_form_admissible(plan.spec.form, plan.spec.kappa, plan.hurst)
     weights = {plan: builtin(plan.spec.weight) for plan in plans}
     records = {plan: [] for plan in plans}
     for n in sorted({n for plan in plans for n in plan.n_ladder}):

@@ -3,8 +3,7 @@
 Everything here is a pure function of (H, integer indices): the fBm covariance
 R_H(s,t) = (t^{2H} + s^{2H} - |t-s|^{2H})/2, the normalized increment
 autocovariance rho_H(p), the two discrete inner products that appear in the
-integration-by-parts expansions, standard Gaussian moments, and the
-Hermite-series variance constant of the central limit regimes.
+integration-by-parts expansions and standard Gaussian moments.
 """
 
 from __future__ import annotations
@@ -13,10 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import RegimeError
-
-DEFAULT_LAG_TRUNCATION = 100_000
 
 
 @dataclass(frozen=True)
@@ -124,68 +119,3 @@ def gaussian_moment(kappa: int) -> float:
     if k % 2 == 1:
         return 0.0
     return float(math.prod(range(1, k, 2)))
-
-
-def hermite_coefficients(kappa: int) -> np.ndarray:
-    """Coefficients c_q with x^kappa = sum_q c_q He_q(x) (probabilists' basis).
-
-    c_{kappa-2m} = kappa! / (2^m m! (kappa-2m)!); all other entries are zero.
-    """
-    k = int(kappa)
-    if k < 0:
-        raise ValueError(f"power must be >= 0, got {kappa}")
-    c = np.zeros(k + 1)
-    for m in range(k // 2 + 1):
-        q = k - 2 * m
-        c[q] = math.factorial(k) / (2**m * math.factorial(m) * math.factorial(q))
-    return c
-
-
-@dataclass(frozen=True)
-class BreuerMajorSpec:
-    """Inputs for the Hermite-series variance constant of the CLT regimes.
-
-    The series for even kappa (with mean removed) starts at Hermite rank 2 and
-    converges only for H < 3/4; for odd kappa it starts at rank 1 and the rank-1
-    lag series converges only for H <= 1/2.
-    """
-
-    hurst: HurstIndex
-    kappa: int
-    lag_truncation: int = DEFAULT_LAG_TRUNCATION
-
-    def __post_init__(self):
-        object.__setattr__(self, "hurst", as_hurst(self.hurst))
-        if self.kappa < 2:
-            raise ValueError(f"kappa must be >= 2, got {self.kappa}")
-        if self.lag_truncation < 1:
-            raise ValueError(f"lag_truncation must be >= 1, got {self.lag_truncation}")
-        h = self.hurst.value
-        if self.kappa % 2 == 0 and h >= 0.75:
-            raise RegimeError(
-                f"even kappa={self.kappa} requires H < 3/4 for a convergent variance series, got H={h}"
-            )
-        if self.kappa % 2 == 1 and h > 0.5:
-            raise RegimeError(
-                f"odd kappa={self.kappa} requires H <= 1/2 for a convergent variance series, got H={h}"
-            )
-
-
-def breuer_major_variance(spec: BreuerMajorSpec) -> float:
-    """Asymptotic variance sum_{q >= q0} q! c_q^2 sum_{|p| <= P} rho_H(p)^q.
-
-    c_q are the Hermite coefficients of x^kappa, with the constant term dropped
-    (mean centering) so the rank is q0 = 2 for even kappa and q0 = 1 for odd.
-    Coefficients vanish above q = kappa, so the sum over q is finite; the lag
-    truncation P controls the tail of each lag series.
-    """
-    h = spec.hurst.value
-    kappa = spec.kappa
-    c = hermite_coefficients(kappa)
-    q0 = 2 if kappa % 2 == 0 else 1
-    rho = increment_autocov_seq(h, spec.lag_truncation)
-    total = 0.0
-    for q in range(q0, kappa + 1, 2):
-        lag_sum = rho[0] ** q + 2.0 * float(np.sum(rho[1:] ** q))
-        total += math.factorial(q) * c[q] ** 2 * lag_sum
-    return total

@@ -7,20 +7,21 @@ limit displays for weighted/unweighted kappa-variations of fBm; weights are
 always evaluated at the left endpoint B_{k/n}. `limit_functional` provides the
 matching discrete right-hand side on the same path (left-endpoint Riemann sum
 with step 1/n), so the mean-square gap between the two is exactly the quantity
-the L2 theorems drive to zero. `REGIMES` is the table of limit regimes, and
-`classify_regime` maps (kappa, H, weighted?) to its first matching row; both
-tables state their H intervals and kappa rules the same way.
+the L2 theorems drive to zero. `REGIMES` gives the limit regimes of the cells
+no form row covers, and `classify_regime` maps (kappa, H, weighted?) to its
+first matching row of `REGIMES`, then of `FORMS`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import RegimeError
-from .kernels import as_hurst, gaussian_moment
+from .kernels import HurstIndex, as_hurst, gaussian_moment, increment_autocov_seq
 from .sampler import FbmPath
 from .weights import WeightFunction
 
@@ -58,6 +59,23 @@ class StatForm(str, Enum):
     MIXING_NORMALIZED = "mixing_normalized"
 
 
+class RegimeName(str, Enum):
+    BROWNIAN_CLT = "brownian_clt"
+    BREUER_MAJOR_CLT = "breuer_major_clt"
+    ROSENBLATT = "rosenblatt"
+    ODD_L2_DRIFT = "odd_l2_drift"
+    WEIGHTED_L2_QUADRATIC = "weighted_l2_quadratic"
+    WEIGHTED_L2_CUBIC = "weighted_l2_cubic"
+    MIXING_CONJECTURE = "mixing_conjecture"
+    BOUNDARY_UNSUPPORTED = "boundary_unsupported"
+
+
+@dataclass(frozen=True)
+class RegimeLabel:
+    label: RegimeName
+    citation: str
+
+
 @dataclass(frozen=True)
 class FormSpec:
     """One row of the form table.
@@ -67,6 +85,7 @@ class FormSpec:
     mu_kappa term present if `centred` and c the `compensator`. `limit` is
     (constant as a function of kappa, derivative order j) of the pathwise limit
     constant * (1/n) sum_k h^{(j)}(B_{k/n}), or None for a diagnostic form.
+    `regime` is what `classify_regime` reports on the row's cells.
     """
 
     kappa: tuple  # (smallest kappa, step); step 0 admits only the smallest
@@ -74,8 +93,9 @@ class FormSpec:
     exponent: tuple  # (a, b) of the outer normalization n^{aH+b}
     centred: bool
     compensator: float
-    h_interval: tuple  # (lo, lo closed?, hi, hi closed?); lo is always open
+    h_interval: tuple  # (lo, lo closed?, hi, hi closed?)
     limit: tuple | None
+    regime: RegimeLabel
 
     @property
     def kappa_rule(self) -> str:
@@ -87,18 +107,19 @@ class FormSpec:
 
     @property
     def h_rule(self) -> str:
+        # H > 0, so an interval closed at 0 prints as open there
         lo, _, hi, hi_closed = self.h_interval
         return f"H in ({_ENDPOINT_TEXT[lo]}, {_ENDPOINT_TEXT[hi]}{']' if hi_closed else ')'}"
 
 
 FORMS = {
-    # form: FormSpec(kappa, weighted, exponent, centred, compensator, h_interval, limit)
-    StatForm.CENTERED_QUADRATIC:  FormSpec((2, 0), True,  (2, -1),   True,  0.0, (0.0, False, QUARTER, False),        (lambda k: 0.25, 2)),
-    StatForm.COMPENSATED_CUBIC:   FormSpec((3, 0), True,  (3, -1),   False, 1.5, (0.0, False, SIXTH, False),          (lambda k: -0.125, 3)),
-    StatForm.ODD_WEIGHTED:        FormSpec((1, 2), True,  (1, -1),   False, 0.0, (0.0, False, HALF, False),           (lambda k: -0.5 * gaussian_moment(k + 1), 1)),
-    StatForm.UNWEIGHTED_CENTERED: FormSpec((2, 2), False, (0, -0.5), True,  0.0, (0.0, False, THREE_QUARTERS, False), None),
-    StatForm.UNWEIGHTED_ODD:      FormSpec((3, 2), False, (0, -0.5), False, 0.0, (0.0, False, HALF, True),            None),
-    StatForm.MIXING_NORMALIZED:   FormSpec((2, 0), True,  (0, -0.5), True,  0.0, (QUARTER, False, HALF, True),        None),
+    # form: FormSpec(kappa, weighted, exponent, centred, compensator, h_interval, limit, regime)
+    StatForm.CENTERED_QUADRATIC:  FormSpec((2, 0), True,  (2, -1),   True,  0.0, (0.0, True, QUARTER, False),        (lambda k: 0.25, 2),                          RegimeLabel(RegimeName.WEIGHTED_L2_QUADRATIC, "weighted quadratic L2 limit, H < 1/4: n^{2H-1}-normalized sum tends to (1/4) Int h''(B_u) du")),
+    StatForm.COMPENSATED_CUBIC:   FormSpec((3, 0), True,  (3, -1),   False, 1.5, (0.0, True, SIXTH, False),          (lambda k: -0.125, 3),                        RegimeLabel(RegimeName.WEIGHTED_L2_CUBIC, "compensated cubic L2 limit, H < 1/6: n^{3H-1}-normalized compensated sum tends to -(1/8) Int h'''(B_u) du")),
+    StatForm.ODD_WEIGHTED:        FormSpec((1, 2), True,  (1, -1),   False, 0.0, (0.0, True, HALF, False),           (lambda k: -0.5 * gaussian_moment(k + 1), 1), RegimeLabel(RegimeName.ODD_L2_DRIFT, "odd-power drift limit (Gradinaru-Russo-Vallois), H < 1/2: n^{H-1}-normalized sum tends to -(mu_{kappa+1}/2) Int h'(B_s) ds")),
+    StatForm.UNWEIGHTED_CENTERED: FormSpec((2, 2), False, (0, -0.5), True,  0.0, (0.0, True, THREE_QUARTERS, False), None,                                         RegimeLabel(RegimeName.BREUER_MAJOR_CLT, "Breuer-Major CLT, even power, H < 3/4: N(0, sigma^2(H, kappa))")),
+    StatForm.UNWEIGHTED_ODD:      FormSpec((3, 2), False, (0, -0.5), False, 0.0, (0.0, True, HALF, True),            None,                                         RegimeLabel(RegimeName.BREUER_MAJOR_CLT, "Breuer-Major CLT, odd power, H < 1/2: N(0, sigma^2(H, kappa))")),
+    StatForm.MIXING_NORMALIZED:   FormSpec((2, 0), True,  (0, -0.5), True,  0.0, (QUARTER, False, HALF, True),       None,                                         RegimeLabel(RegimeName.MIXING_CONJECTURE, "conjectured mixing limit for 1/4 < H < 1/2: sigma_H Int h(B) dW (second moment scales like n)")),
 }
 
 
@@ -117,23 +138,6 @@ class StatisticSpec:
             raise ValueError(f"{self.form.value} requires {row.kappa_rule}, got kappa = {self.kappa}")
         if not row.weighted and self.weight != "one":
             raise ValueError(f"{self.form.value} is unweighted and requires weight = one, got weight '{self.weight}'")
-
-
-class RegimeName(str, Enum):
-    BROWNIAN_CLT = "brownian_clt"
-    BREUER_MAJOR_CLT = "breuer_major_clt"
-    ROSENBLATT = "rosenblatt"
-    ODD_L2_DRIFT = "odd_l2_drift"
-    WEIGHTED_L2_QUADRATIC = "weighted_l2_quadratic"
-    WEIGHTED_L2_CUBIC = "weighted_l2_cubic"
-    MIXING_CONJECTURE = "mixing_conjecture"
-    BOUNDARY_UNSUPPORTED = "boundary_unsupported"
-
-
-@dataclass(frozen=True)
-class RegimeLabel:
-    label: RegimeName
-    citation: str
 
 
 def evaluate_statistic(path: FbmPath, h: WeightFunction, spec: StatisticSpec) -> np.ndarray:
@@ -190,41 +194,99 @@ def require_form_admissible(form: StatForm, kappa: int, H) -> None:
     raise RegimeError(f"form {form.value} with kappa={kappa} requires {need}; got H={hv}")
 
 
-# The regime table: (weighted, kappa rule, H interval, regime, citation), first
-# matching row wins. H = 1/2 is pinned by the Brownian results (classical CLT
-# unweighted, Jacod-type mixing limits weighted); the open endpoints of the other
-# theorems (1/4, 3/4 where applicable) are point rows ahead of the intervals they
-# bound and label as boundary_unsupported, as do cells with no published
-# statement. At H = 1/6, the open end of the compensated cubic theorem, a
-# weighted cubic cell falls to the odd drift theorem, which holds for all H < 1/2.
+# The regimes of the cells no form row covers: (weighted, kappa rule, H interval,
+# regime, citation). H = 1/2 is pinned by the Brownian results (classical CLT
+# unweighted, Jacod-type mixing limits weighted): those point rows win over the
+# forms whose intervals hold 1/2. The open endpoints of the other theorems (1/4,
+# 3/4 where applicable) are point rows that label as boundary_unsupported, as do
+# cells with no published statement; every interval row is disjoint from every
+# form row. At H = 1/6 a weighted cubic cell falls to the odd drift form.
 REGIMES = (
     (False, (2, 1), _point(HALF),                         RegimeName.BROWNIAN_CLT,          "classical CLT for Brownian kappa-variation: N(0, mu_{2k} - mu_k^2)"),
     (False, (2, 2), _point(THREE_QUARTERS),               RegimeName.BOUNDARY_UNSUPPORTED,  "H = 3/4 separates the Gaussian and Rosenblatt regimes"),
-    (False, (2, 2), (0.0, True, THREE_QUARTERS, False),   RegimeName.BREUER_MAJOR_CLT,      "Breuer-Major CLT, even power, H < 3/4: N(0, sigma^2(H, kappa))"),
     (False, (2, 2), (THREE_QUARTERS, False, 1.0, True),   RegimeName.ROSENBLATT,            "non-central limit (Taqqu): n^{1-2H}-normalized sum tends to a Rosenblatt variable"),
-    (False, (3, 2), (0.0, True, HALF, False),             RegimeName.BREUER_MAJOR_CLT,      "Breuer-Major CLT, odd power, H < 1/2: N(0, sigma^2(H, kappa))"),
     (False, (3, 2), (HALF, False, 1.0, True),             RegimeName.BREUER_MAJOR_CLT,      "Breuer-Major CLT, odd power, H > 1/2 with n^{-H} Sum n^{kappa H} normalization"),
     (True,  (2, 2), _point(HALF),                         RegimeName.MIXING_CONJECTURE,     "Jacod-type mixing limit at H = 1/2 (even power): stochastic integral of h(B) against an independent Brownian motion"),
     (True,  (3, 2), _point(HALF),                         RegimeName.MIXING_CONJECTURE,     "Jacod-type mixing limit at H = 1/2 (odd power): stochastic integral of h(B) against an independent Brownian motion"),
     (True,  (2, 2), _point(THREE_QUARTERS),               RegimeName.BOUNDARY_UNSUPPORTED,  "H = 3/4 is the open endpoint of the mixing regime"),
     (True,  (2, 2), (HALF, False, THREE_QUARTERS, False), RegimeName.MIXING_CONJECTURE,     "mixing limit (Leon-Ludena) for even power, 1/2 < H < 3/4: sigma Int h(B) dW"),
     (True,  (2, 0), _point(QUARTER),                      RegimeName.BOUNDARY_UNSUPPORTED,  "H = 1/4 is the open endpoint of the weighted quadratic L2 theorem"),
-    (True,  (2, 0), (0.0, True, QUARTER, False),          RegimeName.WEIGHTED_L2_QUADRATIC, "weighted quadratic L2 limit, H < 1/4: n^{2H-1}-normalized sum tends to (1/4) Int h''(B_u) du"),
-    (True,  (2, 0), (QUARTER, False, HALF, False),        RegimeName.MIXING_CONJECTURE,     "conjectured mixing limit for 1/4 < H < 1/2: sigma_H Int h(B) dW (second moment scales like n)"),
     (True,  (2, 0), (THREE_QUARTERS, False, 1.0, True),   RegimeName.BOUNDARY_UNSUPPORTED,  "weighted even-power regime for H > 3/4 has no published statement here"),
     (True,  (4, 2), (0.0, True, 1.0, True),               RegimeName.BOUNDARY_UNSUPPORTED,  "weighted even power >= 4 outside (1/2, 3/4) has no published statement here"),
-    (True,  (3, 0), (0.0, True, SIXTH, False),            RegimeName.WEIGHTED_L2_CUBIC,     "compensated cubic L2 limit, H < 1/6: n^{3H-1}-normalized compensated sum tends to -(1/8) Int h'''(B_u) du"),
-    (True,  (3, 2), (0.0, True, HALF, False),             RegimeName.ODD_L2_DRIFT,          "odd-power drift limit (Gradinaru-Russo-Vallois), H < 1/2: n^{H-1}-normalized sum tends to -(mu_{kappa+1}/2) Int h'(B_s) ds"),
     (True,  (3, 2), (HALF, False, 1.0, True),             RegimeName.BOUNDARY_UNSUPPORTED,  "weighted odd power for H > 1/2 has no published statement here"),
 )
+# classify_regime's rows in first-match order: REGIMES, then FORMS in table order
+_CELLS = [(w, rule, interval, RegimeLabel(name, citation)) for w, rule, interval, name, citation in REGIMES]
+_CELLS += [(row.weighted, row.kappa, row.h_interval, row.regime) for row in FORMS.values()]
 
 
 def classify_regime(kappa: int, H, weighted: bool) -> RegimeLabel:
-    """Map (kappa, H, weighted?) to the limit regime of its first matching `REGIMES` row."""
+    """Map (kappa, H, weighted?) to the limit regime of its first matching row of `REGIMES`, then `FORMS`."""
     if kappa < 2:
         raise ValueError(f"kappa must be >= 2, got {kappa}")
     hv = as_hurst(H).value
-    for row_weighted, rule, interval, name, citation in REGIMES:
+    for row_weighted, rule, interval, regime in _CELLS:
         if row_weighted == bool(weighted) and _admits(rule, kappa) and _inside(hv, interval):
-            return RegimeLabel(name, citation)
-    raise AssertionError(f"no REGIMES row covers kappa={kappa}, H={hv}, weighted={weighted}")
+            return regime
+    raise AssertionError(f"no REGIMES or FORMS row covers kappa={kappa}, H={hv}, weighted={weighted}")
+
+
+DEFAULT_LAG_TRUNCATION = 100_000
+
+
+def hermite_coefficients(kappa: int) -> np.ndarray:
+    """Coefficients c_q with x^kappa = sum_q c_q He_q(x) (probabilists' basis).
+
+    c_{kappa-2m} = kappa! / (2^m m! (kappa-2m)!); all other entries are zero.
+    """
+    k = int(kappa)
+    if k < 0:
+        raise ValueError(f"power must be >= 0, got {kappa}")
+    c = np.zeros(k + 1)
+    for m in range(k // 2 + 1):
+        q = k - 2 * m
+        c[q] = math.factorial(k) / (2**m * math.factorial(m) * math.factorial(q))
+    return c
+
+
+@dataclass(frozen=True)
+class BreuerMajorSpec:
+    """Inputs for the Hermite-series variance constant of the CLT regimes.
+
+    The series for even kappa (with mean removed) starts at Hermite rank 2 and
+    converges only for H < 3/4; for odd kappa it starts at rank 1 and the rank-1
+    lag series converges only for H <= 1/2: the cells of the two unweighted forms.
+    """
+
+    hurst: HurstIndex
+    kappa: int
+    lag_truncation: int = DEFAULT_LAG_TRUNCATION
+
+    def __post_init__(self):
+        object.__setattr__(self, "hurst", as_hurst(self.hurst))
+        if self.kappa < 2:
+            raise ValueError(f"kappa must be >= 2, got {self.kappa}")
+        if self.lag_truncation < 1:
+            raise ValueError(f"lag_truncation must be >= 1, got {self.lag_truncation}")
+        form = StatForm.UNWEIGHTED_ODD if self.kappa % 2 else StatForm.UNWEIGHTED_CENTERED
+        require_form_admissible(form, self.kappa, self.hurst)
+
+
+def breuer_major_variance(spec: BreuerMajorSpec) -> float:
+    """Asymptotic variance sum_{q >= q0} q! c_q^2 sum_{|p| <= P} rho_H(p)^q.
+
+    c_q are the Hermite coefficients of x^kappa, with the constant term dropped
+    (mean centering) so the rank is q0 = 2 for even kappa and q0 = 1 for odd.
+    Coefficients vanish above q = kappa, so the sum over q is finite; the lag
+    truncation P controls the tail of each lag series.
+    """
+    h = spec.hurst.value
+    kappa = spec.kappa
+    c = hermite_coefficients(kappa)
+    q0 = 2 if kappa % 2 == 0 else 1
+    rho = increment_autocov_seq(h, spec.lag_truncation)
+    total = 0.0
+    for q in range(q0, kappa + 1, 2):
+        lag_sum = rho[0] ** q + 2.0 * float(np.sum(rho[1:] ** q))
+        total += math.factorial(q) * c[q] ** 2 * lag_sum
+    return total

@@ -94,6 +94,28 @@ class TestParseConfig:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("first", ["[a]\nout = same\n", "[same]\n"])
+    def test_duplicate_out_stem_exits_2(self, tmp_path, capsys, first):
+        body = "hurst = 0.1\nkappa = 2\nweight = x2\nform = centered_quadratic\nn_ladder = 16\nreplicas = 4\nseed = 1\n"
+        cfg = write(tmp_path, first + body + "\n[b]\nout = same\n" + body)
+        earlier = first.split("]")[0] + "]"
+        with pytest.raises(cli.ConfigError, match=rf"\[b\].*out.*'same'.*\{earlier}"):
+            cli.parse_config(cfg)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_size_above_cap_exits_2(self, tmp_path, capsys):
+        text = GOOD_CONFIG.replace("n_ladder = 16 32 64", "n_ladder = 16 1099511627776")
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--config", str(write(tmp_path, text)), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "[quad_small]" in err and "n_ladder" in err and "MAX_GRID_SIZE = 4194304" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_raw_form_not_runnable(self, tmp_path):
         with pytest.raises(cli.ConfigError, match=r"\[quad_small\].*raw_weighted"):
             cli.parse_config(write(tmp_path, GOOD_CONFIG.replace("form = centered_quadratic", "form = raw_weighted")))
@@ -191,7 +213,8 @@ class TestCmdRun:
         out = tmp_path / "out"
         rc = cli.main(["run", "--config", str(write(tmp_path, late)), "--out", str(out)])
         assert rc == 3
-        assert "regime" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "regime" in err and "plan [late_quad]" in err
         assert not out.exists()
 
     def test_config_error_exits_2(self, tmp_path, capsys):

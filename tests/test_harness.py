@@ -45,6 +45,11 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             l2_plan(replicas=1)
 
+    def test_grid_size_cap(self):
+        assert l2_plan(ladder=(16, sampler.MAX_GRID_SIZE)).n_ladder[-1] == sampler.MAX_GRID_SIZE
+        with pytest.raises(ValueError, match="n_ladder"):
+            l2_plan(ladder=(16, sampler.MAX_GRID_SIZE + 1))
+
 
 class TestRunL2Experiment:
     def test_report_shape(self):
@@ -56,15 +61,15 @@ class TestRunL2Experiment:
         assert rep.rate_fit is not None
 
     def test_regime_mismatch_rejected(self):
-        plan = ExperimentPlan(
-            hurst=HurstIndex(0.3),
-            spec=StatisticSpec(kappa=2, weight="x2", form=StatForm.CENTERED_QUADRATIC),
-            n_ladder=(16, 32),
-            replicas=8,
-            seed=1,
-        )
+        # an inadmissible cell has no plan to run
         with pytest.raises(RegimeError):
-            run_l2_experiment(plan)
+            ExperimentPlan(
+                hurst=HurstIndex(0.3),
+                spec=StatisticSpec(kappa=2, weight="x2", form=StatForm.CENTERED_QUADRATIC),
+                n_ladder=(16, 32),
+                replicas=8,
+                seed=1,
+            )
 
     def test_diagnostic_form_rejected(self):
         plan = ExperimentPlan(
@@ -315,15 +320,15 @@ class TestRunCltDiagnostics:
         assert rep.rate_fit.slope == pytest.approx(1.0, abs=0.2)
 
     def test_regime_mismatch_rejected(self):
-        plan = ExperimentPlan(
-            hurst=HurstIndex(0.8),
-            spec=StatisticSpec(kappa=2, weight="one", form=StatForm.UNWEIGHTED_CENTERED),
-            n_ladder=(16, 32),
-            replicas=8,
-            seed=1,
-        )
+        # an inadmissible cell has no plan to run
         with pytest.raises(RegimeError):
-            run_clt_diagnostics(plan)
+            ExperimentPlan(
+                hurst=HurstIndex(0.8),
+                spec=StatisticSpec(kappa=2, weight="one", form=StatForm.UNWEIGHTED_CENTERED),
+                n_ladder=(16, 32),
+                replicas=8,
+                seed=1,
+            )
 
     @pytest.mark.parametrize(
         "kappa,form,target",

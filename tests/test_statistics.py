@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fbmvar import (
     FORMS,
+    BreuerMajorSpec,
     FbmPath,
     HurstIndex,
     OrderError,
@@ -322,7 +323,7 @@ class TestStatisticSpecValidation:
 
 
 # (label, citation) of every regime the classifier reports, written out here so
-# that a change to the REGIMES table cannot move them unnoticed
+# that a change to the REGIMES or FORMS table cannot move them unnoticed
 CITED = {
     "bm_even": (RegimeName.BREUER_MAJOR_CLT, "Breuer-Major CLT, even power, H < 3/4: N(0, sigma^2(H, kappa))"),
     "brownian": (RegimeName.BROWNIAN_CLT, "classical CLT for Brownian kappa-variation: N(0, mu_{2k} - mu_k^2)"),
@@ -470,18 +471,54 @@ ALLOWED_REGIMES = {
 }
 
 
+def admits(form, kappa, hv) -> bool:
+    try:
+        require_form_admissible(form, kappa, hv)
+    except RegimeError:
+        return False
+    return True
+
+
+# the lattice, each theorem endpoint and the slivers within and just beyond 1e-12 of 0 and of it
+ENDPOINTS = (SIXTH, QUARTER, HALF, THREE_QUARTERS)
+AGREEMENT_GRID = (
+    [i / 100 for i in range(1, 100)]
+    + list(ENDPOINTS)
+    + [5e-13, 2e-12]
+    + [e + d for e in ENDPOINTS for d in (-2e-12, -5e-13, 5e-13, 2e-12)]
+)
+
+
 class TestTableAgreesWithClassifier:
     def test_admissible_cells_carry_an_allowed_regime(self):
-        grid = [i / 100 for i in range(1, 100)] + [SIXTH, QUARTER, HALF, THREE_QUARTERS]
         for form, row in FORMS.items():
             admissible = 0
             for kappa in range(2, 7):
-                for hv in grid:
-                    try:
-                        require_form_admissible(form, kappa, hv)
-                    except RegimeError:
+                for hv in AGREEMENT_GRID:
+                    if not admits(form, kappa, hv):
                         continue
                     admissible += 1
                     label = classify_regime(kappa, hv, row.weighted).label
                     assert label in ALLOWED_REGIMES[form], (form, kappa, hv, label)
             assert admissible > 0, form
+
+    def test_cells_labelled_with_a_form_regime_are_admissible(self):
+        for form, row in FORMS.items():
+            labelled = 0
+            for kappa in range(2, 7):
+                for hv in AGREEMENT_GRID:
+                    if classify_regime(kappa, hv, row.weighted) == row.regime:
+                        labelled += 1
+                        assert admits(form, kappa, hv), (form, kappa, hv)
+            assert labelled > 0, form
+
+    def test_breuer_major_spec_admits_the_unweighted_cells(self):
+        for kappa in range(2, 7):
+            form = StatForm.UNWEIGHTED_ODD if kappa % 2 else StatForm.UNWEIGHTED_CENTERED
+            for hv in AGREEMENT_GRID:
+                try:
+                    BreuerMajorSpec(hurst=HurstIndex(hv), kappa=kappa, lag_truncation=1)
+                    built = True
+                except RegimeError:
+                    built = False
+                assert built == admits(form, kappa, hv), (kappa, hv)
