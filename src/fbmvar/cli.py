@@ -1,7 +1,8 @@
 """Command-line driver: run experiment configs, print the regime table, selftest.
 
 Config documents are flat INI: one section per plan, keys hurst, kappa,
-weight, form, n_ladder, replicas, seed, method and optionally out (file stem).
+weight, form, n_ladder, replicas, seed, method and optionally out (file stem;
+the section name by default).
 `run` writes one CSV, one JSON summary and one .dat (log-log plot data) per
 plan; numeric CSV fields carry 17 significant digits so they round-trip to the
 exact float64. Diagnostics go to stderr, data to files/stdout. Exit codes:
@@ -61,9 +62,9 @@ _KNOWN_KEYS = _REQUIRED_KEYS + ("method", "out")
 def parse_config(path, seed_override=None, replicas_override=None) -> list[PlanEntry]:
     """Parse an experiment config document into plans.
 
-    ConfigError on a defect, including an output stem that an earlier plan
-    already uses; RegimeError on a plan whose form does not admit its
-    (kappa, H). Both name the plan's section.
+    ConfigError on a defect, including an output stem that is not a bare file
+    name or that an earlier plan already uses; RegimeError on a plan whose
+    form does not admit its (kappa, H). Both name the plan's section.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -94,12 +95,9 @@ def parse_config(path, seed_override=None, replicas_override=None) -> list[PlanE
             replicas = int(replicas_override if replicas_override is not None else sec["replicas"])
             seed = int(seed_override if seed_override is not None else sec["seed"])
             method = sec.get("method", "circulant")
-            spec = StatisticSpec(kappa=kappa, weight=sec["weight"], form=sec["form"])
-            if spec.weight not in weights.BUILTIN_IDS:
-                raise ValueError(f"unknown weight id '{spec.weight}'")
             plan = ExperimentPlan(
                 hurst=kernels.as_hurst(hurst),
-                spec=spec,
+                spec=StatisticSpec(kappa=kappa, weight=sec["weight"], form=sec["form"]),
                 n_ladder=ladder,
                 replicas=replicas,
                 seed=seed,
@@ -110,6 +108,10 @@ def parse_config(path, seed_override=None, replicas_override=None) -> list[PlanE
         except RegimeError as exc:
             raise RegimeError(f"{where}: {exc}") from exc
         stem = sec.get("out", section)
+        if stem in ("", ".", "..") or "/" in stem or "\0" in stem:
+            raise ConfigError(
+                f"{where}: out stem {stem!r} must be a bare file name: not empty, '.' or '..', no '/' or NUL"
+            )
         if stem in stems:
             raise ConfigError(f"{where}: out stem '{stem}' is already used by plan [{stems[stem]}]")
         stems[stem] = section
@@ -271,14 +273,20 @@ def _selftest_checks():
                 return f"increment bound violated for H={h}"
         return None
 
-    def cholesky_reconstruction():
-        n = 64
-        for h in (0.1, 0.5, 0.9):
-            sigma = kernels.covariance_matrix(h, n)[1:, 1:]
-            factor = np.linalg.cholesky(sigma)
-            err = float(np.max(np.abs(factor @ factor.T - sigma)))
-            if err > 1e-10:
-                return f"cholesky reconstruction error {err:.2e} at H={h}"
+    def circulant_law():
+        # the synthesis is linear in its 2n normals: fed the unit vectors it
+        # gives A^T with fgn = A z, and A A^T must be n^{-2H} Toeplitz(rho_H)
+        from .sampler import _block_fgn
+
+        for n in (1, 2, 64):
+            lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+            for h in (0.1, 0.5, 0.9):
+                a_t = _block_fgn(h, n, np.eye(2 * n))
+                scale = float(n) ** (-2 * h)
+                want = scale * kernels.increment_autocov_seq(h, n)[lag]
+                err = float(np.max(np.abs(a_t.T @ a_t - want))) / scale
+                if err > 2 * n * (math.log2(2 * n) + 2) * np.finfo(np.float64).eps:
+                    return f"synthesis covariance off by {err:.2e} of its diagonal at H={h}, n={n}"
         return None
 
     def weight_derivatives():
@@ -309,7 +317,7 @@ def _selftest_checks():
     return (
         ("kernel_inner_product_identities", kernel_identities),
         ("increment_power_bound", increment_sum_bound),
-        ("cholesky_reconstruction_n64", cholesky_reconstruction),
+        ("circulant_law_exact", circulant_law),
         ("weight_derivative_table", weight_derivatives),
         ("brownian_variance_constant", variance_constant),
         ("circulant_spectrum_nonnegative", circulant_spectrum),

@@ -1,7 +1,8 @@
 """Monte Carlo estimation of mean-square gaps and CLT diagnostics.
 
 Replica r of a plan always samples from the stream keyed (seed, r), so results
-are a pure function of the plan. Plans with equal (hurst, seed, method) read
+are a pure function of the plan. Plans with equal (hurst, seed, method,
+n_ladder, replicas) hold one replica set; they read
 the same paths and run as one group: each block of paths is drawn once and
 every member evaluates its statistic on it. Replicas are evaluated in blocks
 of B paths, B a function of the grid size alone; workers may be added or
@@ -27,6 +28,10 @@ from .sampler import MAX_GRID_SIZE, SamplerConfig, block_size, sample_fbm
 from .statistics import FORMS, StatisticSpec, evaluate_statistic, limit_functional, require_form_admissible
 from .weights import builtin
 
+# The largest replica count a plan may ask for, so that a run's memory stays bounded: a run
+# of one plan at n = 16 and 1 thread peaks at about 343 MiB RSS at this count.
+MAX_REPLICAS = 10**7
+
 
 @dataclass(frozen=True)
 class ExperimentPlan:
@@ -49,8 +54,8 @@ class ExperimentPlan:
         if ladder[-1] > MAX_GRID_SIZE:
             raise ValueError(f"n_ladder entries must be at most MAX_GRID_SIZE = {MAX_GRID_SIZE}, got {ladder[-1]}")
         object.__setattr__(self, "n_ladder", ladder)
-        if self.replicas < 2:
-            raise ValueError(f"replicas must be >= 2, got {self.replicas}")
+        if not 2 <= self.replicas <= MAX_REPLICAS:
+            raise ValueError(f"replicas must be in [2, MAX_REPLICAS = {MAX_REPLICAS}], got {self.replicas}")
         SamplerConfig(method=self.method, seed=self.seed)  # ValueError on a bad method or seed
         require_form_admissible(self.spec.form, self.spec.kappa, self.hurst)
 
@@ -82,35 +87,29 @@ class McReport:
 
 
 def _path_key(plan: ExperimentPlan):
-    """What fixes a plan's paths: replica r reads stream (seed, r) of this sampler at this H."""
-    return plan.hurst, plan.seed, plan.method
+    """A plan's replica set: replica r < R reads stream (seed, r) of this sampler at this H, at each rung."""
+    return plan.hurst, plan.seed, plan.method, plan.n_ladder, plan.replicas
 
 
 def _replica_values(weights: dict, n: int, threads: int, block: int) -> dict:
     """(statistic, limit or 0) of each plan's replicas at grid size n, row r of a (R, 2) array per plan.
 
-    `weights` maps plans of one path key to their weight functions. Blocks of
-    `block` paths are drawn once, up to the largest replica count, and every
-    plan evaluates its statistic on each block and keeps the rows below its own
-    count. Workers are capped by the cores this process may run on and by the
-    block count: more threads than that only add switching cost.
+    `weights` maps plans of one path key to their weight functions. Each block
+    of `block` paths is drawn once and every plan evaluates its statistic on
+    all of its rows. Workers are capped by the cores this process may run on
+    and by the block count: more threads than that only add switching cost.
     """
-    hurst, seed, method = _path_key(next(iter(weights)))
-    total = max(plan.replicas for plan in weights)
-    outs = {plan: np.empty((plan.replicas, 2), dtype=np.float64) for plan in weights}
-    starts = range(0, total, block)
+    hurst, seed, method, _, replicas = _path_key(next(iter(weights)))
+    outs = {plan: np.empty((replicas, 2), dtype=np.float64) for plan in weights}
+    starts = range(0, replicas, block)
 
     def work(r0: int) -> None:
-        count = min(block, total - r0)
+        count = min(block, replicas - r0)
         path = sample_fbm(hurst, n, SamplerConfig(method=method, seed=seed, stream=r0), count)
         for plan, h in weights.items():
-            rows = min(count, plan.replicas - r0)
-            if rows <= 0:
-                continue
-            out = outs[plan][r0 : r0 + rows]
-            out[:, 0] = evaluate_statistic(path, h, plan.spec)[:rows]
-            has_limit = FORMS[plan.spec.form].limit is not None
-            out[:, 1] = limit_functional(path, h, plan.spec)[:rows] if has_limit else 0.0
+            out = outs[plan][r0 : r0 + count]
+            out[:, 0] = evaluate_statistic(path, h, plan.spec)
+            out[:, 1] = limit_functional(path, h, plan.spec) if FORMS[plan.spec.form].limit is not None else 0.0
 
     workers = min(threads, len(os.sched_getaffinity(0)), len(starts))
     if workers <= 1:
@@ -176,15 +175,13 @@ def _record(plan: ExperimentPlan, n: int, vals: np.ndarray) -> McRecord:
 def _run_group(plans: Sequence[ExperimentPlan], threads: int) -> dict:
     """The report of every plan of one path key, from one draw of the shared paths.
 
-    Grid sizes run in increasing order over the union of the ladders; at each,
-    only the plans whose ladder holds it take part, and each holds one (R, 2)
-    buffer until its records are reduced.
+    Grid sizes run in ladder order; at each, every plan holds one (R, 2)
+    buffer until its record is reduced.
     """
     weights = {plan: builtin(plan.spec.weight) for plan in plans}
     records = {plan: [] for plan in plans}
-    for n in sorted({n for plan in plans for n in plan.n_ladder}):
-        at_n = {plan: h for plan, h in weights.items() if n in plan.n_ladder}
-        for plan, vals in _replica_values(at_n, n, threads, block_size(n)).items():
+    for n in plans[0].n_ladder:
+        for plan, vals in _replica_values(weights, n, threads, block_size(n)).items():
             records[plan].append(_record(plan, n, vals))
     reports = {}
     for plan, recs in records.items():
@@ -199,9 +196,9 @@ def _run_group(plans: Sequence[ExperimentPlan], threads: int) -> dict:
 class PathGroups:
     """The plans of one run grouped by the paths they read, and each group's reports once computed.
 
-    Plans with equal (hurst, seed, method) read the same (seed, r) streams. The
-    first report asked of a group runs all its members on one draw of the
-    shared paths; later requests return the stored reports.
+    Plans with equal (hurst, seed, method, n_ladder, replicas) read the same
+    replica paths. The first report asked of a group runs all its members on
+    one draw of those paths; later requests return the stored reports.
     """
 
     def __init__(self, plans: Sequence[ExperimentPlan]):

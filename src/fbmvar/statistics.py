@@ -23,7 +23,7 @@ import numpy as np
 from .errors import RegimeError
 from .kernels import HurstIndex, as_hurst, gaussian_moment, increment_autocov_seq
 from .sampler import FbmPath
-from .weights import WeightFunction
+from .weights import BUILTIN_IDS, WeightFunction
 
 # Endpoints of the theorems' H intervals, and how messages print them.
 SIXTH, QUARTER, HALF, THREE_QUARTERS = 1.0 / 6.0, 0.25, 0.5, 0.75
@@ -133,6 +133,8 @@ class StatisticSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "form", StatForm(self.form))
+        if self.weight not in BUILTIN_IDS:
+            raise ValueError(f"unknown weight id '{self.weight}'; known ids: {', '.join(BUILTIN_IDS)}")
         row = FORMS[self.form]
         if not _admits(row.kappa, self.kappa):
             raise ValueError(f"{self.form.value} requires {row.kappa_rule}, got kappa = {self.kappa}")

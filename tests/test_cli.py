@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fbmvar import cli
+from fbmvar import cli, harness
 
 GOOD_CONFIG = """
 [quad_small]
@@ -104,6 +105,41 @@ class TestParseConfig:
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "sections, bad",
+        [
+            ("[a]\nout = res\n{body}\n[b]\nout = ./res\n{body}", "b"),
+            ("[a]\nout = ../escaped\n{body}", "a"),
+            ("[a]\nout =\n{body}", "a"),
+            ("[a]\nout = .\n{body}", "a"),
+            ("[..]\n{body}", ".."),
+            ("[a/b]\n{body}", "a/b"),
+            ("[a]\nout = a\0b\n{body}", "a"),
+        ],
+        ids=["dot_slash_alias", "parent_dir", "empty", "dot", "dotdot_section", "slash_section", "nul"],
+    )
+    def test_stem_not_a_bare_file_name_exits_2(self, tmp_path, capsys, sections, bad):
+        body = "hurst = 0.1\nkappa = 2\nweight = x2\nform = centered_quadratic\nn_ladder = 16\nreplicas = 4\nseed = 1\n"
+        cfg = write(tmp_path, sections.format(body=body))
+        with pytest.raises(cli.ConfigError, match=rf"\[{re.escape(bad)}\].*out stem.*bare file name"):
+            cli.parse_config(cfg)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plans.ini"]
+
+    @pytest.mark.parametrize("flag", [False, True], ids=["config", "flag"])
+    def test_replicas_above_cap_exits_2(self, tmp_path, capsys, flag):
+        text = GOOD_CONFIG if flag else GOOD_CONFIG.replace("replicas = 24", "replicas = 100000000000")
+        override = ["--replicas", str(harness.MAX_REPLICAS + 1)] if flag else []
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--config", str(write(tmp_path, text)), "--out", str(out), *override])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "[quad_small]" in err and "replicas" in err and f"MAX_REPLICAS = {harness.MAX_REPLICAS}" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_grid_size_above_cap_exits_2(self, tmp_path, capsys):
@@ -359,6 +395,19 @@ class TestCmdSelftest:
         assert rc == 0
         assert "FAIL" not in out
         assert out.count("PASS") >= 6
+
+    def test_wrong_synthesis_fails_the_law_check(self, capsys, monkeypatch):
+        import fbmvar.sampler as sampler_mod
+
+        exact = sampler_mod._circulant_coeffs
+
+        def no_nyquist(h, n):
+            h0, _, coef = exact(h, n)
+            return h0, 0.0, coef
+
+        monkeypatch.setattr(sampler_mod, "_circulant_coeffs", no_nyquist)
+        assert cli.main(["selftest"]) == 1
+        assert "FAIL circulant_law_exact" in capsys.readouterr().out
 
     def test_runs_are_identical(self, capsys):
         cli.main(["selftest"])

@@ -1,5 +1,6 @@
 """Monte Carlo harness: determinism, stderr scaling, rate fitting."""
 
+import dataclasses
 import math
 import sys
 import time
@@ -44,6 +45,11 @@ class TestPlanValidation:
     def test_replicas_minimum(self):
         with pytest.raises(ValueError):
             l2_plan(replicas=1)
+
+    def test_replica_cap(self):
+        assert l2_plan(replicas=harness.MAX_REPLICAS).replicas == harness.MAX_REPLICAS
+        with pytest.raises(ValueError, match="replicas"):
+            l2_plan(replicas=harness.MAX_REPLICAS + 1)
 
     def test_grid_size_cap(self):
         assert l2_plan(ladder=(16, sampler.MAX_GRID_SIZE)).n_ladder[-1] == sampler.MAX_GRID_SIZE
@@ -240,17 +246,30 @@ GROUP_CASES = {
         plan_of(0.1, 2, "x2", StatForm.CENTERED_QUADRATIC, (16, 128, 512), 40),
         plan_of(0.1, 3, "sin", StatForm.COMPENSATED_CUBIC, (16, 128, 512), 40),
     ),
-    # B = 128 at n = 64 and 32 at n = 256: both counts leave partial blocks,
-    # and the 77-replica plan reads rows of blocks drawn for 130
+    # B = 128 at n = 64 and 32 at n = 256: 130 replicas leave a partial last
+    # block at every rung, which both members read in full
     "partial_blocks": (
         plan_of(0.1, 2, "cos", StatForm.CENTERED_QUADRATIC, (16, 64, 256), 130),
-        plan_of(0.1, 2, "one", StatForm.UNWEIGHTED_CENTERED, (64, 256, 1024), 77),
+        plan_of(0.1, 2, "one", StatForm.UNWEIGHTED_CENTERED, (16, 64, 256), 130),
     ),
     "l2_and_diagnostic": (
         plan_of(0.35, 3, "x", StatForm.ODD_WEIGHTED, (32, 128, 512), 48),
         plan_of(0.35, 2, "x2", StatForm.MIXING_NORMALIZED, (32, 128, 512), 48),
     ),
 }
+
+
+def record_draws(monkeypatch):
+    """The (n, first stream, count) of every block the harness draws from now on."""
+    draws = []
+    sample = harness.sample_fbm
+
+    def counting(H, n, config, count=1):
+        draws.append((n, config.stream, count))
+        return sample(H, n, config, count)
+
+    monkeypatch.setattr(harness, "sample_fbm", counting)
+    return draws
 
 
 class TestPathGroups:
@@ -266,26 +285,31 @@ class TestPathGroups:
             assert grouped.rate_fit == alone.rate_fit
 
     def test_group_draws_each_block_once(self, monkeypatch):
-        draws = []
-
-        def counting(H, n, config, count=1):
-            draws.append((n, config.stream, count))
-            return sample(H, n, config, count)
-
-        sample = harness.sample_fbm
-        monkeypatch.setattr(harness, "sample_fbm", counting)
-        short, long_ = GROUP_CASES["partial_blocks"]
-        wide = plan_of(0.1, 2, "cos", StatForm.CENTERED_QUADRATIC, long_.n_ladder, 130)
-        groups = PathGroups([wide, long_])
-        groups.report(long_, threads=1)
-        for n in long_.n_ladder:
+        draws = record_draws(monkeypatch)
+        first, second = GROUP_CASES["partial_blocks"]
+        groups = PathGroups([first, second])
+        groups.report(first, threads=1)
+        for n in first.n_ladder:
+            block = harness.block_size(n)
             at_n = [d for d in draws if d[0] == n]
-            assert len(at_n) == math.ceil(130 / harness.block_size(n)), n
-            assert sorted(stream for _, stream, _ in at_n) == list(range(0, 130, harness.block_size(n)))
+            assert len(at_n) == math.ceil(first.replicas / block), n
+            assert sorted(stream for _, stream, _ in at_n) == list(range(0, first.replicas, block))
         # the other member's report is stored, not drawn again
         drawn = len(draws)
-        groups.report(wide, threads=1)
+        groups.report(second, threads=1)
         assert len(draws) == drawn
+
+    @pytest.mark.parametrize("change", [{"n_ladder": (16, 64, 512)}, {"replicas": 77}], ids=["n_ladder", "replicas"])
+    def test_plans_with_another_replica_set_draw_separately(self, monkeypatch, change):
+        draws = record_draws(monkeypatch)
+        first, second = GROUP_CASES["partial_blocks"]
+        second = dataclasses.replace(second, **change)
+        groups = PathGroups([first, second])
+        reports = [groups.report(plan, threads=1) for plan in (first, second)]
+        blocks = [math.ceil(plan.replicas / harness.block_size(n)) for plan in (first, second) for n in plan.n_ladder]
+        assert len(draws) == sum(blocks)
+        for plan, grouped in zip((first, second), reports):
+            assert grouped == runner_of(plan)(plan)
 
     def test_groups_split_by_path_key(self):
         base = GROUP_CASES["equal_ladders"][0]

@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -17,7 +18,8 @@ from fbmvar import (
     increment_autocov,
     sample_fbm,
 )
-from fbmvar.sampler import circulant_eigenvalues, dump_path
+from fbmvar.kernels import increment_autocov_seq
+from fbmvar.sampler import _block_fgn, circulant_eigenvalues, dump_path
 from oracles import reference_cholesky_path, reference_circulant_path
 
 # Seeds and streams at both ends of the 64-bit key words and at the acceptance seed.
@@ -160,6 +162,23 @@ class TestHalfSpectrumSynthesis:
                     want = reference_circulant_path(h, n, 20080612, first + i)
                     assert got[0] == 0.0
                     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (h, n, first + i)
+
+
+class TestExactLaw:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 512])
+    def test_synthesis_covariance_is_fgn(self, n):
+        # _block_fgn is linear in its 2n normals: fed the unit vectors, row i is
+        # column i of the A with fgn = A z, so A A^T is the law's covariance,
+        # which must be n^{-2H} Toeplitz(rho_H) with no Monte Carlo error.
+        # Rounding: an entry of A A^T sums 2n products, each accurate to about
+        # log2(2n) + 2 eps of the diagonal n^{-2H} (irfft, spectrum, product).
+        eps = np.finfo(np.float64).eps
+        lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        for h in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+            a_t = _block_fgn(h, n, np.eye(2 * n))
+            scale = float(n) ** (-2 * h)
+            err = np.max(np.abs(a_t.T @ a_t - scale * increment_autocov_seq(h, n)[lag]))
+            assert err <= 2 * n * (math.log2(2 * n) + 2) * eps * scale, (h, n, err / scale)
 
 
 def _draw(key):

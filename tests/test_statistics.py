@@ -26,7 +26,7 @@ from fbmvar import (
     sample_fbm,
 )
 from fbmvar.statistics import HALF, QUARTER, SIXTH, THREE_QUARTERS, RegimeName
-from fbmvar.weights import POLYNOMIAL
+from fbmvar.weights import BUILTIN_IDS, POLYNOMIAL
 from oracles import (
     centered_quadratic_oracle,
     compensated_cubic_oracle,
@@ -55,16 +55,26 @@ def only(per_path):
     return per_path[0]
 
 
+def spec_for(kappa, h, form):
+    """The spec of a weighted form at kappa for weight h.
+
+    The kernels evaluate the weight they are handed and read spec.weight
+    nowhere; a spec names a registered id, so an unregistered test weight's
+    spec names 'x'.
+    """
+    return StatisticSpec(kappa, h.id if h.id in BUILTIN_IDS else "x", form)
+
+
 def quadratic(p, h):
-    return only(evaluate_statistic(p, h, StatisticSpec(2, h.id, StatForm.CENTERED_QUADRATIC)))
+    return only(evaluate_statistic(p, h, spec_for(2, h, StatForm.CENTERED_QUADRATIC)))
 
 
 def cubic(p, h):
-    return only(evaluate_statistic(p, h, StatisticSpec(3, h.id, StatForm.COMPENSATED_CUBIC)))
+    return only(evaluate_statistic(p, h, spec_for(3, h, StatForm.COMPENSATED_CUBIC)))
 
 
 def odd(p, h, kappa):
-    return only(evaluate_statistic(p, h, StatisticSpec(kappa, h.id, StatForm.ODD_WEIGHTED)))
+    return only(evaluate_statistic(p, h, spec_for(kappa, h, StatForm.ODD_WEIGHTED)))
 
 
 def unweighted(p, kappa):
@@ -73,12 +83,12 @@ def unweighted(p, kappa):
 
 
 def mixing(p, h):
-    return only(evaluate_statistic(p, h, StatisticSpec(2, h.id, StatForm.MIXING_NORMALIZED)))
+    return only(evaluate_statistic(p, h, spec_for(2, h, StatForm.MIXING_NORMALIZED)))
 
 
 def limit(p, h, form, kappa=None):
     """The limit functional of the form at kappa, or at the form's smallest kappa."""
-    return only(limit_functional(p, h, StatisticSpec(kappa or FORMS[form].kappa[0], h.id, form)))
+    return only(limit_functional(p, h, spec_for(kappa or FORMS[form].kappa[0], h, form)))
 
 
 def weight_from(*evaluators):
@@ -301,6 +311,12 @@ class TestStatisticSpecValidation:
             StatisticSpec(kappa=kappa, weight="one", form=form)
             with pytest.raises(ValueError, match="weight = one"):
                 StatisticSpec(kappa=kappa, weight="x2", form=form)
+
+    @pytest.mark.parametrize("weight", ["tanh", "X2", "", "test"])
+    def test_unregistered_weight_rejected(self, weight):
+        for form in (StatForm.CENTERED_QUADRATIC, StatForm.UNWEIGHTED_CENTERED):
+            with pytest.raises(ValueError, match=f"unknown weight id '{weight}'"):
+                StatisticSpec(kappa=2, weight=weight, form=form)
 
     def test_dispatch_matches_direct_calls(self):
         # every row of the table against its own transcription of the display,
