@@ -92,7 +92,7 @@ def layer_times(n, calls, runs):
     per_block = {
         "rekey_normals_us": lambda: sampler_mod._block_normals(SEED, 0, block, n),
         "synthesis_us": lambda: sampler_mod._block_fgn(HURST, n, z),
-        "assembly_us": lambda: sampler_mod._block_paths(path.hurst, n, fgn),
+        "assembly_us": lambda: sampler_mod._block_paths(path.hurst, fgn),
         "statistic_us": lambda: evaluate_statistic(path, h, SPEC),
         "limit_us": lambda: limit_functional(path, h, SPEC),
     }

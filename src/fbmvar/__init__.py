@@ -41,7 +41,6 @@ from .kernels import (
 from .sampler import FbmPath, SamplerConfig, sample_fbm
 from .statistics import (
     FORMS,
-    BreuerMajorSpec,
     FormSpec,
     RegimeLabel,
     RegimeName,

@@ -35,7 +35,7 @@ from .harness import (
     run_l2_experiment,
 )
 from .sampler import SamplerConfig, dump_path, sample_fbm
-from .statistics import FORMS, BreuerMajorSpec, StatisticSpec, breuer_major_variance, classify_regime
+from .statistics import FORMS, StatisticSpec, breuer_major_variance, classify_regime
 
 # every McRecord field but n, which leads the row before the plan columns
 _STAT_FIELDS = tuple(f.name for f in dataclasses.fields(McRecord) if f.name != "n")
@@ -264,13 +264,13 @@ def _selftest_checks():
                         return f"delta_delta mismatch at H={h}, n={n}, k={k}, ell={ell}"
         return None
 
-    def increment_sum_bound():
-        # 1e-9 slack covers float rounding of the powers at magnitudes <= 1e6
-        x = np.linspace(0.0, 1e6, 20001)
-        for h in (0.05, 0.2, 0.35, 0.5):
-            g = (x + 1.0) ** (2 * h) - x ** (2 * h)
-            if not (np.all(g >= -1e-9) and np.all(g <= 1.0 + 1e-9)):
-                return f"increment bound violated for H={h}"
+    def variance_constant_converged():
+        # the constant is the n -> infinity limit, so it must not move with the lag truncation
+        for kappa, h in ((2, 0.7), (3, 0.45), (5, 0.3)):
+            short = breuer_major_variance(h, kappa, lag_truncation=10**3)
+            long = breuer_major_variance(h, kappa, lag_truncation=10**5)
+            if abs(short - long) > 1e-8 * abs(long):
+                return f"variance constant at kappa={kappa}, H={h}: {short:.10g} at P=1e3, {long:.10g} at P=1e5"
         return None
 
     def circulant_law():
@@ -300,23 +300,22 @@ def _selftest_checks():
         return None
 
     def variance_constant():
-        spec = BreuerMajorSpec(hurst=kernels.HurstIndex(0.5), kappa=2, lag_truncation=10)
-        if abs(breuer_major_variance(spec) - 2.0) > 1e-12:
+        if abs(breuer_major_variance(0.5, 2, lag_truncation=10) - 2.0) > 1e-12:
             return "Brownian quadratic variance constant != 2"
         return None
 
     def circulant_spectrum():
-        from .sampler import circulant_eigenvalues
+        from .sampler import EIG_TOL, circulant_eigenvalues
 
         for h in (0.1, 0.5, 0.9):
             lam = circulant_eigenvalues(h, 512)
-            if float(lam.min()) < -1e-9 * float(lam.max()):
+            if float(lam.min()) < -EIG_TOL * float(lam.max()):
                 return f"negative circulant eigenvalue at H={h}"
         return None
 
     return (
         ("kernel_inner_product_identities", kernel_identities),
-        ("increment_power_bound", increment_sum_bound),
+        ("variance_constant_converged", variance_constant_converged),
         ("circulant_law_exact", circulant_law),
         ("weight_derivative_table", weight_derivatives),
         ("brownian_variance_constant", variance_constant),

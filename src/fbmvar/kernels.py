@@ -49,18 +49,10 @@ class GridIndexPair:
             raise ValueError(f"indices must lie in [0, {self.n - 1}], got k={self.k}, ell={self.ell}")
 
 
-def _abs_pow(x: float, two_h: float) -> float:
-    # |x|^{2H} with an exact zero at x == 0 so the s == t branch never goes
-    # through a 0^0-adjacent pow path.
-    if x == 0.0:
-        return 0.0
-    return abs(x) ** two_h
-
-
 def covariance(H, s: float, t: float) -> float:
     """fBm covariance R_H(s, t) = (t^{2H} + s^{2H} - |t-s|^{2H}) / 2."""
     two_h = 2.0 * as_hurst(H).value
-    return 0.5 * (_abs_pow(t, two_h) + _abs_pow(s, two_h) - _abs_pow(t - s, two_h))
+    return 0.5 * (abs(t) ** two_h + abs(s) ** two_h - abs(t - s) ** two_h)
 
 
 def increment_autocov(H, p: int) -> float:
@@ -71,7 +63,7 @@ def increment_autocov(H, p: int) -> float:
     """
     two_h = 2.0 * as_hurst(H).value
     q = abs(int(p))
-    return 0.5 * (_abs_pow(q + 1, two_h) + _abs_pow(q - 1, two_h) - 2.0 * _abs_pow(q, two_h))
+    return 0.5 * (abs(q + 1) ** two_h + abs(q - 1) ** two_h - 2.0 * abs(q) ** two_h)
 
 
 def increment_autocov_seq(H, max_lag: int) -> np.ndarray:
@@ -90,10 +82,10 @@ def eps_delta_inner(H, pair: GridIndexPair) -> float:
     two_h = 2.0 * as_hurst(H).value
     n, k, ell = pair.n, pair.k, pair.ell
     bracket = (
-        _abs_pow(k + 1, two_h)
-        - _abs_pow(k, two_h)
-        - _abs_pow(ell - k - 1, two_h)
-        + _abs_pow(ell - k, two_h)
+        abs(k + 1) ** two_h
+        - abs(k) ** two_h
+        - abs(ell - k - 1) ** two_h
+        + abs(ell - k) ** two_h
     )
     return 0.5 * float(n) ** (-two_h) * bracket
 

@@ -78,7 +78,6 @@ class FbmPath:
     """
 
     hurst: HurstIndex
-    n: int
     values: np.ndarray
 
     def __post_init__(self):
@@ -86,12 +85,17 @@ class FbmPath:
         vals = self.values
         if not (isinstance(vals, np.ndarray) and vals.dtype == np.float64 and not vals.flags.writeable):
             vals = np.array(vals, dtype=np.float64)
-        if vals.ndim != 2 or vals.shape[0] < 1 or vals.shape[1] != self.n + 1:
-            raise ValueError(f"expected a (paths, {self.n + 1}) block, got shape {vals.shape}")
+        if vals.ndim != 2 or vals.shape[0] < 1 or vals.shape[1] < 2:
+            raise ValueError(f"expected a (paths, n + 1) block with n >= 1, got shape {vals.shape}")
         if np.any(vals[:, 0] != 0.0):
             raise ValueError(f"paths must start at 0, got {vals[:, 0]!r}")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
+
+    @property
+    def n(self) -> int:
+        """Grid size: each path has n increments."""
+        return self.values.shape[1] - 1
 
     @property
     def left(self) -> np.ndarray:
@@ -221,18 +225,19 @@ def sample_fbm(H, n: int, config: SamplerConfig, count: int = 1) -> FbmPath:
     first = int(config.stream)
     if count < 1 or first + count > _MAX_UINT64:
         raise ValueError(f"streams {first}..{first + count - 1} must be nonempty and below 2^64")
-    return _block_paths(hurst, n, _block_fgn(hurst.value, n, _block_normals(int(config.seed), first, count, n)))
+    return _block_paths(hurst, _block_fgn(hurst.value, n, _block_normals(int(config.seed), first, count, n)))
 
 
-def _block_paths(hurst: HurstIndex, n: int, fgn: np.ndarray) -> FbmPath:
+def _block_paths(hurst: HurstIndex, fgn: np.ndarray) -> FbmPath:
     """The block of paths whose rows start at 0 and have the rows of fgn as increments.
 
     The path array is new and read-only, so `FbmPath` keeps it without a copy.
     """
-    values = np.zeros((fgn.shape[0], n + 1))
+    count, n = fgn.shape
+    values = np.zeros((count, n + 1))
     np.cumsum(fgn, axis=1, out=values[:, 1:])
     values.flags.writeable = False
-    return FbmPath(hurst=hurst, n=n, values=values)
+    return FbmPath(hurst=hurst, values=values)
 
 
 def dump_path(path: FbmPath, fileobj) -> None:

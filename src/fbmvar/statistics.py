@@ -1,8 +1,9 @@
 """Renormalized power-variation statistics and their pathwise limits.
 
 `FORMS` is the paper's table: one `FormSpec` row per statistic gives its power
-rule, weighting, normalization, centring, compensator, admissible H interval
-and pathwise limit. Each statistic is the literal left-hand side of one of the
+rule, weighting, normalization, compensator, admissible H interval and
+pathwise limit; every form subtracts the Gaussian moment mu_kappa, which is
+zero for odd kappa. Each statistic is the literal left-hand side of one of the
 limit displays for weighted/unweighted kappa-variations of fBm; weights are
 always evaluated at the left endpoint B_{k/n}. `limit_functional` provides the
 matching discrete right-hand side on the same path (left-endpoint Riemann sum
@@ -21,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import RegimeError
-from .kernels import HurstIndex, as_hurst, gaussian_moment, increment_autocov_seq
+from .kernels import as_hurst, gaussian_moment, increment_autocov_seq
 from .sampler import FbmPath
 from .weights import BUILTIN_IDS, WeightFunction
 
@@ -81,17 +82,17 @@ class FormSpec:
     """One row of the form table.
 
     The statistic is n^{aH+b} sum_k (w_k [n^{kappa H} (Delta B_k)^kappa - mu_kappa]
-    + c h'(B_{k/n}) n^{-H}), with w_k = h(B_{k/n}) if `weighted` else 1, the
-    mu_kappa term present if `centred` and c the `compensator`. `limit` is
-    (constant as a function of kappa, derivative order j) of the pathwise limit
-    constant * (1/n) sum_k h^{(j)}(B_{k/n}), or None for a diagnostic form.
-    `regime` is what `classify_regime` reports on the row's cells.
+    + c h'(B_{k/n}) n^{-H}), with w_k = h(B_{k/n}) if `weighted` else 1,
+    mu_kappa = E[G^kappa] (zero for odd kappa) and c the `compensator`.
+    `limit` is (constant as a function of kappa, derivative order j) of the
+    pathwise limit constant * (1/n) sum_k h^{(j)}(B_{k/n}), or None for a
+    diagnostic form. `regime` is what `classify_regime` reports on the row's
+    cells.
     """
 
     kappa: tuple  # (smallest kappa, step); step 0 admits only the smallest
     weighted: bool
     exponent: tuple  # (a, b) of the outer normalization n^{aH+b}
-    centred: bool
     compensator: float
     h_interval: tuple  # (lo, lo closed?, hi, hi closed?)
     limit: tuple | None
@@ -113,13 +114,13 @@ class FormSpec:
 
 
 FORMS = {
-    # form: FormSpec(kappa, weighted, exponent, centred, compensator, h_interval, limit, regime)
-    StatForm.CENTERED_QUADRATIC:  FormSpec((2, 0), True,  (2, -1),   True,  0.0, (0.0, True, QUARTER, False),        (lambda k: 0.25, 2),                          RegimeLabel(RegimeName.WEIGHTED_L2_QUADRATIC, "weighted quadratic L2 limit, H < 1/4: n^{2H-1}-normalized sum tends to (1/4) Int h''(B_u) du")),
-    StatForm.COMPENSATED_CUBIC:   FormSpec((3, 0), True,  (3, -1),   False, 1.5, (0.0, True, SIXTH, False),          (lambda k: -0.125, 3),                        RegimeLabel(RegimeName.WEIGHTED_L2_CUBIC, "compensated cubic L2 limit, H < 1/6: n^{3H-1}-normalized compensated sum tends to -(1/8) Int h'''(B_u) du")),
-    StatForm.ODD_WEIGHTED:        FormSpec((1, 2), True,  (1, -1),   False, 0.0, (0.0, True, HALF, False),           (lambda k: -0.5 * gaussian_moment(k + 1), 1), RegimeLabel(RegimeName.ODD_L2_DRIFT, "odd-power drift limit (Gradinaru-Russo-Vallois), H < 1/2: n^{H-1}-normalized sum tends to -(mu_{kappa+1}/2) Int h'(B_s) ds")),
-    StatForm.UNWEIGHTED_CENTERED: FormSpec((2, 2), False, (0, -0.5), True,  0.0, (0.0, True, THREE_QUARTERS, False), None,                                         RegimeLabel(RegimeName.BREUER_MAJOR_CLT, "Breuer-Major CLT, even power, H < 3/4: N(0, sigma^2(H, kappa))")),
-    StatForm.UNWEIGHTED_ODD:      FormSpec((3, 2), False, (0, -0.5), False, 0.0, (0.0, True, HALF, True),            None,                                         RegimeLabel(RegimeName.BREUER_MAJOR_CLT, "Breuer-Major CLT, odd power, H < 1/2: N(0, sigma^2(H, kappa))")),
-    StatForm.MIXING_NORMALIZED:   FormSpec((2, 0), True,  (0, -0.5), True,  0.0, (QUARTER, False, HALF, True),       None,                                         RegimeLabel(RegimeName.MIXING_CONJECTURE, "conjectured mixing limit for 1/4 < H < 1/2: sigma_H Int h(B) dW (second moment scales like n)")),
+    # form: FormSpec(kappa, weighted, exponent, compensator, h_interval, limit, regime)
+    StatForm.CENTERED_QUADRATIC:  FormSpec((2, 0), True,  (2, -1),   0.0, (0.0, True, QUARTER, False),        (lambda k: 0.25, 2),                          RegimeLabel(RegimeName.WEIGHTED_L2_QUADRATIC, "weighted quadratic L2 limit, H < 1/4: n^{2H-1}-normalized sum tends to (1/4) Int h''(B_u) du")),
+    StatForm.COMPENSATED_CUBIC:   FormSpec((3, 0), True,  (3, -1),   1.5, (0.0, True, SIXTH, False),          (lambda k: -0.125, 3),                        RegimeLabel(RegimeName.WEIGHTED_L2_CUBIC, "compensated cubic L2 limit, H < 1/6: n^{3H-1}-normalized compensated sum tends to -(1/8) Int h'''(B_u) du")),
+    StatForm.ODD_WEIGHTED:        FormSpec((1, 2), True,  (1, -1),   0.0, (0.0, True, HALF, False),           (lambda k: -0.5 * gaussian_moment(k + 1), 1), RegimeLabel(RegimeName.ODD_L2_DRIFT, "odd-power drift limit (Gradinaru-Russo-Vallois), H < 1/2: n^{H-1}-normalized sum tends to -(mu_{kappa+1}/2) Int h'(B_s) ds")),
+    StatForm.UNWEIGHTED_CENTERED: FormSpec((2, 2), False, (0, -0.5), 0.0, (0.0, True, THREE_QUARTERS, False), None,                                         RegimeLabel(RegimeName.BREUER_MAJOR_CLT, "Breuer-Major CLT, even power, H < 3/4: N(0, sigma^2(H, kappa))")),
+    StatForm.UNWEIGHTED_ODD:      FormSpec((3, 2), False, (0, -0.5), 0.0, (0.0, True, HALF, True),            None,                                         RegimeLabel(RegimeName.BREUER_MAJOR_CLT, "Breuer-Major CLT, odd power, H < 1/2: N(0, sigma^2(H, kappa))")),
+    StatForm.MIXING_NORMALIZED:   FormSpec((2, 0), True,  (0, -0.5), 0.0, (QUARTER, False, HALF, True),       None,                                         RegimeLabel(RegimeName.MIXING_CONJECTURE, "conjectured mixing limit for 1/4 < H < 1/2: sigma_H Int h(B) dW (second moment scales like n)")),
 }
 
 
@@ -153,8 +154,9 @@ def evaluate_statistic(path: FbmPath, h: WeightFunction, spec: StatisticSpec) ->
     terms = n ** (spec.kappa * hv) * diff
     for _ in range(spec.kappa - 1):
         terms *= diff
-    if row.centred:
-        terms -= gaussian_moment(spec.kappa)
+    mu = gaussian_moment(spec.kappa)
+    if mu:
+        terms -= mu
     if row.weighted:
         terms *= h(left)
     if row.compensator:
@@ -251,44 +253,37 @@ def hermite_coefficients(kappa: int) -> np.ndarray:
     return c
 
 
-@dataclass(frozen=True)
-class BreuerMajorSpec:
-    """Inputs for the Hermite-series variance constant of the CLT regimes.
-
-    The series for even kappa (with mean removed) starts at Hermite rank 2 and
-    converges only for H < 3/4; for odd kappa it starts at rank 1 and the rank-1
-    lag series converges only for H <= 1/2: the cells of the two unweighted forms.
-    """
-
-    hurst: HurstIndex
-    kappa: int
-    lag_truncation: int = DEFAULT_LAG_TRUNCATION
-
-    def __post_init__(self):
-        object.__setattr__(self, "hurst", as_hurst(self.hurst))
-        if self.kappa < 2:
-            raise ValueError(f"kappa must be >= 2, got {self.kappa}")
-        if self.lag_truncation < 1:
-            raise ValueError(f"lag_truncation must be >= 1, got {self.lag_truncation}")
-        form = StatForm.UNWEIGHTED_ODD if self.kappa % 2 else StatForm.UNWEIGHTED_CENTERED
-        require_form_admissible(form, self.kappa, self.hurst)
-
-
-def breuer_major_variance(spec: BreuerMajorSpec) -> float:
-    """Asymptotic variance sum_{q >= q0} q! c_q^2 sum_{|p| <= P} rho_H(p)^q.
+def breuer_major_variance(H, kappa: int, lag_truncation: int = DEFAULT_LAG_TRUNCATION) -> float:
+    """Asymptotic variance sigma^2(H, kappa) = sum_{q >= q0} q! c_q^2 sum_p rho_H(p)^q of the CLT regimes.
 
     c_q are the Hermite coefficients of x^kappa, with the constant term dropped
     (mean centering) so the rank is q0 = 2 for even kappa and q0 = 1 for odd.
-    Coefficients vanish above q = kappa, so the sum over q is finite; the lag
-    truncation P controls the tail of each lag series.
+    Coefficients vanish above q = kappa, so the sum over q is finite. The even
+    series converges only for H < 3/4 and the odd one only for H <= 1/2: the
+    cells of the two unweighted forms; RegimeError outside them.
+
+    The constant is the n -> infinity limit. Each lag series is summed to
+    |p| <= lag_truncation and its tail added from rho_H(p) ~ H(2H-1) p^{2H-2}.
+    The rank-1 series telescopes to (P+1)^{2H} - P^{2H}, whose limit is 0 for
+    H < 1/2 and 1 at H = 1/2; near H = 1/2 the finite-n variance of an odd
+    kappa approaches the constant only like n^{2H-1}.
     """
-    h = spec.hurst.value
-    kappa = spec.kappa
+    hv = as_hurst(H).value
+    if kappa < 2:
+        raise ValueError(f"kappa must be >= 2, got {kappa}")
+    if lag_truncation < 1:
+        raise ValueError(f"lag_truncation must be >= 1, got {lag_truncation}")
+    form = StatForm.UNWEIGHTED_ODD if kappa % 2 else StatForm.UNWEIGHTED_CENTERED
+    require_form_admissible(form, kappa, hv)
     c = hermite_coefficients(kappa)
-    q0 = 2 if kappa % 2 == 0 else 1
-    rho = increment_autocov_seq(h, spec.lag_truncation)
-    total = 0.0
-    for q in range(q0, kappa + 1, 2):
-        lag_sum = rho[0] ** q + 2.0 * float(np.sum(rho[1:] ** q))
+    rho = increment_autocov_seq(hv, lag_truncation)
+    # rank 1 (c_1 = 0 for even kappa): the limit of the telescoped lag sum
+    total = c[1] ** 2 if _near(hv, HALF) else 0.0
+    # ranks q >= 2: sum_{p > P} rho^q ~ (H(2H-1))^q (P + 1/2)^{1-a} / (a - 1), a = q(2 - 2H)
+    edge = lag_truncation + 0.5
+    for q in range(3 if kappa % 2 else 2, kappa + 1, 2):
+        a = q * (2.0 - 2.0 * hv)
+        tail = (hv * (2.0 * hv - 1.0)) ** q * edge ** (1.0 - a) / (a - 1.0)
+        lag_sum = rho[0] ** q + 2.0 * (float(np.sum(rho[1:] ** q)) + tail)
         total += math.factorial(q) * c[q] ** 2 * lag_sum
     return total

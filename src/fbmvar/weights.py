@@ -1,10 +1,10 @@
 """Registry of weight functions with analytic derivatives up to order six.
 
-Only two growth classes are admitted, polynomials and bounded smooth
-functions, because for both every derivative composed with a Gaussian random
-variable has finite moments of all orders. That is the admissibility
-certificate the limit statistics rely on; arbitrary user callables are
-deliberately not accepted.
+Every registered weight is a polynomial or a bounded smooth function, so
+every derivative composed with a Gaussian random variable has finite moments
+of all orders; each weight's `growth_bound` certifies that, and the limit
+statistics rely on it. Arbitrary user callables are deliberately not
+accepted.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ from .errors import OrderError, UnknownWeight
 
 MAX_ORDER = 6
 
-POLYNOMIAL = "polynomial"
-BOUNDED_SMOOTH = "bounded_smooth"
-
 
 @dataclass(frozen=True)
 class WeightFunction:
@@ -33,17 +30,12 @@ class WeightFunction:
 
     id: str
     evaluators: Tuple[Callable, ...]
-    max_order: int
-    growth_class: str
     growth_bound: Tuple[float, int]
 
-    def __post_init__(self):
-        if len(self.evaluators) != self.max_order + 1:
-            raise ValueError(
-                f"weight {self.id!r}: expected {self.max_order + 1} evaluators, got {len(self.evaluators)}"
-            )
-        if self.growth_class not in (POLYNOMIAL, BOUNDED_SMOOTH):
-            raise ValueError(f"weight {self.id!r}: unknown growth class {self.growth_class!r}")
+    @property
+    def max_order(self) -> int:
+        """The highest registered derivative order."""
+        return len(self.evaluators) - 1
 
     def __call__(self, x):
         return self.evaluators[0](x)
@@ -123,15 +115,15 @@ def _gauss_bump() -> Tuple[Callable, ...]:
 
 
 _BUILTINS = {
-    wid: WeightFunction(id=wid, evaluators=evaluators, max_order=MAX_ORDER, growth_class=klass, growth_bound=bound)
-    for wid, evaluators, klass, bound in (
-        ("one", _polynomial((1.0,)), POLYNOMIAL, (1.0, 0)),
-        ("x", _polynomial((0.0, 1.0)), POLYNOMIAL, (1.0, 1)),
-        ("x2", _polynomial((0.0, 0.0, 1.0)), POLYNOMIAL, (2.0, 2)),
-        ("x3", _polynomial((0.0, 0.0, 0.0, 1.0)), POLYNOMIAL, (6.0, 3)),
-        ("sin", _trig(0), BOUNDED_SMOOTH, (1.0, 0)),
-        ("cos", _trig(1), BOUNDED_SMOOTH, (1.0, 0)),
-        ("exp_neg_x2", _gauss_bump(), BOUNDED_SMOOTH, (130.0, 0)),
+    wid: WeightFunction(id=wid, evaluators=evaluators, growth_bound=bound)
+    for wid, evaluators, bound in (
+        ("one", _polynomial((1.0,)), (1.0, 0)),
+        ("x", _polynomial((0.0, 1.0)), (1.0, 1)),
+        ("x2", _polynomial((0.0, 0.0, 1.0)), (2.0, 2)),
+        ("x3", _polynomial((0.0, 0.0, 0.0, 1.0)), (6.0, 3)),
+        ("sin", _trig(0), (1.0, 0)),
+        ("cos", _trig(1), (1.0, 0)),
+        ("exp_neg_x2", _gauss_bump(), (130.0, 0)),
     )
 }
 

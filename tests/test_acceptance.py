@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from fbmvar import (
-    BreuerMajorSpec,
     GridIndexPair,
     HurstIndex,
     SamplerConfig,
@@ -257,7 +256,7 @@ def test_criterion_05_breuer_major_variance(cli_runs):
     (Isserlis) oracle by Richardson extrapolation in 1/n before the MC check.
     """
     h = 0.3
-    series = breuer_major_variance(BreuerMajorSpec(hurst=HurstIndex(h), kappa=2))
+    series = breuer_major_variance(HurstIndex(h), 2)
     v16 = exact_unweighted_variance(h, 16, 2)
     v32 = exact_unweighted_variance(h, 32, 2)
     extrap = 2 * v32 - v16

@@ -1,5 +1,6 @@
 """CLI: config parsing, report files, exit codes, selftest."""
 
+import hashlib
 import json
 import os
 import re
@@ -339,6 +340,16 @@ class TestCmdRegimes:
         assert lines[0] == "kappa,H,unweighted_regime,unweighted_citation,weighted_regime,weighted_citation"
         assert len(lines) == 1 + 3
 
+    def test_table_pinned(self, tmp_path, capsys):
+        # md5 of the table and of its CSV: a change that moves any regime label or
+        # citation updates these digests and states the reason in CHANGES.md
+        target = tmp_path / "table.csv"
+        rc = cli.main(["regimes", "--kappas", "2,3,4,5,6", "--h-step", "1e-3", "--csv", str(target)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert hashlib.md5(out.encode("utf-8")).hexdigest() == "c987f95b748aeab1f92e8d88bcfba850"
+        assert hashlib.md5(target.read_bytes()).hexdigest() == "44008e94acae1f6e054826f04a69f8ff"
+
     def test_csv_in_missing_dir_exits_2(self, tmp_path, capsys):
         target = tmp_path / "missing" / "table.csv"
         rc = cli.main(["regimes", "--csv", str(target)])
@@ -425,8 +436,6 @@ class TestCmdSelftest:
             id="x2",
             evaluators=(original.evaluators[0], lambda x: 2.5 * np.asarray(x, dtype=float))
             + original.evaluators[2:],
-            max_order=original.max_order,
-            growth_class=original.growth_class,
             growth_bound=original.growth_bound,
         )
         broken["x2"] = corrupted

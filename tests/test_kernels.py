@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbmvar import (
-    BreuerMajorSpec,
     GridIndexPair,
     HurstIndex,
     RegimeError,
@@ -202,37 +201,43 @@ class TestHermiteCoefficients:
 
 class TestBreuerMajorVariance:
     def test_brownian_quadratic_constant(self):
-        spec = BreuerMajorSpec(hurst=HurstIndex(0.5), kappa=2, lag_truncation=3)
-        assert breuer_major_variance(spec) == pytest.approx(2.0, abs=1e-14)
+        assert breuer_major_variance(HurstIndex(0.5), 2, lag_truncation=3) == pytest.approx(2.0, abs=1e-14)
 
     def test_brownian_any_kappa_equals_centered_moment(self):
         for kappa in (2, 3, 4):
-            spec = BreuerMajorSpec(hurst=HurstIndex(0.5), kappa=kappa, lag_truncation=3)
             expect = gaussian_moment(2 * kappa) - gaussian_moment(kappa) ** 2
-            assert breuer_major_variance(spec) == pytest.approx(expect, rel=1e-12)
+            assert breuer_major_variance(HurstIndex(0.5), kappa, lag_truncation=3) == pytest.approx(expect, rel=1e-12)
 
     def test_regime_guards(self):
         with pytest.raises(RegimeError):
-            BreuerMajorSpec(hurst=HurstIndex(0.8), kappa=2)
+            breuer_major_variance(HurstIndex(0.8), 2)
         with pytest.raises(RegimeError):
-            BreuerMajorSpec(hurst=HurstIndex(0.75), kappa=4)
+            breuer_major_variance(HurstIndex(0.75), 4)
         with pytest.raises(RegimeError):
-            BreuerMajorSpec(hurst=HurstIndex(0.6), kappa=3)
+            breuer_major_variance(HurstIndex(0.6), 3)
 
     def test_quadratic_series_matches_transcription(self):
-        # sigma^2 = 2 sum_{|p| <= P} rho^2 for kappa = 2
+        # sigma^2 = 2 sum_p rho^2 for kappa = 2: the lags |p| <= P, plus the tail
+        # sum_{p > P} (H(2H-1))^2 p^{4H-4} ~ (H(2H-1))^2 (P + 1/2)^{4H-3} / (3 - 4H)
         h, P = 0.3, 5000
-        spec = BreuerMajorSpec(hurst=HurstIndex(h), kappa=2, lag_truncation=P)
-        direct = 2.0 * (rho_scalar(h, 0) ** 2 + 2 * math.fsum(rho_scalar(h, p) ** 2 for p in range(1, P + 1)))
-        assert breuer_major_variance(spec) == pytest.approx(direct, rel=1e-12)
+        tail = (h * (2 * h - 1)) ** 2 * (P + 0.5) ** (4 * h - 3) / (3 - 4 * h)
+        direct = 2.0 * (rho_scalar(h, 0) ** 2 + 2 * (math.fsum(rho_scalar(h, p) ** 2 for p in range(1, P + 1)) + tail))
+        assert breuer_major_variance(HurstIndex(h), 2, lag_truncation=P) == pytest.approx(direct, rel=1e-12)
 
     def test_cubic_series_matches_transcription(self):
-        # sigma^2 = 9 sum rho + 6 sum rho^3 for kappa = 3 (rank-1 part telescopes)
+        # sigma^2 = 6 sum rho^3 for kappa = 3, H < 1/2: the rank-1 sum telescopes
+        # to (P+1)^{2H} - P^{2H}, which tends to 0, and the rank-3 tail is below rounding
         h, P = 0.3, 5000
-        spec = BreuerMajorSpec(hurst=HurstIndex(h), kappa=3, lag_truncation=P)
-        sum_rho = (P + 1) ** (2 * h) - P ** (2 * h)
         sum_rho3 = rho_scalar(h, 0) ** 3 + 2 * math.fsum(rho_scalar(h, p) ** 3 for p in range(1, P + 1))
-        assert breuer_major_variance(spec) == pytest.approx(9 * sum_rho + 6 * sum_rho3, rel=1e-10)
+        assert breuer_major_variance(HurstIndex(h), 3, lag_truncation=P) == pytest.approx(6 * sum_rho3, rel=1e-10)
+
+    def test_independent_of_lag_truncation(self):
+        # the constant is the n -> infinity limit, so the truncation only decides
+        # where the tail formula takes over
+        for kappa, h in ((2, 0.7), (2, 0.74), (3, 0.45), (3, 0.3), (5, 0.45), (4, 0.7)):
+            short = breuer_major_variance(h, kappa, lag_truncation=10**3)
+            long = breuer_major_variance(h, kappa, lag_truncation=10**5)
+            assert short == pytest.approx(long, rel=1e-8), (kappa, h)
 
     def test_quadratic_against_isserlis_extrapolation(self):
         # Richardson in 1/n of the exact small-n pairing variance removes the
@@ -241,33 +246,42 @@ class TestBreuerMajorVariance:
             v16 = exact_unweighted_variance(h, 16, 2)
             v32 = exact_unweighted_variance(h, 32, 2)
             extrap = 2 * v32 - v16
-            series = breuer_major_variance(BreuerMajorSpec(hurst=HurstIndex(h), kappa=2))
+            series = breuer_major_variance(HurstIndex(h), 2)
             assert extrap == pytest.approx(series, rel=1e-3)
 
-    def test_cubic_against_isserlis_extrapolation(self):
+    @staticmethod
+    def cubic_remainder_extrapolation(h):
         # exact small-n variance = 9 n^{2H-1} + Fejer-weighted rank-3 series;
         # extrapolating the remainder isolates 6 sum rho^3
-        h = 0.3
         rem16 = exact_unweighted_variance(h, 16, 3) - 9 * 16 ** (2 * h - 1)
         rem32 = exact_unweighted_variance(h, 32, 3) - 9 * 32 ** (2 * h - 1)
-        extrap = 2 * rem32 - rem16
+        return 2 * rem32 - rem16
+
+    def test_cubic_against_isserlis_extrapolation(self):
+        h = 0.3
         sum_rho3 = rho_scalar(h, 0) ** 3 + 2 * math.fsum(rho_scalar(h, p) ** 3 for p in range(1, 200000))
-        assert extrap == pytest.approx(6 * sum_rho3, rel=1e-3)
+        assert self.cubic_remainder_extrapolation(h) == pytest.approx(6 * sum_rho3, rel=1e-3)
+
+    def test_cubic_constant_against_isserlis_extrapolation(self):
+        # the n^{2H-1} rank-1 part vanishes in the limit, so the constant is the
+        # extrapolated remainder; the Richardson residual here is about 5.5e-8
+        h = 0.3
+        assert breuer_major_variance(HurstIndex(h), 3) == pytest.approx(self.cubic_remainder_extrapolation(h), rel=1e-6)
 
     def test_monotone_in_truncations_even_kappa(self):
         h = HurstIndex(0.3)
         prev = -1.0
         for P in (10, 100, 1000, 10000):
-            v = breuer_major_variance(BreuerMajorSpec(hurst=h, kappa=2, lag_truncation=P))
+            v = breuer_major_variance(h, 2, lag_truncation=P)
             assert v >= prev
             prev = v
-        assert breuer_major_variance(BreuerMajorSpec(hurst=h, kappa=4, lag_truncation=100)) >= 0.0
+        assert breuer_major_variance(h, 4, lag_truncation=100) >= 0.0
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            BreuerMajorSpec(hurst=HurstIndex(0.3), kappa=1)
+            breuer_major_variance(HurstIndex(0.3), 1)
         with pytest.raises(ValueError):
-            BreuerMajorSpec(hurst=HurstIndex(0.3), kappa=2, lag_truncation=0)
+            breuer_major_variance(HurstIndex(0.3), 2, lag_truncation=0)
 
 
 class TestCovarianceMatrix:

@@ -36,14 +36,14 @@ def _paths_matrix(H, n, reps, method="circulant", seed=101):
 class TestFbmPathType:
     def test_rejects_nonzero_start(self):
         with pytest.raises(ValueError):
-            FbmPath(hurst=HurstIndex(0.3), n=2, values=np.array([[0.1, 0.2, 0.3]]))
+            FbmPath(hurst=HurstIndex(0.3), values=np.array([[0.1, 0.2, 0.3]]))
         with pytest.raises(ValueError):
-            FbmPath(hurst=HurstIndex(0.3), n=2, values=np.array([[0.0, 0.2, 0.3], [1e-300, 0.2, 0.3]]))
+            FbmPath(hurst=HurstIndex(0.3), values=np.array([[0.0, 0.2, 0.3], [1e-300, 0.2, 0.3]]))
 
     def test_rejects_wrong_length(self):
-        for values in ([[0.0, 0.2, 0.3]], [0.0, 0.2, 0.3, 0.4], np.zeros((0, 4))):
+        for values in ([0.0, 0.2, 0.3, 0.4], np.zeros((0, 4)), [[0.0]]):
             with pytest.raises(ValueError):
-                FbmPath(hurst=HurstIndex(0.3), n=3, values=np.array(values))
+                FbmPath(hurst=HurstIndex(0.3), values=np.array(values))
 
     def test_values_frozen(self):
         p = sample_fbm(0.3, 8, SamplerConfig(seed=1, stream=0), 2)
@@ -68,7 +68,7 @@ class TestBufferOwnership:
 
     def test_caller_array_neither_aliased_nor_frozen(self):
         values = np.zeros((2, 5))
-        path = FbmPath(hurst=HurstIndex(0.3), n=4, values=values)
+        path = FbmPath(hurst=HurstIndex(0.3), values=values)
         assert not np.shares_memory(path.values, values)
         assert values.flags.writeable and not path.values.flags.writeable
         values[0, 1] = 5.0
@@ -77,7 +77,7 @@ class TestBufferOwnership:
     def test_read_only_array_kept_without_copy(self):
         values = np.zeros((2, 5))
         values.flags.writeable = False
-        assert FbmPath(hurst=HurstIndex(0.3), n=4, values=values).values is values
+        assert FbmPath(hurst=HurstIndex(0.3), values=values).values is values
 
 
 class TestReproducibility:

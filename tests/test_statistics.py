@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from fbmvar import (
     FORMS,
-    BreuerMajorSpec,
     FbmPath,
     HurstIndex,
     OrderError,
@@ -18,6 +17,7 @@ from fbmvar import (
     StatForm,
     StatisticSpec,
     WeightFunction,
+    breuer_major_variance,
     builtin,
     classify_regime,
     evaluate_statistic,
@@ -26,7 +26,7 @@ from fbmvar import (
     sample_fbm,
 )
 from fbmvar.statistics import HALF, QUARTER, SIXTH, THREE_QUARTERS, RegimeName
-from fbmvar.weights import BUILTIN_IDS, POLYNOMIAL
+from fbmvar.weights import BUILTIN_IDS
 from oracles import (
     centered_quadratic_oracle,
     compensated_cubic_oracle,
@@ -41,7 +41,7 @@ from oracles import (
 def synthetic_path(values, H=0.3):
     """A block holding the one path `values`."""
     values = np.asarray(values, dtype=np.float64)
-    return FbmPath(hurst=HurstIndex(H), n=len(values) - 1, values=values[np.newaxis, :])
+    return FbmPath(hurst=HurstIndex(H), values=values[np.newaxis, :])
 
 
 def sampled(H, n, seed=2024, stream=0):
@@ -93,9 +93,7 @@ def limit(p, h, form, kappa=None):
 
 def weight_from(*evaluators):
     """A test weight with evaluators (h, h', ..., h^(k)); k is its max order."""
-    return WeightFunction(
-        id="test", evaluators=evaluators, max_order=len(evaluators) - 1, growth_class=POLYNOMIAL, growth_bound=(1.0, 6)
-    )
+    return WeightFunction(id="test", evaluators=evaluators, growth_bound=(1.0, 6))
 
 
 def combination(a, w1, b, w2):
@@ -194,7 +192,7 @@ class TestUnweighted:
 
     def test_mirrored_path_flips_odd_statistic(self):
         p = sampled(0.3, 64, seed=21)
-        q = FbmPath(hurst=p.hurst, n=p.n, values=-p.values)
+        q = FbmPath(hurst=p.hurst, values=-p.values)
         assert unweighted(q, 3) == -unweighted(p, 3)
 
     def test_term_by_term_oracle_kappa4(self):
@@ -286,7 +284,7 @@ class TestLinearity:
 class TestOddSymmetry:
     def test_negated_path_flips_odd_statistics_exactly(self):
         p = sampled(0.3, 64, seed=77)
-        q = FbmPath(hurst=p.hurst, n=p.n, values=-p.values)
+        q = FbmPath(hurst=p.hurst, values=-p.values)
         for weight in ("x2", "cos", "one"):  # even weights
             h = builtin(weight)
             assert odd(q, h, 3) == -odd(p, h, 3)
@@ -533,7 +531,7 @@ class TestTableAgreesWithClassifier:
             form = StatForm.UNWEIGHTED_ODD if kappa % 2 else StatForm.UNWEIGHTED_CENTERED
             for hv in AGREEMENT_GRID:
                 try:
-                    BreuerMajorSpec(hurst=HurstIndex(hv), kappa=kappa, lag_truncation=1)
+                    breuer_major_variance(HurstIndex(hv), kappa, lag_truncation=1)
                     built = True
                 except RegimeError:
                     built = False
