@@ -13,6 +13,7 @@ from .errors import (
     EmbeddingError,
     FbmvarError,
     OrderError,
+    OutputError,
     RegimeError,
     UnknownWeight,
 )

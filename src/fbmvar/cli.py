@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import json
 import math
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels, weights
-from .errors import ConfigError, EmbeddingError, FbmvarError, RegimeError
+from .errors import ConfigError, EmbeddingError, FbmvarError, OutputError, RegimeError
 from .harness import (
     ExperimentPlan,
     McRecord,
@@ -119,12 +120,25 @@ def parse_config(path, seed_override=None, replicas_override=None) -> list[PlanE
     return entries
 
 
+@contextlib.contextmanager
+def _output(path, name=None):
+    """`path` opened for UTF-8 text with LF line ends.
+
+    An OSError of the open, a write or the close becomes an OutputError naming `name`, by default `path`.
+    """
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except OSError as exc:
+        raise OutputError(f"{name or path}: {exc.strerror}") from exc
+
+
 def _write_csv(path: Path, plan: ExperimentPlan, report: McReport) -> None:
     lead = [_fmt(plan.hurst.value), str(plan.spec.kappa), plan.spec.weight, plan.spec.form.value]
-    lines = [CSV_HEADER]
-    for rec in report.records:
-        lines.append(",".join([str(rec.n), *lead, *(_fmt(getattr(rec, f)) for f in _STAT_FIELDS)]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    with _output(path) as fh:
+        fh.write(CSV_HEADER + "\n")
+        for rec in report.records:
+            fh.write(",".join([str(rec.n), *lead, *(_fmt(getattr(rec, f)) for f in _STAT_FIELDS)]) + "\n")
 
 
 def _write_json(path: Path, name: str, plan: ExperimentPlan, report: McReport) -> None:
@@ -143,17 +157,16 @@ def _write_json(path: Path, name: str, plan: ExperimentPlan, report: McReport) -
         "records": [dataclasses.asdict(rec) for rec in report.records],
         "rate_fit": None if report.rate_fit is None else dataclasses.asdict(report.rate_fit),
     }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n")
+    with _output(path) as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _write_dat(path: Path, plan: ExperimentPlan, report: McReport) -> None:
     # log-log plot data; diagnostic plans plot the unnormalized sum variance
-    lines = []
-    for rec in report.records:
-        y = rate_target(plan.spec, rec)
-        if y > 0:
-            lines.append(f"{_fmt(math.log(rec.n))} {_fmt(math.log(y))}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    points = [(rec.n, rate_target(plan.spec, rec)) for rec in report.records]
+    lines = [f"{_fmt(math.log(n))} {_fmt(math.log(y))}" for n, y in points if y > 0]
+    with _output(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _write_plan(out: Path, entry: PlanEntry, report: McReport, dump_paths: bool) -> None:
@@ -165,85 +178,67 @@ def _write_plan(out: Path, entry: PlanEntry, report: McReport, dump_paths: bool)
     if dump_paths:
         for n in plan.n_ladder:
             path = sample_fbm(plan.hurst, n, SamplerConfig(method=plan.method, seed=plan.seed, stream=0))
-            with open(out / f"{entry.out_stem}_n{n}.path", "w", encoding="utf-8", newline="\n") as fh:
+            with _output(out / f"{entry.out_stem}_n{n}.path") as fh:
                 dump_path(path, fh)
 
 
-def cmd_run(config_path, out_dir, seed=None, replicas=None, threads=1, dump_paths=False) -> int:
-    if threads < 1:
-        print(f"error: --threads must be >= 1, got {threads}", file=sys.stderr)
+def cmd_run(args) -> int:
+    if args.threads < 1:
+        print(f"error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
         return 2
     # every plan is built before the first group runs, so a bad one leaves no files
-    try:
-        entries = parse_config(config_path, seed_override=seed, replicas_override=replicas)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except RegimeError as exc:
-        print(f"regime error: {exc}", file=sys.stderr)
-        return 3
-    out = Path(out_dir)
+    entries = parse_config(args.config, seed_override=args.seed, replicas_override=args.replicas)
+    out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"error: --out {out_dir}: {exc.strerror}", file=sys.stderr)
-        return 2
+        raise OutputError(f"--out {args.out}: {exc.strerror}") from exc
     groups = PathGroups([entry.plan for entry in entries])
     for entry in entries:
-        plan = entry.plan
-        runner = run_clt_diagnostics if FORMS[plan.spec.form].limit is None else run_l2_experiment
-        try:
-            report = runner(plan, threads=threads, groups=groups)
-        except EmbeddingError as exc:
-            print(f"embedding error: {exc}", file=sys.stderr)
-            return 4
-        try:
-            _write_plan(out, entry, report, dump_paths)
-        except OSError as exc:
-            print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
-            return 2
+        runner = run_clt_diagnostics if FORMS[entry.plan.spec.form].limit is None else run_l2_experiment
+        report = runner(entry.plan, threads=args.threads, groups=groups)
+        _write_plan(out, entry, report, args.dump_paths)
     return 0
 
 
-def cmd_regimes(kappas=(2, 3), h_step=0.05, csv_path=None) -> int:
-    """Print the (kappa, H) -> regime table, one row per (kappa, H).
+def _regime_table(args, rows: int, csv_path):
+    """The (kappa, H) -> regime table as stdout lines, one row per (kappa, H), then its legend.
 
-    Each row carries the unweighted and the weighted regime label; the legend
-    below the table maps every label that occurred to its citation. Rows are
-    written as they are classified; a table of more than REGIMES_MAX_ROWS rows
-    is refused with exit 2 before any row is built.
+    Each row's CSV line goes to csv_path once the row is yielded. The caller
+    prints, so a failed print is never taken for a failed CSV write.
     """
-    rows = len(kappas) * max(0, math.ceil((1.0 - 1e-12) / h_step) - 1)
-    if rows > REGIMES_MAX_ROWS:
-        print(f"error: --h-step {h_step:g} gives {rows} rows, more than the cap of {REGIMES_MAX_ROWS}", file=sys.stderr)
-        return 2
-    # without --csv the CSV rows go to the null device
-    try:
-        csv = open(os.devnull if csv_path is None else csv_path, "w", encoding="utf-8", newline="\n")
-    except OSError as exc:
-        print(f"error: --csv {csv_path}: {exc.strerror}", file=sys.stderr)
-        return 2
     legend = {}
-    with csv:
-        print(f"# regime table: H grid = multiples of {h_step:g} strictly inside (0, 1)")
-        print("# open theorem endpoints (1/4, 3/4 where applicable) label as boundary_unsupported")
-        print(f"{'kappa':>5} {'H':>8}  {'unweighted':<24} {'weighted':<24}")
+    with _output(csv_path, f"--csv {csv_path}") as csv:
+        yield f"# regime table: H grid = multiples of {args.h_step:g} strictly inside (0, 1)"
+        yield "# open theorem endpoints (1/4, 3/4 where applicable) label as boundary_unsupported"
+        yield f"{'kappa':>5} {'H':>8}  {'unweighted':<24} {'weighted':<24}"
         csv.write("kappa,H,unweighted_regime,unweighted_citation,weighted_regime,weighted_citation\n")
-        for kappa in kappas:
-            for k in range(1, rows // len(kappas) + 1):
-                hv = round(k * h_step, 12)
+        for kappa in args.kappas:
+            for k in range(1, rows // len(args.kappas) + 1):
+                hv = round(k * args.h_step, 12)
                 plain = classify_regime(kappa, hv, False)
                 weighted = classify_regime(kappa, hv, True)
                 legend[(plain.label.value, plain.citation)] = None
                 legend[(weighted.label.value, weighted.citation)] = None
-                print(f"{kappa:>5} {hv:>8.4g}  {plain.label.value:<24} {weighted.label.value:<24}")
+                yield f"{kappa:>5} {hv:>8.4g}  {plain.label.value:<24} {weighted.label.value:<24}"
                 csv.write(
                     f"{kappa},{_fmt(hv)},{plain.label.value},\"{plain.citation}\","
                     f"{weighted.label.value},\"{weighted.citation}\"\n"
                 )
-    print("# legend:")
+    yield "# legend:"
     for name, citation in legend:
-        print(f"#   {name}: {citation}")
+        yield f"#   {name}: {citation}"
+
+
+def cmd_regimes(args) -> int:
+    """Print the regime table as it is classified; more than REGIMES_MAX_ROWS rows exit 2 before any is built."""
+    rows = len(args.kappas) * max(0, math.ceil((1.0 - 1e-12) / args.h_step) - 1)
+    if rows > REGIMES_MAX_ROWS:
+        print(f"error: --h-step {args.h_step:g} gives {rows} rows, more than the cap of {REGIMES_MAX_ROWS}", file=sys.stderr)
+        return 2
+    # without --csv the CSV rows go to the null device
+    for line in _regime_table(args, rows, os.devnull if args.csv is None else args.csv):
+        print(line)
     return 0
 
 
@@ -323,7 +318,7 @@ def _selftest_checks():
     )
 
 
-def cmd_selftest() -> int:
+def cmd_selftest(args) -> int:
     status = 0
     for name, check in _selftest_checks():
         detail = check()
@@ -360,6 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--replicas", type=int, default=None, help="override every plan's replica count")
     p_run.add_argument("--threads", type=int, default=1, help="worker thread cap (>= 1; also capped by cores)")
     p_run.add_argument("--dump-paths", action="store_true", help="dump replica-0 paths as text")
+    p_run.set_defaults(handler=cmd_run)
 
     p_reg = sub.add_parser("regimes", help="print the regime classification table")
     p_reg.add_argument("--kappas", type=kappa_list, default="2,3", help="comma-separated kappa list (each >= 2)")
@@ -368,31 +364,29 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"H grid step (> 0; at most {REGIMES_MAX_ROWS} rows in all)",
     )
     p_reg.add_argument("--csv", default=None, help="also write the table as CSV here")
+    p_reg.set_defaults(handler=cmd_regimes)
 
-    sub.add_parser("selftest", help="run the fast invariant suite")
+    sub.add_parser("selftest", help="run the fast invariant suite").set_defaults(handler=cmd_selftest)
     return parser
+
+
+# exit code and stderr label of an FbmvarError, by its first matching class
+EXITS = (
+    (ConfigError, 2, "config error"),
+    (RegimeError, 3, "regime error"),
+    (EmbeddingError, 4, "embedding error"),
+    (FbmvarError, 2, "error"),
+)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return cmd_run(
-                args.config,
-                args.out,
-                seed=args.seed,
-                replicas=args.replicas,
-                threads=args.threads,
-                dump_paths=args.dump_paths,
-            )
-        if args.command == "regimes":
-            return cmd_regimes(kappas=args.kappas, h_step=args.h_step, csv_path=args.csv)
-        if args.command == "selftest":
-            return cmd_selftest()
+        return args.handler(args)
     except FbmvarError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    raise AssertionError("unreachable")
+        code, label = next((code, label) for cls, code, label in EXITS if isinstance(exc, cls))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 def entrypoint() -> None:

@@ -27,3 +27,7 @@ class DegenerateFit(FbmvarError):
 
 class ConfigError(FbmvarError):
     """Experiment config document is malformed; message is field-addressed."""
+
+
+class OutputError(FbmvarError):
+    """An output file or directory cannot be created or written; the message names it."""

@@ -235,7 +235,7 @@ def classify_regime(kappa: int, H, weighted: bool) -> RegimeLabel:
     raise AssertionError(f"no REGIMES or FORMS row covers kappa={kappa}, H={hv}, weighted={weighted}")
 
 
-DEFAULT_LAG_TRUNCATION = 100_000
+DEFAULT_LAG_TRUNCATION = 1_000
 
 
 def hermite_coefficients(kappa: int) -> np.ndarray:

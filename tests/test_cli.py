@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from fbmvar import cli, harness
+from fbmvar.errors import DegenerateFit
 
 GOOD_CONFIG = """
 [quad_small]
@@ -244,6 +245,19 @@ class TestCmdRun:
         assert rc == 2
         assert err.startswith(f"error: {out / blocked}: ") and "Traceback" not in err
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("full", ["quad_small.csv", "quad_small_n64.path"])
+    def test_failed_write_names_the_file_and_exits_2(self, tmp_path, capsys, full):
+        # the open succeeds and the write or close fails, so the OSError carries no file name of its own
+        cfg = write(tmp_path, GOOD_CONFIG)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / full).symlink_to("/dev/full")
+        rc = cli.main(["run", "--config", str(cfg), "--out", str(out), "--dump-paths"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {out / full}: ") and "Traceback" not in err
+
     def test_inadmissible_last_plan_exits_3_before_any_file(self, tmp_path, capsys):
         late = GOOD_CONFIG + "\n[late_quad]\nhurst = 0.3\nkappa = 2\nweight = x2\nform = centered_quadratic\n"
         late += "n_ladder = 16\nreplicas = 4\nseed = 1\n"
@@ -359,6 +373,13 @@ class TestCmdRegimes:
         assert not target.parent.exists()
 
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_csv_write_exits_2(self, capsys):
+        rc = cli.main(["regimes", "--kappas", "2", "--h-step", "0.25", "--csv", "/dev/full"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: --csv /dev/full: ") and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "flag, value", [("--kappas", "1"), ("--kappas", "x"), ("--kappas", "2,1"), ("--h-step", "0"), ("--h-step", "-0.5")]
     )
@@ -397,6 +418,48 @@ class TestCmdRegimes:
         assert proc.returncode == 0, proc.stderr
         assert "# regime table" in proc.stdout
         assert "    2     0.25  breuer_major_clt         boundary_unsupported" in proc.stdout
+
+
+def _corrupt_embedding(monkeypatch):
+    import fbmvar.sampler as sampler_mod
+
+    def bad_seq(H, max_lag):
+        r = np.full(max_lag + 1, -0.9)
+        r[0] = 1.0
+        return r
+
+    monkeypatch.setattr(sampler_mod, "increment_autocov_seq", bad_seq)
+    sampler_mod._circulant_coeffs.cache_clear()
+    return sampler_mod._circulant_coeffs.cache_clear
+
+
+def _fail_fit(monkeypatch):
+    def degenerate(plans, threads):
+        raise DegenerateFit("injected")
+
+    monkeypatch.setattr(harness, "_run_group", degenerate)
+
+
+@pytest.mark.parametrize(
+    "config, setup, code, prefix",
+    [
+        ("[p]\nhurst = 0.1\n", None, 2, "config error: "),
+        (GOOD_CONFIG.replace("hurst = 0.10", "hurst = 0.25"), None, 3, "regime error: "),
+        (GOOD_CONFIG, _corrupt_embedding, 4, "embedding error: "),
+        (GOOD_CONFIG, _fail_fit, 2, "error: "),
+    ],
+    ids=["config", "regime", "embedding", "other"],
+)
+def test_exit_code_and_label_of_each_error(tmp_path, capsys, monkeypatch, config, setup, code, prefix):
+    cleanup = setup(monkeypatch) if setup else None
+    try:
+        rc = cli.main(["run", "--config", str(write(tmp_path, config)), "--out", str(tmp_path / "out")])
+    finally:
+        if cleanup:
+            cleanup()
+    err = capsys.readouterr().err
+    assert rc == code
+    assert err.startswith(prefix) and "Traceback" not in err
 
 
 class TestCmdSelftest:
