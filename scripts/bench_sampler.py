@@ -6,7 +6,10 @@ paths; this script times the layers of one such block at each grid size n
 and reports microseconds per replica (a block's time divided by B):
 
 - `rekey_normals_us`: `_block_normals`, which re-keys the thread's Philox
-  generator to each row's `(seed, stream)` and draws the row's 2n normals;
+  generator to each row's `(seed, stream)` and draws the row's 2n normals.
+  Each timed call starts at the stream after the last call's block, because
+  a call with the key of the thread's last draw returns the held normals
+  without drawing;
 - `synthesis_us`: `_block_fgn` on stored normals, the half-spectrum products
   and the one inverse FFT along the rows;
 - `assembly_us`: `_block_paths` on stored increments, the cumulative sum into
@@ -15,7 +18,8 @@ and reports microseconds per replica (a block's time divided by B):
 - `limit_us`: `limit_functional` on a stored block;
 - `layers_sum_us`: the sum of the five;
 - `block_us`: the harness's own loop (`_replica_values`) drawing and
-  evaluating whole blocks end to end, per replica. What it adds to
+  evaluating two whole blocks end to end, per replica, so that no draw has
+  the key of the one before it. What it adds to
   `layers_sum_us` is cost that no layer shows alone, such as the page faults
   of large buffers that chained calls free and allocate again;
 - `block_minflt`: the minor page faults (`resource.getrusage`) of that loop
@@ -30,6 +34,7 @@ warm-up call that also fills the coefficient cache.
     PYTHONPATH=src python3 scripts/bench_sampler.py
 """
 
+import itertools
 import json
 import platform
 import resource
@@ -87,10 +92,11 @@ def layer_times(n, calls, runs):
     z = sampler_mod._block_normals(SEED, 0, block, n).copy()
     fgn = sampler_mod._block_fgn(HURST, n, z).copy()
     path = sample_fbm(HURST, n, SamplerConfig(seed=SEED), block)
-    # at least two replicas, as a plan needs; a whole number of blocks
-    plan = ExperimentPlan(hurst=HURST, spec=SPEC, n_ladder=(n,), replicas=block * max(1, 2 // block), seed=SEED)
+    # two whole blocks, which alternate in the thread's one remembered draw
+    plan = ExperimentPlan(hurst=HURST, spec=SPEC, n_ladder=(n,), replicas=2 * block, seed=SEED)
+    streams = itertools.count(block, block)
     per_block = {
-        "rekey_normals_us": lambda: sampler_mod._block_normals(SEED, 0, block, n),
+        "rekey_normals_us": lambda: sampler_mod._block_normals(SEED, next(streams), block, n),
         "synthesis_us": lambda: sampler_mod._block_fgn(HURST, n, z),
         "assembly_us": lambda: sampler_mod._block_paths(path.hurst, fgn),
         "statistic_us": lambda: evaluate_statistic(path, h, SPEC),

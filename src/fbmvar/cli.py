@@ -133,6 +133,22 @@ def _output(path, name=None):
         raise OutputError(f"{name or path}: {exc.strerror}") from exc
 
 
+@contextlib.contextmanager
+def _stdout():
+    """Print to stdout, flushed at the end; a failed print or flush becomes an OutputError naming <stdout>.
+
+    On failure stdout's descriptor is pointed at the null device, so that the
+    interpreter's own flush at exit finds no closed pipe to report.
+    """
+    try:
+        yield
+        sys.stdout.flush()
+    except OSError as exc:
+        with contextlib.suppress(OSError, ValueError), open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        raise OutputError(f"<stdout>: {exc.strerror}") from exc
+
+
 def _write_csv(path: Path, plan: ExperimentPlan, report: McReport) -> None:
     lead = [_fmt(plan.hurst.value), str(plan.spec.kappa), plan.spec.weight, plan.spec.form.value]
     with _output(path) as fh:
@@ -237,8 +253,9 @@ def cmd_regimes(args) -> int:
         print(f"error: --h-step {args.h_step:g} gives {rows} rows, more than the cap of {REGIMES_MAX_ROWS}", file=sys.stderr)
         return 2
     # without --csv the CSV rows go to the null device
-    for line in _regime_table(args, rows, os.devnull if args.csv is None else args.csv):
-        print(line)
+    with _stdout():
+        for line in _regime_table(args, rows, os.devnull if args.csv is None else args.csv):
+            print(line)
     return 0
 
 
@@ -320,13 +337,14 @@ def _selftest_checks():
 
 def cmd_selftest(args) -> int:
     status = 0
-    for name, check in _selftest_checks():
-        detail = check()
-        if detail is None:
-            print(f"PASS {name}")
-        else:
-            print(f"FAIL {name}: {detail}")
-            status = 1
+    with _stdout():
+        for name, check in _selftest_checks():
+            detail = check()
+            if detail is None:
+                print(f"PASS {name}")
+            else:
+                print(f"FAIL {name}: {detail}")
+                status = 1
     return status
 
 

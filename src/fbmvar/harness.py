@@ -1,13 +1,13 @@
 """Monte Carlo estimation of mean-square gaps and CLT diagnostics.
 
 Replica r of a plan always samples from the stream keyed (seed, r), so results
-are a pure function of the plan. Plans with equal (hurst, seed, method,
-n_ladder, replicas) hold one replica set; they read
-the same paths and run as one group: each block of paths is drawn once and
-every member evaluates its statistic on it. Replicas are evaluated in blocks
-of B paths, B a function of the grid size alone; workers may be added or
-removed freely and each block's values land in a buffer indexed by r before
-any reduction. All reductions go through numpy's pairwise summation on those
+are a pure function of the plan. Plans with equal (seed, method, n_ladder,
+replicas) hold one replica set and run as one group: each block's normals are
+drawn once, its paths are synthesized once per H of the group, and every
+member evaluates its statistic on its H's paths. Replicas are evaluated in
+blocks of B paths, B a function of the grid size alone; workers may be added
+or removed freely and each block's values land in a buffer indexed by r
+before any reduction. All reductions go through numpy's pairwise summation on those
 buffers, which makes every reported number bit-identical across thread counts
 and the same whether a plan runs alone or in a group.
 """
@@ -87,29 +87,36 @@ class McReport:
 
 
 def _path_key(plan: ExperimentPlan):
-    """A plan's replica set: replica r < R reads stream (seed, r) of this sampler at this H, at each rung."""
-    return plan.hurst, plan.seed, plan.method, plan.n_ladder, plan.replicas
+    """A plan's replica set: replica r < R reads stream (seed, r) of this sampler at each rung; H enters only the synthesis."""
+    return plan.seed, plan.method, plan.n_ladder, plan.replicas
 
 
 def _replica_values(weights: dict, n: int, threads: int, block: int) -> dict:
     """(statistic, limit or 0) of each plan's replicas at grid size n, row r of a (R, 2) array per plan.
 
     `weights` maps plans of one path key to their weight functions. Each block
-    of `block` paths is drawn once and every plan evaluates its statistic on
-    all of its rows. Workers are capped by the cores this process may run on
-    and by the block count: more threads than that only add switching cost.
+    of `block` paths is drawn once per H, in the order the plans first name
+    it, and every plan at that H evaluates its statistic on all of its rows;
+    the sampler reuses the block's normals after the first H. Workers are
+    capped by the cores this process may run on and by the block count: more
+    threads than that only add switching cost.
     """
-    hurst, seed, method, _, replicas = _path_key(next(iter(weights)))
+    seed, method, _, replicas = _path_key(next(iter(weights)))
     outs = {plan: np.empty((replicas, 2), dtype=np.float64) for plan in weights}
+    by_hurst = {}
+    for plan, h in weights.items():
+        by_hurst.setdefault(plan.hurst, {})[plan] = h
     starts = range(0, replicas, block)
 
     def work(r0: int) -> None:
         count = min(block, replicas - r0)
-        path = sample_fbm(hurst, n, SamplerConfig(method=method, seed=seed, stream=r0), count)
-        for plan, h in weights.items():
-            out = outs[plan][r0 : r0 + count]
-            out[:, 0] = evaluate_statistic(path, h, plan.spec)
-            out[:, 1] = limit_functional(path, h, plan.spec) if FORMS[plan.spec.form].limit is not None else 0.0
+        config = SamplerConfig(method=method, seed=seed, stream=r0)
+        for hurst, members in by_hurst.items():
+            path = sample_fbm(hurst, n, config, count)
+            for plan, h in members.items():
+                out = outs[plan][r0 : r0 + count]
+                out[:, 0] = evaluate_statistic(path, h, plan.spec)
+                out[:, 1] = limit_functional(path, h, plan.spec) if FORMS[plan.spec.form].limit is not None else 0.0
 
     workers = min(threads, len(os.sched_getaffinity(0)), len(starts))
     if workers <= 1:
@@ -173,7 +180,7 @@ def _record(plan: ExperimentPlan, n: int, vals: np.ndarray) -> McRecord:
 
 
 def _run_group(plans: Sequence[ExperimentPlan], threads: int) -> dict:
-    """The report of every plan of one path key, from one draw of the shared paths.
+    """The report of every plan of one path key, from one draw of the shared normals.
 
     Grid sizes run in ladder order; at each, every plan holds one (R, 2)
     buffer until its record is reduced.
@@ -196,9 +203,10 @@ def _run_group(plans: Sequence[ExperimentPlan], threads: int) -> dict:
 class PathGroups:
     """The plans of one run grouped by the paths they read, and each group's reports once computed.
 
-    Plans with equal (hurst, seed, method, n_ladder, replicas) read the same
-    replica paths. The first report asked of a group runs all its members on
-    one draw of those paths; later requests return the stored reports.
+    Plans with equal (seed, method, n_ladder, replicas) read the same replica
+    streams, whatever their H. The first report asked of a group runs all its
+    members on one draw of each block's normals, synthesized once per H of the
+    group; later requests return the stored reports.
     """
 
     def __init__(self, plans: Sequence[ExperimentPlan]):

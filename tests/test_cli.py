@@ -419,6 +419,27 @@ class TestCmdRegimes:
         assert "# regime table" in proc.stdout
         assert "    2     0.25  breuer_major_clt         boundary_unsupported" in proc.stdout
 
+    def test_closed_stdout_pipe_exits_2(self, tmp_path):
+        # 2 x 9999 rows overfill the pipe, so the table is still printing when
+        # the reader closes it after the first line, as `| head -1` does
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fbmvar.cli", "regimes", "--h-step", "1e-4"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=tmp_path,
+        )
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            rc = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert first.startswith(b"# regime table")
+        assert rc == 2, err
+        assert err.startswith("error: <stdout>: ") and err.count("\n") == 1, err
+
 
 def _corrupt_embedding(monkeypatch):
     import fbmvar.sampler as sampler_mod

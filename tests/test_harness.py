@@ -256,6 +256,11 @@ GROUP_CASES = {
         plan_of(0.35, 3, "x", StatForm.ODD_WEIGHTED, (32, 128, 512), 48),
         plan_of(0.35, 2, "x2", StatForm.MIXING_NORMALIZED, (32, 128, 512), 48),
     ),
+    # one replica set at two H, with the partial blocks of "partial_blocks"
+    "two_hursts": (
+        plan_of(0.1, 2, "x2", StatForm.CENTERED_QUADRATIC, (16, 64, 256), 130),
+        plan_of(0.35, 3, "x", StatForm.ODD_WEIGHTED, (16, 64, 256), 130),
+    ),
 }
 
 
@@ -298,6 +303,19 @@ class TestPathGroups:
         drawn = len(draws)
         groups.report(second, threads=1)
         assert len(draws) == drawn
+
+    def test_group_across_hursts_draws_normals_once(self, monkeypatch):
+        # each block is synthesized at both H from one re-keyed draw of its streams
+        draws = record_draws(monkeypatch)
+        rekeys = []
+        rng = sampler._rng
+        monkeypatch.setattr(sampler, "_rng", lambda seed, stream: rekeys.append(stream) or rng(seed, stream))
+        sampler._thread_state.normals = None
+        first, second = GROUP_CASES["two_hursts"]
+        PathGroups([first, second]).report(second, threads=1)
+        assert len(rekeys) == first.replicas * len(first.n_ladder)
+        blocks = sum(math.ceil(first.replicas / harness.block_size(n)) for n in first.n_ladder)
+        assert len(draws) == 2 * blocks
 
     @pytest.mark.parametrize("change", [{"n_ladder": (16, 64, 512)}, {"replicas": 77}], ids=["n_ladder", "replicas"])
     def test_plans_with_another_replica_set_draw_separately(self, monkeypatch, change):

@@ -80,6 +80,55 @@ class TestBufferOwnership:
         assert FbmPath(hurst=HurstIndex(0.3), values=values).values is values
 
 
+def _on_fresh_thread(H, n, count, seed, first):
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(sample_fbm, H, n, SamplerConfig(seed=seed, stream=first), count).result().values
+
+
+class TestNormalsMemo:
+    # (H, n, count, seed, first stream): the first six calls each change one of
+    # them, in turn, and the rest jump back; a call that changes only H, or
+    # nothing, finds its normals held unless its block is past the scratch
+    CALLS = (
+        (0.3, 64, 4, 1, 0),
+        (0.7, 64, 4, 1, 0),
+        (0.7, 64, 3, 1, 0),
+        (0.7, 128, 3, 1, 0),
+        (0.7, 128, 3, 9, 0),
+        (0.7, 128, 3, 9, 5),
+        (0.2, 128, 3, 9, 5),
+        (0.2, 128, 3, 9, 5),
+        (0.3, 64, 4, 1, 0),
+        (0.3, 64, 500, 1, 0),
+        (0.3, 64, 4, 1, 0),
+    )
+
+    def test_interleaved_calls_match_fresh_threads(self, monkeypatch):
+        import fbmvar.sampler as sampler_mod
+
+        rekeys = []
+        rng = sampler_mod._rng
+        monkeypatch.setattr(sampler_mod, "_rng", lambda seed, stream: rekeys.append(stream) or rng(seed, stream))
+        sampler_mod._thread_state.normals = None
+        last = None
+        for call in self.CALLS:
+            H, n, count, seed, first = call
+            drawn = len(rekeys)
+            got = sample_fbm(H, n, SamplerConfig(seed=seed, stream=first), count).values
+            held = last is not None and last[1:] == call[1:] and count <= sampler_mod.block_size(n)
+            assert len(rekeys) - drawn == (0 if held else count), call
+            assert np.array_equal(got, _on_fresh_thread(*call)), call
+            last = call
+
+    def test_block_past_scratch_leaves_no_entry(self):
+        import fbmvar.sampler as sampler_mod
+
+        sample_fbm(0.3, 64, SamplerConfig(seed=1), 4)
+        assert sampler_mod._thread_state.normals is not None
+        sample_fbm(0.3, 64, SamplerConfig(seed=1), sampler_mod.block_size(64) + 1)
+        assert sampler_mod._thread_state.normals is None
+
+
 class TestReproducibility:
     @pytest.mark.parametrize("method", ["circulant"])
     def test_bit_identical(self, method):

@@ -15,8 +15,13 @@ def load_script(name):
 
 def test_bench_sampler_times_every_layer():
     # the script calls sampler._block_normals/_block_fgn/_block_paths and harness._replica_values
-    out = load_script("bench_sampler").layer_times(128, calls=1, runs=1)
+    script = load_script("bench_sampler")
     times = ("rekey_normals_us", "synthesis_us", "assembly_us", "statistic_us", "limit_us", "layers_sum_us", "block_us")
-    assert set(out) == {"block", "block_minflt", *times}
-    assert out["block"] == 64
-    assert all(out[name] > 0 for name in times), out
+    for n in script.GRID_SIZES:
+        out = script.layer_times(n, calls=2, runs=3)
+        assert set(out) == {"block", "block_minflt", *times}
+        assert out["block"] == 8192 // n
+        assert all(out[name] > 0 for name in times), out
+        # drawing normals costs 20 to 30 times the limit; a draw that returned
+        # the thread's held normals instead would cost a small share of it
+        assert out["rekey_normals_us"] > out["limit_us"], (n, out)
