@@ -12,8 +12,9 @@ and reports microseconds per replica (a block's time divided by B):
   without drawing;
 - `synthesis_us`: `_block_fgn` on stored normals, the half-spectrum products
   and the one inverse FFT along the rows;
-- `assembly_us`: `_block_paths` on stored increments, the cumulative sum into
-  a new path array and the `FbmPath` validation;
+- `assembly_us`: what `sample_fbm` does with a block's stored increments,
+  the cumulative sum into a new path array, freezing it and the `FbmPath`
+  validation;
 - `statistic_us`: `evaluate_statistic` on a stored block;
 - `limit_us`: `limit_functional` on a stored block;
 - `layers_sum_us`: the sum of the five;
@@ -44,6 +45,7 @@ import numpy as np
 
 from fbmvar import (
     ExperimentPlan,
+    FbmPath,
     SamplerConfig,
     StatForm,
     StatisticSpec,
@@ -88,17 +90,24 @@ def faults_per_call(fn, calls):
 def layer_times(n, calls, runs):
     block = harness.block_size(n)
     h = builtin(SPEC.weight)
-    # copies: both calls return this thread's scratch buffers, which the next draw overwrites
+    # copies: both calls return views of this thread's workspace, which the next draw overwrites
     z = sampler_mod._block_normals(SEED, 0, block, n).copy()
     fgn = sampler_mod._block_fgn(HURST, n, z).copy()
     path = sample_fbm(HURST, n, SamplerConfig(seed=SEED), block)
     # two whole blocks, which alternate in the thread's one remembered draw
     plan = ExperimentPlan(hurst=HURST, spec=SPEC, n_ladder=(n,), replicas=2 * block, seed=SEED)
     streams = itertools.count(block, block)
+
+    def assemble():
+        values = np.zeros((block, n + 1))
+        np.cumsum(fgn, axis=1, out=values[:, 1:])
+        values.flags.writeable = False
+        return FbmPath(hurst=path.hurst, values=values)
+
     per_block = {
         "rekey_normals_us": lambda: sampler_mod._block_normals(SEED, next(streams), block, n),
         "synthesis_us": lambda: sampler_mod._block_fgn(HURST, n, z),
-        "assembly_us": lambda: sampler_mod._block_paths(path.hurst, fgn),
+        "assembly_us": assemble,
         "statistic_us": lambda: evaluate_statistic(path, h, SPEC),
         "limit_us": lambda: limit_functional(path, h, SPEC),
     }

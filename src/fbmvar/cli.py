@@ -200,8 +200,7 @@ def _write_plan(out: Path, entry: PlanEntry, report: McReport, dump_paths: bool)
 
 def cmd_run(args) -> int:
     if args.threads < 1:
-        print(f"error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
-        return 2
+        raise FbmvarError(f"--threads must be >= 1, got {args.threads}")
     # every plan is built before the first group runs, so a bad one leaves no files
     entries = parse_config(args.config, seed_override=args.seed, replicas_override=args.replicas)
     out = Path(args.out)
@@ -250,8 +249,7 @@ def cmd_regimes(args) -> int:
     """Print the regime table as it is classified; more than REGIMES_MAX_ROWS rows exit 2 before any is built."""
     rows = len(args.kappas) * max(0, math.ceil((1.0 - 1e-12) / args.h_step) - 1)
     if rows > REGIMES_MAX_ROWS:
-        print(f"error: --h-step {args.h_step:g} gives {rows} rows, more than the cap of {REGIMES_MAX_ROWS}", file=sys.stderr)
-        return 2
+        raise FbmvarError(f"--h-step {args.h_step:g} gives {rows} rows, more than the cap of {REGIMES_MAX_ROWS}")
     # without --csv the CSV rows go to the null device
     with _stdout():
         for line in _regime_table(args, rows, os.devnull if args.csv is None else args.csv):

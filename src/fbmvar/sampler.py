@@ -12,11 +12,13 @@ Randomness is counter-based: row i of a block draws from a Philox generator
 keyed by (seed, stream + i), so a path depends only on its own key and never
 on the block it is drawn in or on execution order.
 
-Each thread keeps the normals, half-spectrum and inverse-FFT buffers of its
-last block between draws, so a run of blocks at one grid size allocates them
-once instead of freeing and faulting in three large buffers per block. Only
-the path array is new for each block. The normals do not depend on H, so a
+Each thread keeps one workspace: the normals, half-spectrum and inverse-FFT
+buffers of one block at its last grid size, and the key of the normals they
+hold. A run of blocks at one grid size allocates them once instead of freeing
+and faulting in three buffers per block. The normals do not depend on H, so a
 thread asked for the same block again at another H reuses the ones it holds.
+A draw of any size runs block by block through the workspace into one new
+path array, so it needs its output plus one block of memory.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -171,46 +174,38 @@ def circulant_eigenvalues(H, n: int) -> np.ndarray:
     return np.fft.fft(row).real
 
 
-def _scratch(count: int, n: int):
-    """This thread's (normals, half-spectrum, inverse FFT) buffers for `count` rows at grid size n.
+def _workspace(count: int, n: int) -> SimpleNamespace:
+    """This thread's workspace at grid size n, with rows = max(count, block_size(n)).
 
-    Blocks of up to block_size(n) rows share the buffers the thread keeps for
-    its last grid size, about 3 * 16 * max(BLOCK_POINTS, n) bytes; a larger
-    block gets buffers of its own. The thread's next draw overwrites them.
+    It holds the (rows, 2n) normals z, the (rows, n + 1) half-spectrum b, the
+    (rows, 2n) inverse FFT output synth, and `key`, the (seed, first, count)
+    of the normals in z's first rows or None. A run of blocks at one grid size
+    reuses one workspace, about 3 * 16 * max(BLOCK_POINTS, n) bytes; a call
+    at another n, or a direct `_block_fgn` call on more rows, replaces it.
     """
-    rows = block_size(n)
-    if count > rows:
-        return np.empty((count, 2 * n)), np.empty((count, n + 1), dtype=np.complex128), np.empty((count, 2 * n))
-    held = getattr(_thread_state, "scratch", None)
-    if held is None or held[0] != n:
-        held = _thread_state.scratch = (
-            n,
-            np.empty((rows, 2 * n)),
-            np.empty((rows, n + 1), dtype=np.complex128),
-            np.empty((rows, 2 * n)),
-        )
-    return tuple(buf[:count] for buf in held[1:])
+    rows = max(count, block_size(n))
+    work = getattr(_thread_state, "work", None)
+    if work is None or work.z.shape != (rows, 2 * n):
+        z, b, synth = np.empty((rows, 2 * n)), np.empty((rows, n + 1), dtype=np.complex128), np.empty((rows, 2 * n))
+        work = _thread_state.work = SimpleNamespace(z=z, b=b, synth=synth, key=None)
+    return work
 
 
 def _block_normals(seed: int, first: int, count: int, n: int) -> np.ndarray:
     """(count, 2n) standard normals; row i is the start of stream (seed, first + i).
 
-    The result is this thread's scratch buffer (see `_scratch`). A repeat of
-    the thread's last (seed, first, count, n), as the harness asks once per H
-    of a block, returns the held normals without re-keying: only this
-    function writes them. A block past the held scratch is not remembered, so
-    that thread state never keeps its buffer alive.
+    The result is a view of this thread's workspace. A repeat of the
+    workspace's key, as the harness asks once per H of a block, returns the
+    held normals without re-keying: only this function writes them.
     """
-    key = (seed, first, count, n)
-    held = getattr(_thread_state, "normals", None)
-    if held is not None and held[0] == key:
-        return held[1]
-    _thread_state.normals = None
-    z = _scratch(count, n)[0]
-    for i in range(count):
-        _rng(seed, first + i).standard_normal(out=z[i])
-    if count <= block_size(n):
-        _thread_state.normals = (key, z)
+    work = _workspace(count, n)
+    z = work.z[:count]
+    key = (seed, first, count)
+    if work.key != key:
+        work.key = None  # a draw cut short leaves no key on half-written normals
+        for i in range(count):
+            _rng(seed, first + i).standard_normal(out=z[i])
+        work.key = key
     return z
 
 
@@ -219,35 +214,35 @@ def _block_fgn(h: float, n: int, z: np.ndarray) -> np.ndarray:
 
     Row i's 2n normals fill its Hermitian half-spectrum b_0..b_n: z_0 and z_1
     the real DC and Nyquist terms, (z_{2j}, z_{2j+1}) the conjugated b_j. The
-    result is a view of this thread's scratch buffer (see `_scratch`).
+    result is a view of this thread's workspace.
     """
     h0, hn, coef = _circulant_coeffs(h, n)
-    _, b, synth = _scratch(z.shape[0], n)
+    count = z.shape[0]
+    work = _workspace(count, n)
+    b = work.b[:count]
     np.multiply(z[:, 2:], coef, out=b.view(np.float64)[:, 2 : 2 * n])
     b[:, 0] = h0 * z[:, 0]
     b[:, n] = hn * z[:, 1]
-    return np.fft.irfft(b, 2 * n, axis=1, norm="forward", out=synth)[:, :n]
+    return np.fft.irfft(b, 2 * n, axis=1, norm="forward", out=work.synth[:count])[:, :n]
 
 
 def sample_fbm(H, n: int, config: SamplerConfig, count: int = 1) -> FbmPath:
-    """A block of `count` exact fBm paths on {k/n}; row i is stream (seed, config.stream + i)'s path."""
+    """A block of `count` exact fBm paths on {k/n}; row i is stream (seed, config.stream + i)'s path.
+
+    The paths are drawn block_size(n) rows at a time into one new read-only
+    array, which `FbmPath` keeps without a copy.
+    """
     hurst = as_hurst(H)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    first = int(config.stream)
+    seed, first = int(config.seed), int(config.stream)
     if count < 1 or first + count > _MAX_UINT64:
         raise ValueError(f"streams {first}..{first + count - 1} must be nonempty and below 2^64")
-    return _block_paths(hurst, _block_fgn(hurst.value, n, _block_normals(int(config.seed), first, count, n)))
-
-
-def _block_paths(hurst: HurstIndex, fgn: np.ndarray) -> FbmPath:
-    """The block of paths whose rows start at 0 and have the rows of fgn as increments.
-
-    The path array is new and read-only, so `FbmPath` keeps it without a copy.
-    """
-    count, n = fgn.shape
     values = np.zeros((count, n + 1))
-    np.cumsum(fgn, axis=1, out=values[:, 1:])
+    rows = block_size(n)
+    for r0 in range(0, count, rows):
+        z = _block_normals(seed, first + r0, min(rows, count - r0), n)
+        np.cumsum(_block_fgn(hurst.value, n, z), axis=1, out=values[r0 : r0 + rows, 1:])
     values.flags.writeable = False
     return FbmPath(hurst=hurst, values=values)
 

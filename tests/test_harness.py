@@ -310,7 +310,7 @@ class TestPathGroups:
         rekeys = []
         rng = sampler._rng
         monkeypatch.setattr(sampler, "_rng", lambda seed, stream: rekeys.append(stream) or rng(seed, stream))
-        sampler._thread_state.normals = None
+        sampler._thread_state.work = None
         first, second = GROUP_CASES["two_hursts"]
         PathGroups([first, second]).report(second, threads=1)
         assert len(rekeys) == first.replicas * len(first.n_ladder)

@@ -53,8 +53,8 @@ class TestFbmPathType:
 
 class TestBufferOwnership:
     def test_path_survives_later_draws(self):
-        # later draws at the same and other (H, n, count), including a block
-        # larger than block_size(n), reuse the thread's buffers but not the path's
+        # later draws at the same and other (H, n, count), including one of
+        # more than block_size(n) paths, reuse the thread's workspace but not the path's
         path = sample_fbm(0.3, 64, SamplerConfig(seed=1, stream=0), 4)
         kept = path.values.copy()
         for H, n, count, stream in ((0.3, 64, 4, 9), (0.3, 64, 1, 2), (0.3, 256, 3, 0), (0.7, 64, 4, 0), (0.3, 64, 500, 0)):
@@ -88,7 +88,7 @@ def _on_fresh_thread(H, n, count, seed, first):
 class TestNormalsMemo:
     # (H, n, count, seed, first stream): the first six calls each change one of
     # them, in turn, and the rest jump back; a call that changes only H, or
-    # nothing, finds its normals held unless its block is past the scratch
+    # nothing, finds its normals held unless it spans more than one block
     CALLS = (
         (0.3, 64, 4, 1, 0),
         (0.7, 64, 4, 1, 0),
@@ -109,7 +109,7 @@ class TestNormalsMemo:
         rekeys = []
         rng = sampler_mod._rng
         monkeypatch.setattr(sampler_mod, "_rng", lambda seed, stream: rekeys.append(stream) or rng(seed, stream))
-        sampler_mod._thread_state.normals = None
+        sampler_mod._thread_state.work = None
         last = None
         for call in self.CALLS:
             H, n, count, seed, first = call
@@ -120,13 +120,13 @@ class TestNormalsMemo:
             assert np.array_equal(got, _on_fresh_thread(*call)), call
             last = call
 
-    def test_block_past_scratch_leaves_no_entry(self):
+    def test_draw_past_one_block_holds_one_block(self):
         import fbmvar.sampler as sampler_mod
 
-        sample_fbm(0.3, 64, SamplerConfig(seed=1), 4)
-        assert sampler_mod._thread_state.normals is not None
-        sample_fbm(0.3, 64, SamplerConfig(seed=1), sampler_mod.block_size(64) + 1)
-        assert sampler_mod._thread_state.normals is None
+        block = sampler_mod.block_size(64)
+        sample_fbm(0.3, 64, SamplerConfig(seed=1), 10 * block + 1)
+        work = sampler_mod._thread_state.work
+        assert [buf.shape[0] for buf in (work.z, work.b, work.synth)] == [block] * 3
 
 
 class TestReproducibility:
@@ -162,8 +162,12 @@ class TestGuards:
             sample_fbm(0.3, 4, SamplerConfig(seed=0, stream=0), 0)
         with pytest.raises(ValueError):
             sample_fbm(0.3, 4, SamplerConfig(seed=0, stream=2**64 - 2), 3)
-        last = sample_fbm(0.3, 4, SamplerConfig(seed=0, stream=2**64 - 2), 2).values[1]
-        assert np.array_equal(last, sample_fbm(0.3, 4, SamplerConfig(seed=0, stream=2**64 - 1)).values[0])
+        # the top streams of one block, and of three at n = 2048 (block_size 4, the last block partial)
+        for n, count in ((4, 2), (2048, 10)):
+            first = 2**64 - count
+            rows = sample_fbm(0.3, n, SamplerConfig(seed=0, stream=first), count).values
+            for i, row in enumerate(rows):
+                assert np.array_equal(row, sample_fbm(0.3, n, SamplerConfig(seed=0, stream=first + i)).values[0]), (n, i)
 
     def test_seed_range(self):
         with pytest.raises(ValueError):
