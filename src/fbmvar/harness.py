@@ -192,10 +192,10 @@ def _run_group(plans: Sequence[ExperimentPlan], threads: int) -> dict:
             records[plan].append(_record(plan, n, vals))
     reports = {}
     for plan, recs in records.items():
-        fit = None
-        ys = [rate_target(plan.spec, rec) for rec in recs]
-        if len(recs) >= 3 and all(y > 0 for y in ys):
-            fit = fit_rate([rec.n for rec in recs], ys)
+        try:
+            fit = fit_rate([rec.n for rec in recs], [rate_target(plan.spec, rec) for rec in recs])
+        except DegenerateFit:
+            fit = None
         reports[plan] = McReport(records=tuple(recs), rate_fit=fit)
     return reports
 
@@ -258,8 +258,8 @@ def fit_rate(ns: Sequence[float], errors: Sequence[float]) -> RateFit:
     errors = np.asarray(errors, dtype=np.float64)
     if ns.shape != errors.shape or ns.size < 3:
         raise DegenerateFit(f"need >= 3 matched points, got {ns.size} and {errors.size}")
-    if np.any(errors <= 0.0):
-        raise DegenerateFit("all errors must be positive for a log-log fit")
+    if not np.all(np.isfinite(errors) & (errors > 0.0)):
+        raise DegenerateFit("all errors must be finite and positive for a log-log fit")
     x = np.log(ns)
     y = np.log(errors)
     slope, intercept = np.polyfit(x, y, 1)

@@ -1,5 +1,9 @@
 """Registry of weight functions with analytic derivatives up to order six.
 
+Two rules derive every table: h = p(x) exp(-a x^2), a = 0 for a polynomial
+and 1 for the Gaussian bump, has derivatives p_i(x) exp(-a x^2) with p_0 = p
+and p_{i+1} = p_i' - 2a x p_i; sin and cos follow their 4-cycle.
+
 Every registered weight is a polynomial or a bounded smooth function, so
 every derivative composed with a Gaussian random variable has finite moments
 of all orders; each weight's `growth_bound` certifies that, and the limit
@@ -49,46 +53,35 @@ class WeightFunction:
         return self.evaluators[order]
 
 
-def _const(c: float) -> Callable:
-    return lambda x: np.full_like(np.asarray(x, dtype=np.float64), c)
+def _poly(coeffs: tuple, a: float = 0.0) -> Callable:
+    """x -> p(x) exp(-a x^2) by Horner from p's leading coefficient (coefficients in increasing degree order)."""
 
-
-def _poly(*coeffs: float) -> Callable:
-    # coeffs in increasing degree order
     def f(x):
         x = np.asarray(x, dtype=np.float64)
-        out = np.zeros_like(x)
-        for c in reversed(coeffs):
+        out = np.full_like(x, coeffs[-1])
+        for c in coeffs[-2::-1]:
             out = out * x + c
-        return out
-
-    return f
-
-
-def _gauss_bump_deriv(poly_coeffs) -> Callable:
-    # p(x) * exp(-x^2) with p given in increasing degree order
-    p = _poly(*poly_coeffs)
-
-    def f(x):
-        x = np.asarray(x, dtype=np.float64)
-        return p(x) * np.exp(-x * x)
+        return out * np.exp(-a * x * x) if a else out
 
     return f
 
 
 # Plain tuples, not numpy.polynomial: importing it would add about 0.8 MB of
 # peak RSS and 5-18 ms to every process start.
-def _derivative(coeffs: tuple) -> tuple:
-    """Coefficients of p' from those of p, both in increasing degree order."""
-    return tuple(k * c for k, c in enumerate(coeffs))[1:] or (0.0,)
+def _next(coeffs: tuple, a: float) -> tuple:
+    """q = p' - 2a x p, so that (p e^{-a x^2})' = q e^{-a x^2}."""
+    dp = tuple(k * c for k, c in enumerate(coeffs))[1:] or (0.0,)
+    if not a:
+        return dp
+    return tuple(d - 2.0 * a * c for d, c in zip_longest(dp, (0.0,) + coeffs, fillvalue=0.0))
 
 
-def _polynomial(coeffs: tuple) -> Tuple[Callable, ...]:
-    """h and its derivatives for h with coefficients in increasing degree order."""
+def _table(coeffs: tuple, a: float = 0.0) -> Tuple[Callable, ...]:
+    """h = p(x) exp(-a x^2) and its derivatives p_i(x) exp(-a x^2), p_0 = p and p_{i+1} = _next(p_i, a)."""
     out = []
     for _ in range(MAX_ORDER + 1):
-        out.append(_const(coeffs[0]) if len(coeffs) == 1 else _poly(*coeffs))
-        coeffs = _derivative(coeffs)
+        out.append(_poly(coeffs, a))
+        coeffs = _next(coeffs, a)
     return tuple(out)
 
 
@@ -104,26 +97,16 @@ def _trig(phase: int) -> Tuple[Callable, ...]:
     return tuple(_TRIG_CYCLE[(phase + i) % 4] for i in range(MAX_ORDER + 1))
 
 
-def _gauss_bump() -> Tuple[Callable, ...]:
-    """exp(-x^2) and its derivatives p_i(x) exp(-x^2), with p_0 = 1 and p_{i+1} = p_i' - 2x p_i."""
-    p = (1.0,)
-    out = []
-    for _ in range(MAX_ORDER + 1):
-        out.append(_gauss_bump_deriv(p))
-        p = tuple(a - 2.0 * b for a, b in zip_longest(_derivative(p), (0.0,) + p, fillvalue=0.0))
-    return tuple(out)
-
-
 _BUILTINS = {
     wid: WeightFunction(id=wid, evaluators=evaluators, growth_bound=bound)
     for wid, evaluators, bound in (
-        ("one", _polynomial((1.0,)), (1.0, 0)),
-        ("x", _polynomial((0.0, 1.0)), (1.0, 1)),
-        ("x2", _polynomial((0.0, 0.0, 1.0)), (2.0, 2)),
-        ("x3", _polynomial((0.0, 0.0, 0.0, 1.0)), (6.0, 3)),
+        ("one", _table((1.0,)), (1.0, 0)),
+        ("x", _table((0.0, 1.0)), (1.0, 1)),
+        ("x2", _table((0.0, 0.0, 1.0)), (2.0, 2)),
+        ("x3", _table((0.0, 0.0, 0.0, 1.0)), (6.0, 3)),
         ("sin", _trig(0), (1.0, 0)),
         ("cos", _trig(1), (1.0, 0)),
-        ("exp_neg_x2", _gauss_bump(), (130.0, 0)),
+        ("exp_neg_x2", _table((1.0,), a=1.0), (130.0, 0)),
     )
 }
 

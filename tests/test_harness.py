@@ -461,3 +461,7 @@ class TestFitRate:
             fit_rate([10, 100, 1000], [1.0, 0.0, 0.1])
         with pytest.raises(DegenerateFit):
             fit_rate([10, 100, 1000], [1.0, -0.5, 0.1])
+        with pytest.raises(DegenerateFit):
+            fit_rate([16, 32, 64], [1.0, np.nan, 2.0])
+        with pytest.raises(DegenerateFit):
+            fit_rate([16, 32, 64], [1.0, np.inf, 2.0])

@@ -20,7 +20,7 @@ from fbmvar import (
 )
 from fbmvar.kernels import increment_autocov_seq
 from fbmvar.sampler import _block_fgn, circulant_eigenvalues, dump_path
-from oracles import reference_cholesky_path, reference_circulant_path
+from oracles import _cholesky_factor, cov_scalar, reference_cholesky_path, reference_circulant_path
 
 # Seeds and streams at both ends of the 64-bit key words and at the acceptance seed.
 KEY_WORDS = (0, 1, 20080612, 2**64 - 1)
@@ -332,9 +332,11 @@ class TestCacheBound:
 class TestCholeskyFactor:
     @pytest.mark.parametrize("n", [16, 64, 256])
     def test_reconstruction_across_h(self, n):
+        # the factor behind reference_cholesky_path against R_H from the scalar oracle
+        t = np.arange(1, n + 1) / n
         for h in (0.1, 0.25, 0.5, 0.75, 0.9):
-            sigma = covariance_matrix(h, n)[1:, 1:]
-            factor = np.linalg.cholesky(sigma)
+            factor = _cholesky_factor(h, n)
+            sigma = cov_scalar(h, t[:, None], t[None, :])
             assert np.max(np.abs(factor @ factor.T - sigma)) < 1e-10
 
 
