@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -186,8 +187,18 @@ def _write_dat(path: Path, plan: ExperimentPlan, report: McReport) -> None:
 
 
 def _write_plan(out: Path, entry: PlanEntry, report: McReport, dump_paths: bool) -> None:
-    """The plan's .csv, .json and .dat, and with dump_paths its replica-0 path per grid size."""
+    """The plan's .csv, .json and .dat, and with dump_paths its replica-0 path per grid size.
+
+    A record value that overflowed float64 (inf or NaN, which JSON cannot
+    hold) is an FbmvarError naming the plan and its kappa, before any file.
+    """
     plan = entry.plan
+    for rec in report.records:
+        bad = [f"{f} = {getattr(rec, f)}" for f in _STAT_FIELDS if not math.isfinite(getattr(rec, f))]
+        if bad:
+            raise FbmvarError(
+                f"plan [{entry.name}]: kappa = {plan.spec.kappa} overflows float64 at n = {rec.n} ({', '.join(bad)})"
+            )
     _write_csv(out / f"{entry.out_stem}.csv", plan, report)
     _write_json(out / f"{entry.out_stem}.json", entry.name, plan, report)
     _write_dat(out / f"{entry.out_stem}.dat", plan, report)
@@ -209,10 +220,13 @@ def cmd_run(args) -> int:
     except OSError as exc:
         raise OutputError(f"--out {args.out}: {exc.strerror}") from exc
     groups = PathGroups([entry.plan for entry in entries])
-    for entry in entries:
-        runner = run_clt_diagnostics if FORMS[entry.plan.spec.form].limit is None else run_l2_experiment
-        report = runner(entry.plan, threads=args.threads, groups=groups)
-        _write_plan(out, entry, report, args.dump_paths)
+    # an overflow ends as a record that is not finite, which _write_plan reports by plan
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for entry in entries:
+            runner = run_clt_diagnostics if FORMS[entry.plan.spec.form].limit is None else run_l2_experiment
+            report = runner(entry.plan, threads=args.threads, groups=groups)
+            _write_plan(out, entry, report, args.dump_paths)
     return 0
 
 

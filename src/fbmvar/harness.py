@@ -98,8 +98,9 @@ def _replica_values(weights: dict, n: int, threads: int, block: int) -> dict:
     of `block` paths is drawn once per H, in the order the plans first name
     it, and every plan at that H evaluates its statistic on all of its rows;
     the sampler reuses the block's normals after the first H. Workers are
-    capped by the cores this process may run on and by the block count: more
-    threads than that only add switching cost.
+    capped by the cores this process may run on (the CPU count where the OS
+    has no `sched_getaffinity`) and by the block count: more threads than that
+    only add switching cost.
     """
     seed, method, _, replicas = _path_key(next(iter(weights)))
     outs = {plan: np.empty((replicas, 2), dtype=np.float64) for plan in weights}
@@ -118,7 +119,8 @@ def _replica_values(weights: dict, n: int, threads: int, block: int) -> dict:
                 out[:, 0] = evaluate_statistic(path, h, plan.spec)
                 out[:, 1] = limit_functional(path, h, plan.spec) if FORMS[plan.spec.form].limit is not None else 0.0
 
-    workers = min(threads, len(os.sched_getaffinity(0)), len(starts))
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(threads, cores, len(starts))
     if workers <= 1:
         for r0 in starts:
             work(r0)
@@ -138,8 +140,11 @@ def _sample_moments(x: np.ndarray):
     m4 = float(np.mean(centered**4))
     var = m2 * r / (r - 1)
     if m2 > 0.0:
-        skew = m3 / m2**1.5
-        exkurt = m4 / m2**2 - 3.0
+        try:
+            skew = m3 / m2**1.5
+            exkurt = m4 / m2**2 - 3.0
+        except OverflowError:  # m2 past the square root of the float64 range
+            skew = exkurt = math.nan
     else:
         skew = 0.0
         exkurt = 0.0

@@ -1,9 +1,9 @@
 """Closed-form Gaussian kernels for fractional Brownian motion on the unit grid.
 
 Everything here is a pure function of (H, integer indices): the fBm covariance
-R_H(s,t) = (t^{2H} + s^{2H} - |t-s|^{2H})/2, the normalized increment
-autocovariance rho_H(p), the two discrete inner products that appear in the
-integration-by-parts expansions and standard Gaussian moments.
+R_H(s,t) = (t^{2H} + s^{2H} - |t-s|^{2H})/2 and the normalized increment
+autocovariance rho_H(p), each elementwise on scalars or arrays, the two discrete
+inner products of the integration-by-parts expansions and Gaussian moments.
 """
 
 from __future__ import annotations
@@ -49,28 +49,28 @@ class GridIndexPair:
             raise ValueError(f"indices must lie in [0, {self.n - 1}], got k={self.k}, ell={self.ell}")
 
 
-def covariance(H, s: float, t: float) -> float:
-    """fBm covariance R_H(s, t) = (t^{2H} + s^{2H} - |t-s|^{2H}) / 2."""
+def covariance(H, s, t):
+    """fBm covariance R_H(s, t) = (t^{2H} + s^{2H} - |t-s|^{2H}) / 2, elementwise for scalars or arrays."""
     two_h = 2.0 * as_hurst(H).value
     return 0.5 * (abs(t) ** two_h + abs(s) ** two_h - abs(t - s) ** two_h)
 
 
-def increment_autocov(H, p: int) -> float:
-    """Autocovariance rho_H(p) of unit-variance fGn at integer lag p.
+def increment_autocov(H, p):
+    """Autocovariance rho_H(p) of unit-variance fGn at integer lag p, elementwise for scalars or arrays.
 
     rho_H(p) = (|p+1|^{2H} + |p-1|^{2H} - 2|p|^{2H}) / 2; rho_H(0) = 1 and
-    rho vanishes at all nonzero lags when H = 1/2.
+    rho vanishes at all nonzero lags when H = 1/2. A non-integer lag is a ValueError.
     """
     two_h = 2.0 * as_hurst(H).value
-    q = abs(int(p))
-    return 0.5 * (abs(q + 1) ** two_h + abs(q - 1) ** two_h - 2.0 * abs(q) ** two_h)
+    if np.any(p % 1 != 0):
+        raise ValueError(f"lags must be integers, got {p!r}")
+    q = abs(p)
+    return 0.5 * ((q + 1) ** two_h + abs(q - 1) ** two_h - 2.0 * q**two_h)
 
 
 def increment_autocov_seq(H, max_lag: int) -> np.ndarray:
     """Vector of rho_H(p) for p = 0 .. max_lag."""
-    two_h = 2.0 * as_hurst(H).value
-    p = np.arange(max_lag + 1, dtype=np.float64)
-    return 0.5 * ((p + 1.0) ** two_h + np.abs(p - 1.0) ** two_h - 2.0 * p**two_h)
+    return increment_autocov(H, np.arange(max_lag + 1, dtype=np.float64))
 
 
 def eps_delta_inner(H, pair: GridIndexPair) -> float:
@@ -98,16 +98,14 @@ def delta_delta_inner(H, pair: GridIndexPair) -> float:
 def covariance_matrix(H, n: int) -> np.ndarray:
     """(n+1) x (n+1) matrix [R_H(j/n, k/n)] over the full grid including 0."""
     t = np.arange(n + 1, dtype=np.float64) / n
-    two_h = 2.0 * as_hurst(H).value
-    pw = t**two_h
-    return 0.5 * (pw[:, None] + pw[None, :] - np.abs(t[:, None] - t[None, :]) ** two_h)
+    return covariance(H, t[:, None], t)
 
 
 def gaussian_moment(kappa: int) -> float:
-    """kappa-th moment of a standard Gaussian: 0 for odd, (kappa-1)!! for even."""
+    """kappa-th moment of a standard Gaussian: 0 for odd, (kappa-1)!! for even, inf past float64 (kappa >= 302)."""
     k = int(kappa)
     if k < 0:
         raise ValueError(f"moment order must be >= 0, got {kappa}")
     if k % 2 == 1:
         return 0.0
-    return float(math.prod(range(1, k, 2)))
+    return float(math.prod(range(1, k, 2))) if k < 302 else math.inf  # 299!! < DBL_MAX < 301!!

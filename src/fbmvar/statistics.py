@@ -147,7 +147,7 @@ def evaluate_statistic(path: FbmPath, h: WeightFunction, spec: StatisticSpec) ->
     """The statistic of `spec`'s form row on each path of the block; h is unused by unweighted forms."""
     row = FORMS[spec.form]
     hv = path.hurst.value
-    n = float(path.n)
+    n = np.float64(path.n)  # n^{kappa H} past float64 is inf, where a Python float raises
     left = path.left
     diff = path.values[:, 1:] - left
     # left to right, ((n^{kappa H} Delta) Delta) ...

@@ -316,12 +316,46 @@ class TestCmdRun:
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.name)
     def test_shipped_config_runs(self, config, tmp_path):
         out = tmp_path / "out"
-        assert cli.main(["run", "--config", str(config), "--out", str(out), "--replicas", "2"]) == 0
+        assert cli.main(["run", "--config", str(config), "--out", str(out), "--replicas", "4"]) == 0
         stems = [entry.out_stem for entry in cli.parse_config(config)]
         assert stems
-        for stem in stems:
-            for suffix in (".csv", ".json", ".dat"):
-                assert (out / f"{stem}{suffix}").is_file(), f"{config.name}: no {stem}{suffix}"
+        want = {f"{stem}{suffix}" for stem in stems for suffix in (".csv", ".json", ".dat")}
+        assert {p.name for p in out.iterdir()} == want, config.name
+
+    def test_threads_without_sched_getaffinity(self, tmp_path, monkeypatch):
+        # os.sched_getaffinity exists on Linux only; elsewhere the CPU count caps the workers
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = write(tmp_path, GOOD_CONFIG + "\n[blocks]\nhurst = 0.1\nkappa = 2\nweight = x2\nform = centered_quadratic\n"
+                    "n_ladder = 1024 2048\nreplicas = 12\nseed = 3\n")
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--threads", threads]) == 0
+            runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert len(runs[0]) == 9
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize(
+        "form, weight, kappa, ladder, replicas",
+        [
+            ("unweighted_centered", "one", 302, "16 32 64", 2000),  # mu_302 = 301!! is past float64
+            ("odd_weighted", "x", 301, "16 32 64", 2000),  # the limit constant's mu_302 is past float64
+            ("odd_weighted", "x", 151, "16 32 64", 2000),  # m2^2 of the sample moments is past float64
+            ("odd_weighted", "x", 299, "16 32 64", 2000),  # the statistic's sample moments are inf and NaN
+            ("odd_weighted", "x", 263, "16 8192", 2),  # n^{kappa H} is past float64 at n = 8192
+        ],
+        ids=["centered_302", "odd_301", "odd_151", "odd_299", "odd_263_n8192"],
+    )
+    def test_overflowing_kappa_exits_2_naming_the_plan(self, tmp_path, capsys, form, weight, kappa, ladder, replicas):
+        plan = f"hurst = 0.3\nkappa = {kappa}\nweight = {weight}\nform = {form}\nn_ladder = {ladder}\n"
+        cfg = write(tmp_path, f"[big]\n{plan}replicas = {replicas}\nseed = 5\n")
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: plan [big]: kappa = {kappa} overflows float64") and err.count("\n") == 1, err
+        assert list(out.iterdir()) == []
 
 
 class TestCmdRegimes:

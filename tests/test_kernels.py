@@ -1,6 +1,7 @@
 """Kernel exactness: closed forms against covariance-difference oracles."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -79,6 +80,16 @@ class TestIncrementAutocov:
         seq = increment_autocov_seq(0.3, 50)
         for p in range(51):
             assert seq[p] == pytest.approx(increment_autocov(0.3, p), rel=1e-15)
+
+    def test_elementwise_on_arrays(self):
+        lags = np.array([[-3, 0], [2, 7]])
+        want = [[increment_autocov(0.2, int(p)) for p in row] for row in lags]
+        assert increment_autocov(0.2, lags) == pytest.approx(np.array(want), rel=1e-15, abs=1e-15)
+
+    @pytest.mark.parametrize("lag", [0.5, -2.25, np.array([1.0, 1.5]), float("inf"), float("nan")])
+    def test_non_integer_lag_rejected(self, lag):
+        with pytest.raises(ValueError, match="integer"):
+            increment_autocov(0.3, lag)
 
     def test_telescoped_partial_sum(self):
         # two-sided partial sum collapses to (P+1)^{2H} - P^{2H}; for H < 1/2
@@ -169,9 +180,10 @@ class TestGridIndexPair:
 class TestIncrementPowerBound:
     @given(h=st.floats(min_value=0.01, max_value=0.5), x=st.floats(min_value=0.0, max_value=1e6))
     def test_unit_bound(self, h, x):
+        # for H <= 1/2, R_H(x, x+1) - R_H(x, x) = ((x+1)^{2H} - x^{2H} - 1)/2 lies in [-1/2, 0];
         # 1e-9 slack covers float rounding of the powers at magnitudes <= 1e6
-        g = (x + 1) ** (2 * h) - x ** (2 * h)
-        assert -1e-9 <= g <= 1.0 + 1e-9
+        g = covariance(h, x, x + 1) - covariance(h, x, x)
+        assert -0.5 - 1e-9 <= g <= 1e-9
 
 
 class TestGaussianMoment:
@@ -182,6 +194,12 @@ class TestGaussianMoment:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             gaussian_moment(-1)
+
+    def test_past_float64_is_inf(self):
+        assert math.prod(range(1, 300, 2)) < sys.float_info.max < math.prod(range(1, 302, 2))
+        assert gaussian_moment(300) == float(math.prod(range(1, 300, 2)))
+        assert gaussian_moment(302) == math.inf
+        assert gaussian_moment(303) == 0.0
 
 
 class TestHermiteCoefficients:
