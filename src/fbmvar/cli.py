@@ -324,8 +324,10 @@ def _selftest_checks():
         return None
 
     def variance_constant():
-        if abs(breuer_major_variance(0.5, 2, lag_truncation=10) - 2.0) > 1e-12:
-            return "Brownian quadratic variance constant != 2"
+        for kappa in range(2, 7):  # independent increments at H = 1/2: sigma^2 = Var(G^kappa)
+            want = kernels.gaussian_moment(2 * kappa) - kernels.gaussian_moment(kappa) ** 2
+            if abs(breuer_major_variance(0.5, kappa, lag_truncation=10) - want) > 1e-12 * want:
+                return f"Brownian variance constant at kappa={kappa} != mu_{2 * kappa} - mu_{kappa}^2 = {want}"
         return None
 
     def circulant_spectrum():

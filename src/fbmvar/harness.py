@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateFit
-from .kernels import HurstIndex, as_hurst
+from .kernels import HurstIndex, as_hurst, as_integer
 from .sampler import MAX_GRID_SIZE, SamplerConfig, block_size, sample_fbm
 from .statistics import FORMS, StatisticSpec, evaluate_statistic, limit_functional, require_form_admissible
 from .weights import builtin
@@ -46,7 +46,7 @@ class ExperimentPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "hurst", as_hurst(self.hurst))
-        ladder = tuple(int(n) for n in self.n_ladder)
+        ladder = tuple(as_integer(n, "n_ladder entry") for n in self.n_ladder)
         if not ladder or any(b <= a for a, b in zip(ladder, ladder[1:])):
             raise ValueError(f"n_ladder must be strictly increasing and nonempty, got {self.n_ladder}")
         if any(n < 1 for n in ladder):
@@ -54,9 +54,10 @@ class ExperimentPlan:
         if ladder[-1] > MAX_GRID_SIZE:
             raise ValueError(f"n_ladder entries must be at most MAX_GRID_SIZE = {MAX_GRID_SIZE}, got {ladder[-1]}")
         object.__setattr__(self, "n_ladder", ladder)
+        object.__setattr__(self, "replicas", as_integer(self.replicas, "replicas"))
         if not 2 <= self.replicas <= MAX_REPLICAS:
             raise ValueError(f"replicas must be in [2, MAX_REPLICAS = {MAX_REPLICAS}], got {self.replicas}")
-        SamplerConfig(method=self.method, seed=self.seed)  # ValueError on a bad method or seed
+        object.__setattr__(self, "seed", SamplerConfig(method=self.method, seed=self.seed).seed)  # ValueError on a bad method or seed
         require_form_admissible(self.spec.form, self.spec.kappa, self.hurst)
 
 

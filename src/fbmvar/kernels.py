@@ -34,6 +34,13 @@ def as_hurst(h) -> HurstIndex:
     return HurstIndex(float(h))
 
 
+def as_integer(value, field: str) -> int:
+    """An integral value (16, 16.0, a numpy int) as an int; anything else is a ValueError naming `field`."""
+    if isinstance(value, (int, np.integer)) or isinstance(value, (float, np.floating)) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridIndexPair:
     """A pair of increment indices (k, ell) on the grid {0, 1/n, ..., 1}."""

@@ -32,7 +32,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import EmbeddingError
-from .kernels import HurstIndex, as_hurst, increment_autocov_seq
+from .kernels import HurstIndex, as_hurst, as_integer, increment_autocov_seq
 
 # Circulant eigenvalues of the fGn embedding are nonnegative in exact
 # arithmetic; anything dipping below -EIG_TOL * max is treated as a failed
@@ -67,9 +67,11 @@ class SamplerConfig:
     def __post_init__(self):
         if self.method != METHOD_CIRCULANT:
             raise ValueError(f"method must be '{METHOD_CIRCULANT}', got {self.method!r}")
-        if not 0 <= int(self.seed) < _MAX_UINT64:
+        object.__setattr__(self, "seed", as_integer(self.seed, "seed"))
+        object.__setattr__(self, "stream", as_integer(self.stream, "stream"))
+        if not 0 <= self.seed < _MAX_UINT64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if not 0 <= int(self.stream) < _MAX_UINT64:
+        if not 0 <= self.stream < _MAX_UINT64:
             raise ValueError(f"stream must be a nonnegative 64-bit integer, got {self.stream}")
 
 
@@ -235,7 +237,7 @@ def sample_fbm(H, n: int, config: SamplerConfig, count: int = 1) -> FbmPath:
     hurst = as_hurst(H)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    seed, first = int(config.seed), int(config.stream)
+    seed, first = config.seed, config.stream
     if count < 1 or first + count > _MAX_UINT64:
         raise ValueError(f"streams {first}..{first + count - 1} must be nonempty and below 2^64")
     values = np.zeros((count, n + 1))

@@ -22,13 +22,12 @@ from enum import Enum
 import numpy as np
 
 from .errors import RegimeError
-from .kernels import as_hurst, gaussian_moment, increment_autocov_seq
+from .kernels import as_hurst, as_integer, gaussian_moment, increment_autocov_seq
 from .sampler import FbmPath
 from .weights import BUILTIN_IDS, WeightFunction
 
-# Endpoints of the theorems' H intervals, and how messages print them.
+# Endpoints of the theorems' H intervals; messages print each as its nearest fraction.
 SIXTH, QUARTER, HALF, THREE_QUARTERS = 1.0 / 6.0, 0.25, 0.5, 0.75
-_ENDPOINT_TEXT = {0.0: "0", SIXTH: "1/6", QUARTER: "1/4", HALF: "1/2", THREE_QUARTERS: "3/4"}
 
 
 def _admits(rule: tuple, kappa: int) -> bool:
@@ -108,9 +107,10 @@ class FormSpec:
 
     @property
     def h_rule(self) -> str:
+        from fractions import Fraction  # here, so that a run does not import it (and decimal)
         # H > 0, so an interval closed at 0 prints as open there
-        lo, _, hi, hi_closed = self.h_interval
-        return f"H in ({_ENDPOINT_TEXT[lo]}, {_ENDPOINT_TEXT[hi]}{']' if hi_closed else ')'}"
+        lo, hi = (Fraction(b).limit_denominator(100) for b in self.h_interval[::2])
+        return f"H in ({lo}, {hi}{']' if self.h_interval[3] else ')'}"
 
 
 FORMS = {
@@ -134,6 +134,7 @@ class StatisticSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "form", StatForm(self.form))
+        object.__setattr__(self, "kappa", as_integer(self.kappa, "kappa"))
         if self.weight not in BUILTIN_IDS:
             raise ValueError(f"unknown weight id '{self.weight}'; known ids: {', '.join(BUILTIN_IDS)}")
         row = FORMS[self.form]
@@ -241,15 +242,15 @@ DEFAULT_LAG_TRUNCATION = 1_000
 def hermite_coefficients(kappa: int) -> np.ndarray:
     """Coefficients c_q with x^kappa = sum_q c_q He_q(x) (probabilists' basis).
 
-    c_{kappa-2m} = kappa! / (2^m m! (kappa-2m)!); all other entries are zero.
+    c_kappa = 1 and c_{q-2} = c_q q(q-1) / (kappa-q+2), so c_{kappa-2m} = kappa! / (2^m m! (kappa-2m)!);
+    all other entries are zero. Past float64 an entry is inf, with no warning, from kappa = 295 on.
     """
     k = int(kappa)
     if k < 0:
         raise ValueError(f"power must be >= 0, got {kappa}")
-    c = np.zeros(k + 1)
-    for m in range(k // 2 + 1):
-        q = k - 2 * m
-        c[q] = math.factorial(k) / (2**m * math.factorial(m) * math.factorial(q))
+    c, coef = np.zeros(k + 1), 1.0
+    for q in range(k, -1, -2):
+        c[q], coef = coef, coef * q * (q - 1) / (k - q + 2)
     return c
 
 
@@ -260,7 +261,7 @@ def breuer_major_variance(H, kappa: int, lag_truncation: int = DEFAULT_LAG_TRUNC
     (mean centering) so the rank is q0 = 2 for even kappa and q0 = 1 for odd.
     Coefficients vanish above q = kappa, so the sum over q is finite. The even
     series converges only for H < 3/4 and the odd one only for H <= 1/2: the
-    cells of the two unweighted forms; RegimeError outside them.
+    cells of the two unweighted forms; RegimeError outside them. Past float64 (kappa >= 151) it is inf.
 
     The constant is the n -> infinity limit. Each lag series is summed to
     |p| <= lag_truncation and its tail added from rho_H(p) ~ H(2H-1) p^{2H-2}.
@@ -275,15 +276,14 @@ def breuer_major_variance(H, kappa: int, lag_truncation: int = DEFAULT_LAG_TRUNC
         raise ValueError(f"lag_truncation must be >= 1, got {lag_truncation}")
     form = StatForm.UNWEIGHTED_ODD if kappa % 2 else StatForm.UNWEIGHTED_CENTERED
     require_form_admissible(form, kappa, hv)
-    c = hermite_coefficients(kappa)
+    c = hermite_coefficients(kappa).tolist()  # Python floats: a product past float64 is inf, with no warning
     rho = increment_autocov_seq(hv, lag_truncation)
     # rank 1 (c_1 = 0 for even kappa): the limit of the telescoped lag sum
-    total = c[1] ** 2 if _near(hv, HALF) else 0.0
+    total = c[1] * c[1] if _near(hv, HALF) else 0.0
     # ranks q >= 2: sum_{p > P} rho^q ~ (H(2H-1))^q (P + 1/2)^{1-a} / (a - 1), a = q(2 - 2H)
-    edge = lag_truncation + 0.5
     for q in range(3 if kappa % 2 else 2, kappa + 1, 2):
         a = q * (2.0 - 2.0 * hv)
-        tail = (hv * (2.0 * hv - 1.0)) ** q * edge ** (1.0 - a) / (a - 1.0)
-        lag_sum = rho[0] ** q + 2.0 * (float(np.sum(rho[1:] ** q)) + tail)
-        total += math.factorial(q) * c[q] ** 2 * lag_sum
+        tail = (hv * (2.0 * hv - 1.0)) ** q * (lag_truncation + 0.5) ** (1.0 - a) / (a - 1.0)
+        lag_sum = 1.0 + 2.0 * (float(np.sum(rho[1:] ** q)) + tail)  # rho_H(0) = 1
+        total += c[q] * c[q] * math.prod(range(2, q + 1), start=1.0) * lag_sum  # q! c_q^2 lag_sum
     return total

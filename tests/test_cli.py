@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fbmvar import cli, harness
+from fbmvar import cli, harness, sampler
 from fbmvar.errors import DegenerateFit
 
 GOOD_CONFIG = """
@@ -317,10 +317,21 @@ class TestCmdRun:
     def test_shipped_config_runs(self, config, tmp_path):
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(config), "--out", str(out), "--replicas", "4"]) == 0
-        stems = [entry.out_stem for entry in cli.parse_config(config)]
+        entries = cli.parse_config(config)
+        stems = [entry.out_stem for entry in entries]
         assert stems
         want = {f"{stem}{suffix}" for stem in stems for suffix in (".csv", ".json", ".dat")}
         assert {p.name for p in out.iterdir()} == want, config.name
+        # at 130 replicas every rung has at least 2 blocks, so 2 threads share each rung
+        assert all(130 > sampler.block_size(n) for entry in entries for n in entry.plan.n_ladder)
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"dump{threads}"
+            args = ["run", "--config", str(config), "--out", str(out), "--replicas", "130", "--dump-paths"]
+            assert cli.main([*args, "--threads", threads]) == 0
+            runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert set(runs[0]) > want
+        assert runs[0] == runs[1], config.name
 
     def test_threads_without_sched_getaffinity(self, tmp_path, monkeypatch):
         # os.sched_getaffinity exists on Linux only; elsewhere the CPU count caps the workers

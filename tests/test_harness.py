@@ -56,6 +56,22 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="n_ladder"):
             l2_plan(ladder=(16, sampler.MAX_GRID_SIZE + 1))
 
+    def test_counts_must_be_integral(self):
+        # an integral float or a numpy int is stored as an int; anything else names its field
+        plan = l2_plan(ladder=(16.0, np.int64(32), 64), replicas=np.int32(8), seed=5.0)
+        assert (plan.n_ladder, plan.replicas, plan.seed) == ((16, 32, 64), 8, 5)
+        assert all(type(v) is int for v in (*plan.n_ladder, plan.replicas, plan.seed))
+        for kwargs, field in (
+            ({"ladder": (16.7, 32.2, 64.9)}, "n_ladder entry"),
+            ({"ladder": (16, math.inf)}, "n_ladder entry"),
+            ({"replicas": 8.5}, "replicas"),
+            ({"replicas": math.nan}, "replicas"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": math.inf}, "seed"),
+        ):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                l2_plan(**kwargs)
+
 
 class TestRunL2Experiment:
     def test_report_shape(self):

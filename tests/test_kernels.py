@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -216,6 +217,31 @@ class TestHermiteCoefficients:
             expect = gaussian_moment(2 * kappa) - gaussian_moment(kappa) ** 2
             assert total == pytest.approx(expect, rel=1e-12)
 
+    def test_closed_form(self):
+        # c_{kappa-2m} = kappa! / (2^m m! (kappa-2m)!); through kappa = 27 every
+        # product of the recurrence fits in 53 bits, so each entry is exact
+        for kappa in range(0, 60):
+            c = hermite_coefficients(kappa)
+            for m in range(kappa // 2 + 1):
+                q = kappa - 2 * m
+                want = math.factorial(kappa) // (2**m * math.factorial(m) * math.factorial(q))
+                assert c[q] == pytest.approx(want, rel=1e-13), (kappa, q)
+                assert c[q] == want or kappa > 27, (kappa, q)
+            assert not c[(kappa + 1) % 2 :: 2].any()
+
+    def test_constant_term_is_the_gaussian_moment(self):
+        # He_q has mean zero for q >= 1, so c_0 = E[G^kappa]
+        for kappa in range(0, 27, 2):
+            assert hermite_coefficients(kappa)[0] == gaussian_moment(kappa), kappa
+
+    def test_past_float64_is_inf_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kappa in range(0, 2001):
+                c = hermite_coefficients(kappa)
+                assert not np.isnan(c).any() and np.all(c >= 0), kappa
+                assert np.isinf(c).any() == (kappa >= 295), kappa
+
 
 class TestBreuerMajorVariance:
     def test_brownian_quadratic_constant(self):
@@ -294,6 +320,17 @@ class TestBreuerMajorVariance:
             assert v >= prev
             prev = v
         assert breuer_major_variance(h, 4, lag_truncation=100) >= 0.0
+
+    def test_past_float64_is_inf_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(breuer_major_variance(0.3, 150))
+            for kappa in (151, 152, 170, 171, 300, 2000):
+                assert breuer_major_variance(0.3, kappa) == math.inf, kappa
+            for kappa in range(2, 2001, 37):
+                for h in (0.1, 0.5, 0.7) if kappa % 2 == 0 else (0.1, 0.5):
+                    v = breuer_major_variance(h, kappa, lag_truncation=10)
+                    assert v > 0 and (v == math.inf) == (kappa >= 151), (kappa, h)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -175,6 +175,14 @@ class TestGuards:
         with pytest.raises(ValueError):
             SamplerConfig(seed=2**64, stream=0)
 
+    def test_integral_seed_and_stream_stored_as_int(self):
+        config = SamplerConfig(seed=np.uint64(2**64 - 1), stream=3.0)
+        assert (config.seed, config.stream) == (2**64 - 1, 3)
+        assert type(config.seed) is int and type(config.stream) is int
+        for field, bad in itertools.product(("seed", "stream"), (1.5, math.inf, math.nan, np.float64(2.5), "1")):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                SamplerConfig(**{field: bad})
+
 
 class TestCirculantSpectrum:
     def test_nonnegative_across_h_and_n(self):

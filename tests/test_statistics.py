@@ -1,6 +1,8 @@
 """Statistics against term-by-term transcriptions of the displayed formulas."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -304,6 +306,14 @@ class TestStatisticSpecValidation:
         with pytest.raises(ValueError):
             StatisticSpec(kappa=3, weight="x2", form=StatForm.MIXING_NORMALIZED)
 
+    def test_kappa_must_be_integral(self):
+        spec = StatisticSpec(kappa=2.0, weight="x2", form=StatForm.CENTERED_QUADRATIC)
+        assert spec.kappa == 2 and type(spec.kappa) is int
+        assert type(StatisticSpec(np.int64(3), "x", StatForm.ODD_WEIGHTED).kappa) is int
+        for bad in (2.5, math.inf, math.nan, np.float64(3.5)):
+            with pytest.raises(ValueError, match="kappa must be an integer"):
+                StatisticSpec(kappa=bad, weight="x", form=StatForm.ODD_WEIGHTED)
+
     def test_unweighted_forms_require_weight_one(self):
         for form, kappa in ((StatForm.UNWEIGHTED_CENTERED, 2), (StatForm.UNWEIGHTED_ODD, 3)):
             StatisticSpec(kappa=kappa, weight="one", form=form)
@@ -465,13 +475,35 @@ class TestFormAdmissibility:
         with pytest.raises(RegimeError):
             require_form_admissible(StatForm.MIXING_NORMALIZED, 2, 0.2)
 
-    def test_error_text_names_the_interval(self):
+    def test_error_text_names_the_interval(self, monkeypatch):
         with pytest.raises(RegimeError, match=r"H in \(0, 1/4\)"):
             require_form_admissible(StatForm.CENTERED_QUADRATIC, 2, 0.3)
         with pytest.raises(RegimeError, match=r"H in \(1/4, 1/2\]"):
             require_form_admissible(StatForm.MIXING_NORMALIZED, 2, 0.6)
         with pytest.raises(RegimeError, match="odd kappa"):
             require_form_admissible(StatForm.ODD_WEIGHTED, 2, 0.3)
+        for form, text in (
+            (StatForm.CENTERED_QUADRATIC, "H in (0, 1/4)"),
+            (StatForm.COMPENSATED_CUBIC, "H in (0, 1/6)"),
+            (StatForm.ODD_WEIGHTED, "H in (0, 1/2)"),
+            (StatForm.UNWEIGHTED_CENTERED, "H in (0, 3/4)"),
+            (StatForm.UNWEIGHTED_ODD, "H in (0, 1/2]"),
+            (StatForm.MIXING_NORMALIZED, "H in (1/4, 1/2]"),
+        ):
+            kappa = FORMS[form].kappa[0]
+            with pytest.raises(RegimeError) as exc:
+                require_form_admissible(form, kappa, 0.9)
+            assert str(exc.value) == f"form {form.value} with kappa={kappa} requires {text}; got H=0.9"
+        # every endpoint prints as its fraction, not only those of the shipped rows
+        for interval, text in (
+            ((THREE_QUARTERS, False, 1.0, True), "H in (3/4, 1]"),
+            ((0.0, True, 1.0 / 8.0, False), "H in (0, 1/8)"),
+            ((1.0 / 12.0, False, 1.0 / 10.0, True), "H in (1/12, 1/10]"),
+        ):
+            row = dataclasses.replace(FORMS[StatForm.CENTERED_QUADRATIC], h_interval=interval)
+            monkeypatch.setitem(FORMS, StatForm.CENTERED_QUADRATIC, row)
+            with pytest.raises(RegimeError, match=re.escape(f"requires {text}; got H=0.6")):
+                require_form_admissible(StatForm.CENTERED_QUADRATIC, 2, 0.6)
 
 
 # Regimes that classify_regime may report on a cell where a row is admissible.
