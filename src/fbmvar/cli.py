@@ -61,6 +61,14 @@ _REQUIRED_KEYS = ("hurst", "kappa", "weight", "form", "n_ladder", "replicas", "s
 _KNOWN_KEYS = _REQUIRED_KEYS + ("method", "out")
 
 
+def _number(key: str, text: str):
+    """A config value as an int if it spells one (exactly: a seed keeps all 64 bits), else a float; else a ValueError naming `key`."""
+    for kind in (int, float):
+        with contextlib.suppress(ValueError):
+            return kind(text)
+    raise ValueError(f"{key} must be a number, got {text!r}")
+
+
 def parse_config(path, seed_override=None, replicas_override=None) -> list[PlanEntry]:
     """Parse an experiment config document into plans.
 
@@ -91,15 +99,13 @@ def parse_config(path, seed_override=None, replicas_override=None) -> list[PlanE
             if key not in _KNOWN_KEYS:
                 raise ConfigError(f"{where}: unknown field '{key}'")
         try:
-            hurst = float(sec["hurst"])
-            kappa = int(sec["kappa"])
-            ladder = tuple(int(tok) for tok in sec["n_ladder"].replace(",", " ").split())
-            replicas = int(replicas_override if replicas_override is not None else sec["replicas"])
-            seed = int(seed_override if seed_override is not None else sec["seed"])
+            ladder = tuple(_number("n_ladder entry", tok) for tok in sec["n_ladder"].replace(",", " ").split())
+            replicas = replicas_override if replicas_override is not None else _number("replicas", sec["replicas"])
+            seed = seed_override if seed_override is not None else _number("seed", sec["seed"])
             method = sec.get("method", "circulant")
             plan = ExperimentPlan(
-                hurst=kernels.as_hurst(hurst),
-                spec=StatisticSpec(kappa=kappa, weight=sec["weight"], form=sec["form"]),
+                hurst=kernels.as_hurst(_number("hurst", sec["hurst"])),
+                spec=StatisticSpec(kappa=_number("kappa", sec["kappa"]), weight=sec["weight"], form=sec["form"]),
                 n_ladder=ladder,
                 replicas=replicas,
                 seed=seed,

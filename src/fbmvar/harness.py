@@ -35,7 +35,10 @@ MAX_REPLICAS = 10**7
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """One experiment: a statistic on a cell its form admits, a ladder of grid sizes, seeded replicas."""
+    """One experiment: a statistic on a cell its form admits, a ladder of grid sizes, seeded replicas.
+
+    The ladder's entries are strictly increasing integers in [1, MAX_GRID_SIZE]; replicas is an integer in [2, MAX_REPLICAS].
+    """
 
     hurst: HurstIndex
     spec: StatisticSpec
@@ -46,17 +49,15 @@ class ExperimentPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "hurst", as_hurst(self.hurst))
-        ladder = tuple(as_integer(n, "n_ladder entry") for n in self.n_ladder)
+        ladder = tuple(as_integer(n, "n_ladder entry", 1) for n in self.n_ladder)
         if not ladder or any(b <= a for a, b in zip(ladder, ladder[1:])):
             raise ValueError(f"n_ladder must be strictly increasing and nonempty, got {self.n_ladder}")
-        if any(n < 1 for n in ladder):
-            raise ValueError("ladder entries must be positive")
         if ladder[-1] > MAX_GRID_SIZE:
             raise ValueError(f"n_ladder entries must be at most MAX_GRID_SIZE = {MAX_GRID_SIZE}, got {ladder[-1]}")
         object.__setattr__(self, "n_ladder", ladder)
-        object.__setattr__(self, "replicas", as_integer(self.replicas, "replicas"))
-        if not 2 <= self.replicas <= MAX_REPLICAS:
-            raise ValueError(f"replicas must be in [2, MAX_REPLICAS = {MAX_REPLICAS}], got {self.replicas}")
+        object.__setattr__(self, "replicas", as_integer(self.replicas, "replicas", 2))
+        if self.replicas > MAX_REPLICAS:
+            raise ValueError(f"replicas must be at most MAX_REPLICAS = {MAX_REPLICAS}, got {self.replicas}")
         object.__setattr__(self, "seed", SamplerConfig(method=self.method, seed=self.seed).seed)  # ValueError on a bad method or seed
         require_form_admissible(self.spec.form, self.spec.kappa, self.hurst)
 
@@ -259,13 +260,16 @@ def run_clt_diagnostics(plan: ExperimentPlan, threads: int = 1, groups: PathGrou
 
 
 def fit_rate(ns: Sequence[float], errors: Sequence[float]) -> RateFit:
-    """Ordinary least squares of log(error) on log(n)."""
+    """Ordinary least squares of log(error) on log(n); DegenerateFit unless both are finite and positive and n takes 2 values."""
     ns = np.asarray(ns, dtype=np.float64)
     errors = np.asarray(errors, dtype=np.float64)
     if ns.shape != errors.shape or ns.size < 3:
         raise DegenerateFit(f"need >= 3 matched points, got {ns.size} and {errors.size}")
-    if not np.all(np.isfinite(errors) & (errors > 0.0)):
-        raise DegenerateFit("all errors must be finite and positive for a log-log fit")
+    for name, values in (("grid sizes", ns), ("errors", errors)):
+        if not np.all(np.isfinite(values) & (values > 0.0)):
+            raise DegenerateFit(f"all {name} must be finite and positive for a log-log fit")
+    if np.unique(ns).size < 2:
+        raise DegenerateFit(f"need >= 2 distinct grid sizes, got {ns.tolist()}")
     x = np.log(ns)
     y = np.log(errors)
     slope, intercept = np.polyfit(x, y, 1)

@@ -34,25 +34,26 @@ def as_hurst(h) -> HurstIndex:
     return HurstIndex(float(h))
 
 
-def as_integer(value, field: str) -> int:
-    """An integral value (16, 16.0, a numpy int) as an int; anything else is a ValueError naming `field`."""
-    if isinstance(value, (int, np.integer)) or isinstance(value, (float, np.floating)) and value.is_integer():
+def as_integer(value, field: str, least: int | None = None) -> int:
+    """An integral value (16, 16.0, a numpy int; not a bool) >= `least`, if given, as an int; else a ValueError naming `field`."""
+    integral = isinstance(value, (int, np.integer)) or isinstance(value, (float, np.floating)) and value.is_integer()
+    if integral and not isinstance(value, bool) and (least is None or value >= least):
         return int(value)
-    raise ValueError(f"{field} must be an integer, got {value!r}")
+    raise ValueError(f"{field} must be an integer{'' if least is None else f' >= {least}'}, got {value!r}")
 
 
 @dataclass(frozen=True)
 class GridIndexPair:
-    """A pair of increment indices (k, ell) on the grid {0, 1/n, ..., 1}."""
+    """A pair of increment indices (k, ell) on the grid {0, 1/n, ..., 1}: integers n >= 1 and 0 <= k, ell < n."""
 
     n: int
     k: int
     ell: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"grid size must be >= 1, got {self.n}")
-        if not 0 <= self.k < self.n or not 0 <= self.ell < self.n:
+        for field, least in (("n", 1), ("k", 0), ("ell", 0)):
+            object.__setattr__(self, field, as_integer(getattr(self, field), field, least))
+        if self.k >= self.n or self.ell >= self.n:
             raise ValueError(f"indices must lie in [0, {self.n - 1}], got k={self.k}, ell={self.ell}")
 
 
@@ -76,8 +77,8 @@ def increment_autocov(H, p):
 
 
 def increment_autocov_seq(H, max_lag: int) -> np.ndarray:
-    """Vector of rho_H(p) for p = 0 .. max_lag."""
-    return increment_autocov(H, np.arange(max_lag + 1, dtype=np.float64))
+    """Vector of rho_H(p) for p = 0 .. max_lag, an integer >= 0."""
+    return increment_autocov(H, np.arange(as_integer(max_lag, "max_lag", 0) + 1, dtype=np.float64))
 
 
 def eps_delta_inner(H, pair: GridIndexPair) -> float:
@@ -103,16 +104,15 @@ def delta_delta_inner(H, pair: GridIndexPair) -> float:
 
 
 def covariance_matrix(H, n: int) -> np.ndarray:
-    """(n+1) x (n+1) matrix [R_H(j/n, k/n)] over the full grid including 0."""
+    """(n+1) x (n+1) matrix [R_H(j/n, k/n)] over the full grid including 0; n is an integer >= 1."""
+    n = as_integer(n, "n", 1)
     t = np.arange(n + 1, dtype=np.float64) / n
     return covariance(H, t[:, None], t)
 
 
 def gaussian_moment(kappa: int) -> float:
-    """kappa-th moment of a standard Gaussian: 0 for odd, (kappa-1)!! for even, inf past float64 (kappa >= 302)."""
-    k = int(kappa)
-    if k < 0:
-        raise ValueError(f"moment order must be >= 0, got {kappa}")
+    """E[G^kappa], kappa an integer >= 0, of a standard Gaussian: 0 for odd, (kappa-1)!! for even, inf from kappa = 302."""
+    k = as_integer(kappa, "kappa", 0)
     if k % 2 == 1:
         return 0.0
     return float(math.prod(range(1, k, 2))) if k < 302 else math.inf  # 299!! < DBL_MAX < 301!!

@@ -58,7 +58,7 @@ def block_size(n: int) -> int:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Sampling method plus the (seed, stream) pair naming a random stream."""
+    """Sampling method plus the (seed, stream) pair naming a random stream, each an integer in [0, 2^64)."""
 
     method: str = METHOD_CIRCULANT
     seed: int = 0
@@ -67,12 +67,11 @@ class SamplerConfig:
     def __post_init__(self):
         if self.method != METHOD_CIRCULANT:
             raise ValueError(f"method must be '{METHOD_CIRCULANT}', got {self.method!r}")
-        object.__setattr__(self, "seed", as_integer(self.seed, "seed"))
-        object.__setattr__(self, "stream", as_integer(self.stream, "stream"))
-        if not 0 <= self.seed < _MAX_UINT64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if not 0 <= self.stream < _MAX_UINT64:
-            raise ValueError(f"stream must be a nonnegative 64-bit integer, got {self.stream}")
+        for field in ("seed", "stream"):
+            value = as_integer(getattr(self, field), field, 0)
+            if value >= _MAX_UINT64:
+                raise ValueError(f"{field} must be below 2^64, got {value}")
+            object.__setattr__(self, field, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,15 +230,14 @@ def _block_fgn(h: float, n: int, z: np.ndarray) -> np.ndarray:
 def sample_fbm(H, n: int, config: SamplerConfig, count: int = 1) -> FbmPath:
     """A block of `count` exact fBm paths on {k/n}; row i is stream (seed, config.stream + i)'s path.
 
-    The paths are drawn block_size(n) rows at a time into one new read-only
-    array, which `FbmPath` keeps without a copy.
+    n and count are integers >= 1. The paths are drawn block_size(n) rows at a
+    time into one new read-only array, which `FbmPath` keeps without a copy.
     """
     hurst = as_hurst(H)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n, count = as_integer(n, "n", 1), as_integer(count, "count", 1)
     seed, first = config.seed, config.stream
-    if count < 1 or first + count > _MAX_UINT64:
-        raise ValueError(f"streams {first}..{first + count - 1} must be nonempty and below 2^64")
+    if first + count > _MAX_UINT64:
+        raise ValueError(f"streams {first}..{first + count - 1} must be below 2^64")
     values = np.zeros((count, n + 1))
     rows = block_size(n)
     for r0 in range(0, count, rows):

@@ -185,11 +185,12 @@ def require_form_admissible(form: StatForm, kappa: int, H) -> None:
     Uses each theorem's own interval (a statistic like the odd drift sum is
     admissible on all of 0 < H < 1/2, including below 1/6 where the cubic
     theorem also has something to say about a different statistic). H within
-    1e-12 of an open endpoint is outside.
+    1e-12 of an open endpoint is outside. A kappa that is not an integer is a ValueError.
     """
     form = StatForm(form)
     row = FORMS[form]
     hv = as_hurst(H).value
+    kappa = as_integer(kappa, "kappa")
     if not _admits(row.kappa, kappa):
         need = row.kappa_rule
     elif not _inside(hv, row.h_interval):
@@ -226,9 +227,8 @@ _CELLS += [(row.weighted, row.kappa, row.h_interval, row.regime) for row in FORM
 
 
 def classify_regime(kappa: int, H, weighted: bool) -> RegimeLabel:
-    """Map (kappa, H, weighted?) to the limit regime of its first matching row of `REGIMES`, then `FORMS`."""
-    if kappa < 2:
-        raise ValueError(f"kappa must be >= 2, got {kappa}")
+    """Map (kappa, an integer >= 2, H, weighted?) to the regime of its first matching row of `REGIMES`, then `FORMS`."""
+    kappa = as_integer(kappa, "kappa", 2)
     hv = as_hurst(H).value
     for row_weighted, rule, interval, regime in _CELLS:
         if row_weighted == bool(weighted) and _admits(rule, kappa) and _inside(hv, interval):
@@ -240,14 +240,12 @@ DEFAULT_LAG_TRUNCATION = 1_000
 
 
 def hermite_coefficients(kappa: int) -> np.ndarray:
-    """Coefficients c_q with x^kappa = sum_q c_q He_q(x) (probabilists' basis).
+    """Coefficients c_q with x^kappa = sum_q c_q He_q(x) (probabilists' basis), kappa an integer >= 0.
 
     c_kappa = 1 and c_{q-2} = c_q q(q-1) / (kappa-q+2), so c_{kappa-2m} = kappa! / (2^m m! (kappa-2m)!);
     all other entries are zero. Past float64 an entry is inf, with no warning, from kappa = 295 on.
     """
-    k = int(kappa)
-    if k < 0:
-        raise ValueError(f"power must be >= 0, got {kappa}")
+    k = as_integer(kappa, "kappa", 0)
     c, coef = np.zeros(k + 1), 1.0
     for q in range(k, -1, -2):
         c[q], coef = coef, coef * q * (q - 1) / (k - q + 2)
@@ -261,7 +259,8 @@ def breuer_major_variance(H, kappa: int, lag_truncation: int = DEFAULT_LAG_TRUNC
     (mean centering) so the rank is q0 = 2 for even kappa and q0 = 1 for odd.
     Coefficients vanish above q = kappa, so the sum over q is finite. The even
     series converges only for H < 3/4 and the odd one only for H <= 1/2: the
-    cells of the two unweighted forms; RegimeError outside them. Past float64 (kappa >= 151) it is inf.
+    cells of the two unweighted forms; RegimeError outside them. kappa is an
+    integer >= 2 and lag_truncation one >= 1. Past float64 (kappa >= 151) it is inf.
 
     The constant is the n -> infinity limit. Each lag series is summed to
     |p| <= lag_truncation and its tail added from rho_H(p) ~ H(2H-1) p^{2H-2}.
@@ -270,10 +269,7 @@ def breuer_major_variance(H, kappa: int, lag_truncation: int = DEFAULT_LAG_TRUNC
     kappa approaches the constant only like n^{2H-1}.
     """
     hv = as_hurst(H).value
-    if kappa < 2:
-        raise ValueError(f"kappa must be >= 2, got {kappa}")
-    if lag_truncation < 1:
-        raise ValueError(f"lag_truncation must be >= 1, got {lag_truncation}")
+    kappa, lag_truncation = as_integer(kappa, "kappa", 2), as_integer(lag_truncation, "lag_truncation", 1)
     form = StatForm.UNWEIGHTED_ODD if kappa % 2 else StatForm.UNWEIGHTED_CENTERED
     require_form_admissible(form, kappa, hv)
     c = hermite_coefficients(kappa).tolist()  # Python floats: a product past float64 is inf, with no warning

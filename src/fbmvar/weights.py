@@ -20,6 +20,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import OrderError, UnknownWeight
+from .kernels import as_integer
 
 MAX_ORDER = 6
 
@@ -45,7 +46,8 @@ class WeightFunction:
         return self.evaluators[0](x)
 
     def derivative(self, order: int) -> Callable:
-        """Evaluator of the order-th derivative; OrderError beyond max_order."""
+        """Evaluator of the order-th derivative; ValueError for an order that is not an integer, OrderError outside [0, max_order]."""
+        order = as_integer(order, "order")
         if not 0 <= order <= self.max_order:
             raise OrderError(
                 f"weight {self.id!r} registers derivatives up to order {self.max_order}, requested {order}"
@@ -125,14 +127,16 @@ def check_derivatives(w: WeightFunction, order: int, grid, step: float) -> float
     """Max |central difference of h^(order-1) - h^(order)| over the grid.
 
     Self-test hook: the truncation error of the symmetric difference is
-    O(step^2), so registered derivatives must track it to that accuracy.
+    O(step^2), so registered derivatives must track it to that accuracy. An
+    order that is not an integer is a ValueError, one outside [1, max_order] an OrderError.
     """
+    order = as_integer(order, "order")
     if not 1 <= order <= w.max_order:
         raise OrderError(
             f"weight {w.id!r}: derivative order must be in [1, {w.max_order}], got {order}"
         )
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not 0.0 < step < np.inf:
+        raise ValueError(f"step must be finite and positive, got {step}")
     x = np.asarray(grid, dtype=np.float64)
     lower = w.evaluators[order - 1]
     numeric = (lower(x + step) - lower(x - step)) / (2.0 * step)

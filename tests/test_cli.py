@@ -97,6 +97,34 @@ class TestParseConfig:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "edit, want",
+        [
+            (("kappa = 2", "kappa = two"), "kappa"),
+            (("hurst = 0.1", "hurst = abc"), "hurst"),
+            (("n_ladder = 16", "n_ladder = 16 32.5"), "n_ladder entry"),
+            (("replicas = 4", "replicas = 1e3"), (2, 1000, 1)),
+            (("seed = 1", "seed = 1.5"), "seed"),
+            (("kappa = 2", "kappa = 2.0"), (2, 4, 1)),
+            (("seed = 1", f"seed = {2**64 - 1}"), (2, 4, 2**64 - 1)),
+        ],
+        ids=["kappa_word", "hurst_word", "ladder_fraction", "replicas_1e3", "seed_fraction", "kappa_2.0", "seed_max"],
+    )
+    def test_numbers_name_their_key(self, tmp_path, capsys, edit, want):
+        # a value that is not a number, or not an integer, names its key; an integral one runs as the API takes it
+        text = "[p]\nhurst = 0.1\nkappa = 2\nweight = x2\nform = centered_quadratic\n"
+        cfg = write(tmp_path, (text + "n_ladder = 16\nreplicas = 4\nseed = 1\n").replace(*edit))
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--config", str(cfg), "--out", str(out)])
+        if isinstance(want, str):
+            assert rc == 2
+            assert f"plan [p]: {want} must be " in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            plan = cli.parse_config(cfg)[0].plan
+            assert rc == 0 and (plan.spec.kappa, plan.replicas, plan.seed) == want
+            assert json.loads((out / "p.json").read_text())["plan"]["seed"] == want[2]
+
     @pytest.mark.parametrize("first", ["[a]\nout = same\n", "[same]\n"])
     def test_duplicate_out_stem_exits_2(self, tmp_path, capsys, first):
         body = "hurst = 0.1\nkappa = 2\nweight = x2\nform = centered_quadratic\nn_ladder = 16\nreplicas = 4\nseed = 1\n"

@@ -481,3 +481,10 @@ class TestFitRate:
             fit_rate([16, 32, 64], [1.0, np.nan, 2.0])
         with pytest.raises(DegenerateFit):
             fit_rate([16, 32, 64], [1.0, np.inf, 2.0])
+
+    def test_degenerate_grid_sizes(self, capfd):
+        # each reached LAPACK, which printed to stderr and raised LinAlgError
+        for ns in ([1, 1, 1], [0, 2, 3], [-4, 2, 3], [16, np.inf, 64], [16, np.nan, 64]):
+            with pytest.raises(DegenerateFit, match="grid sizes"):
+                fit_rate(ns, [1.0, 0.5, 0.25])
+        assert capfd.readouterr().err == ""

@@ -1,6 +1,7 @@
 """Kernel exactness: closed forms against covariance-difference oracles."""
 
 import math
+import re
 import sys
 import warnings
 
@@ -10,10 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbmvar import (
+    ExperimentPlan,
     GridIndexPair,
     HurstIndex,
     RegimeError,
+    SamplerConfig,
+    StatisticSpec,
     breuer_major_variance,
+    builtin,
+    check_derivatives,
+    classify_regime,
     covariance,
     covariance_matrix,
     delta_delta_inner,
@@ -22,6 +29,8 @@ from fbmvar import (
     hermite_coefficients,
     increment_autocov,
     increment_autocov_seq,
+    require_form_admissible,
+    sample_fbm,
 )
 from oracles import exact_unweighted_variance, rho_scalar
 
@@ -346,3 +355,60 @@ class TestCovarianceMatrix:
         for j in (0, 3, n):
             for k in (0, 7, n):
                 assert m[j, k] == pytest.approx(covariance(0.2, j / n, k / n), rel=1e-14, abs=1e-16)
+
+
+def _ladder(n):
+    spec = StatisticSpec(kappa=2, weight="x2", form="centered_quadratic")
+    return ExperimentPlan(hurst=0.1, spec=spec, n_ladder=(n, 64), replicas=2, seed=0).n_ladder
+
+
+# Every integer argument of the package passes kernels.as_integer: (call, field,
+# lower bound or None, an admitted value).
+INTEGER_SITES = {
+    "gaussian_moment": (gaussian_moment, "kappa", 0, 2),
+    "covariance_matrix": (lambda v: covariance_matrix(0.3, v), "n", 1, 2),
+    "increment_autocov_seq": (lambda v: increment_autocov_seq(0.3, v), "max_lag", 0, 2),
+    "GridIndexPair.n": (lambda v: GridIndexPair(n=v, k=1, ell=2), "n", 1, 4),
+    "GridIndexPair.k": (lambda v: GridIndexPair(n=4, k=v, ell=2), "k", 0, 1),
+    "GridIndexPair.ell": (lambda v: GridIndexPair(n=4, k=1, ell=v), "ell", 0, 2),
+    "hermite_coefficients": (hermite_coefficients, "kappa", 0, 2),
+    "classify_regime": (lambda v: classify_regime(v, 0.3, True), "kappa", 2, 2),
+    "require_form_admissible": (lambda v: require_form_admissible("odd_weighted", v, 0.3), "kappa", None, 1),
+    "breuer_major_variance.kappa": (lambda v: breuer_major_variance(0.3, v), "kappa", 2, 3),
+    "breuer_major_variance.lag_truncation": (lambda v: breuer_major_variance(0.3, 2, v), "lag_truncation", 1, 10),
+    "sample_fbm.n": (lambda v: sample_fbm(0.3, v, SamplerConfig()).values, "n", 1, 16),
+    "sample_fbm.count": (lambda v: sample_fbm(0.3, 16, SamplerConfig(), v).values, "count", 1, 2),
+    "ExperimentPlan.n_ladder": (_ladder, "n_ladder entry", 1, 16),
+    "WeightFunction.derivative": (lambda v: builtin("sin").derivative(v), "order", None, 1),
+    "check_derivatives": (lambda v: check_derivatives(builtin("x3"), v, [0.0, 1.0], 1e-3), "order", None, 1),
+}
+
+
+def _same(a, b):
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+class TestIntegerGate:
+    @pytest.mark.parametrize("site", INTEGER_SITES)
+    def test_integral_float_and_numpy_int_are_the_int(self, site):
+        call, _, _, good = INTEGER_SITES[site]
+        want = call(good)
+        for value in (float(good), np.int64(good)):
+            assert _same(call(value), want), value
+
+    @pytest.mark.parametrize(
+        "site, bad",
+        [
+            (site, bad)
+            for site, (_, _, least, _) in INTEGER_SITES.items()
+            for bad in ("fraction", "nan", "inf", "bool", "below")
+            if bad != "below" or least is not None
+        ],
+    )
+    def test_other_values_name_the_field(self, site, bad):
+        call, field, least, good = INTEGER_SITES[site]
+        below = None if least is None else least - 1
+        value = {"fraction": good + 0.5, "nan": math.nan, "inf": math.inf, "bool": True, "below": below}[bad]
+        bound = "" if least is None else f" >= {least}"
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{field} must be an integer{bound}, got {value!r}')}$"):
+            call(value)

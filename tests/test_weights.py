@@ -144,6 +144,11 @@ class TestDerivativeTables:
         with pytest.raises(ValueError):
             check_derivatives(builtin("x"), 1, GRID, 0.0)
 
+    @pytest.mark.parametrize("step", [float("nan"), float("inf")])
+    def test_step_must_be_finite(self, step):
+        with pytest.raises(ValueError, match="step"):
+            check_derivatives(builtin("x"), 1, GRID, step)
+
 
 class TestGrowthCertificates:
     @pytest.mark.parametrize("wid", BUILTIN_IDS)
