@@ -54,7 +54,7 @@ from .statistics import (
     limit_functional,
     require_form_admissible,
 )
-from .weights import WeightFunction, builtin, check_derivatives
+from .weights import WeightFunction, builtin
 
 __version__ = "0.1.0"
 

@@ -1,4 +1,4 @@
-"""Command-line driver: run experiment configs, print the regime table, selftest.
+"""Command-line driver: run experiment configs, print the regime table.
 
 Config documents are flat INI: one section per plan, keys hurst, kappa,
 weight, form, n_ladder, replicas, seed, method and optionally out (file stem;
@@ -6,8 +6,7 @@ the section name by default).
 `run` writes one CSV, one JSON summary and one .dat (log-log plot data) per
 plan; numeric CSV fields carry 17 significant digits so they round-trip to the
 exact float64. Diagnostics go to stderr, data to files/stdout. Exit codes:
-0 ok, 2 config or usage error, 3 regime error, 4 embedding error (1 = failed
-selftest).
+0 ok, 2 config or usage error, 3 regime error, 4 embedding error.
 """
 
 from __future__ import annotations
@@ -23,9 +22,7 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
-from . import kernels, weights
+from . import kernels
 from .errors import ConfigError, EmbeddingError, FbmvarError, OutputError, RegimeError
 from .harness import (
     ExperimentPlan,
@@ -37,7 +34,7 @@ from .harness import (
     run_l2_experiment,
 )
 from .sampler import SamplerConfig, dump_path, sample_fbm
-from .statistics import FORMS, StatisticSpec, breuer_major_variance, classify_regime
+from .statistics import FORMS, StatisticSpec, classify_regime
 
 # every McRecord field but n, which leads the row before the plan columns
 _STAT_FIELDS = tuple(f.name for f in dataclasses.fields(McRecord) if f.name != "n")
@@ -277,101 +274,13 @@ def cmd_regimes(args) -> int:
     return 0
 
 
-def _selftest_checks():
-    import itertools
-
-    def kernel_identities():
-        for h in (0.05, 0.1, 0.25, 0.5, 0.75):
-            for n in (4, 16, 64):
-                cov = kernels.covariance_matrix(h, n)
-                for k, ell in itertools.product(range(n), repeat=2):
-                    pair = kernels.GridIndexPair(n=n, k=k, ell=ell)
-                    want = cov[ell, k + 1] - cov[ell, k]
-                    if abs(kernels.eps_delta_inner(h, pair) - want) > 1e-12:
-                        return f"eps_delta mismatch at H={h}, n={n}, k={k}, ell={ell}"
-                    want2 = cov[k + 1, ell + 1] - cov[k + 1, ell] - cov[k, ell + 1] + cov[k, ell]
-                    if abs(kernels.delta_delta_inner(h, pair) - want2) > 1e-12:
-                        return f"delta_delta mismatch at H={h}, n={n}, k={k}, ell={ell}"
-        return None
-
-    def variance_constant_converged():
-        # the constant is the n -> infinity limit, so it must not move with the lag truncation
-        for kappa, h in ((2, 0.7), (3, 0.45), (5, 0.3)):
-            short = breuer_major_variance(h, kappa, lag_truncation=10**3)
-            long = breuer_major_variance(h, kappa, lag_truncation=10**5)
-            if abs(short - long) > 1e-8 * abs(long):
-                return f"variance constant at kappa={kappa}, H={h}: {short:.10g} at P=1e3, {long:.10g} at P=1e5"
-        return None
-
-    def circulant_law():
-        # the synthesis is linear in its 2n normals: fed the unit vectors it
-        # gives A^T with fgn = A z, and A A^T must be n^{-2H} Toeplitz(rho_H)
-        from .sampler import _block_fgn
-
-        for n in (1, 2, 64):
-            lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-            for h in (0.1, 0.5, 0.9):
-                a_t = _block_fgn(h, n, np.eye(2 * n))
-                scale = float(n) ** (-2 * h)
-                want = scale * kernels.increment_autocov_seq(h, n)[lag]
-                err = float(np.max(np.abs(a_t.T @ a_t - want))) / scale
-                if err > 2 * n * (math.log2(2 * n) + 2) * np.finfo(np.float64).eps:
-                    return f"synthesis covariance off by {err:.2e} of its diagonal at H={h}, n={n}"
-        return None
-
-    def weight_derivatives():
-        grid = np.linspace(-5.0, 5.0, 41)
-        for wid in weights.BUILTIN_IDS:
-            w = weights.builtin(wid)
-            for order in range(1, w.max_order + 1):
-                err = weights.check_derivatives(w, order, grid, 1e-4)
-                if err > 1e-5:
-                    return f"weight {wid} derivative order {order} off by {err:.2e}"
-        return None
-
-    def variance_constant():
-        for kappa in range(2, 7):  # independent increments at H = 1/2: sigma^2 = Var(G^kappa)
-            want = kernels.gaussian_moment(2 * kappa) - kernels.gaussian_moment(kappa) ** 2
-            if abs(breuer_major_variance(0.5, kappa, lag_truncation=10) - want) > 1e-12 * want:
-                return f"Brownian variance constant at kappa={kappa} != mu_{2 * kappa} - mu_{kappa}^2 = {want}"
-        return None
-
-    def circulant_spectrum():
-        from .sampler import _circulant_coeffs
-
-        for h in (0.1, 0.5, 0.9):
-            try:
-                _circulant_coeffs(h, 512)
-            except EmbeddingError as exc:
-                return str(exc)
-        return None
-
-    return (
-        ("kernel_inner_product_identities", kernel_identities),
-        ("variance_constant_converged", variance_constant_converged),
-        ("circulant_law_exact", circulant_law),
-        ("weight_derivative_table", weight_derivatives),
-        ("brownian_variance_constant", variance_constant),
-        ("circulant_spectrum_nonnegative", circulant_spectrum),
-    )
-
-
-def cmd_selftest(args) -> int:
-    status = 0
-    with _stdout():
-        for name, check in _selftest_checks():
-            detail = check()
-            if detail is None:
-                print(f"PASS {name}")
-            else:
-                print(f"FAIL {name}: {detail}")
-                status = 1
-    return status
-
-
 def kappa_list(text: str) -> tuple:
-    kappas = tuple(int(tok) for tok in text.replace(",", " ").split())
-    if not kappas or min(kappas) < 2:
+    """Comma- or space-separated kappas, each read as a config's kappa is: an integer >= 2, "2.0" as 2."""
+    try:
+        kappas = tuple(kernels.as_integer(_number("kappa", tok), "kappa", 2) for tok in text.replace(",", " ").split())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    if not kappas:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers >= 2, got {text!r}")
     return kappas
 
@@ -405,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg.add_argument("--csv", default=None, help="also write the table as CSV here")
     p_reg.set_defaults(handler=cmd_regimes)
 
-    sub.add_parser("selftest", help="run the fast invariant suite").set_defaults(handler=cmd_selftest)
     return parser
 
 

@@ -223,6 +223,7 @@ class PathGroups:
         self._reports = {}
 
     def report(self, plan: ExperimentPlan, threads: int) -> McReport:
+        threads = as_integer(threads, "threads", 1)
         if plan not in self._reports:
             members = self._groups.get(_path_key(plan), {})
             if plan not in members:

@@ -52,8 +52,8 @@ MAX_GRID_SIZE = 2**22
 
 
 def block_size(n: int) -> int:
-    """Paths per block at grid size n: the largest B with B * n <= BLOCK_POINTS, at least 1."""
-    return max(1, BLOCK_POINTS // n)
+    """Paths per block at grid size n, an integer >= 1: the largest B with B * n <= BLOCK_POINTS, at least 1."""
+    return max(1, BLOCK_POINTS // as_integer(n, "n", 1))
 
 
 @dataclass(frozen=True)
@@ -168,8 +168,9 @@ def _circulant_coeffs(h: float, n: int):
 
 
 def circulant_eigenvalues(H, n: int) -> np.ndarray:
-    """Eigenvalue spectrum of the length-2n fGn embedding (diagnostic surface)."""
+    """Eigenvalue spectrum of the length-2n fGn embedding, n an integer >= 1 (diagnostic surface)."""
     h = as_hurst(H).value
+    n = as_integer(n, "n", 1)
     rho = increment_autocov_seq(h, n)
     row = np.concatenate([rho, rho[-2:0:-1]]) if n > 1 else rho
     return np.fft.fft(row).real

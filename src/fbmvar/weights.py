@@ -122,22 +122,3 @@ def builtin(weight_id: str) -> WeightFunction:
     except KeyError:
         raise UnknownWeight(f"no builtin weight {weight_id!r}; known ids: {', '.join(BUILTIN_IDS)}") from None
 
-
-def check_derivatives(w: WeightFunction, order: int, grid, step: float) -> float:
-    """Max |central difference of h^(order-1) - h^(order)| over the grid.
-
-    Self-test hook: the truncation error of the symmetric difference is
-    O(step^2), so registered derivatives must track it to that accuracy. An
-    order that is not an integer is a ValueError, one outside [1, max_order] an OrderError.
-    """
-    order = as_integer(order, "order")
-    if not 1 <= order <= w.max_order:
-        raise OrderError(
-            f"weight {w.id!r}: derivative order must be in [1, {w.max_order}], got {order}"
-        )
-    if not 0.0 < step < np.inf:
-        raise ValueError(f"step must be finite and positive, got {step}")
-    x = np.asarray(grid, dtype=np.float64)
-    lower = w.evaluators[order - 1]
-    numeric = (lower(x + step) - lower(x - step)) / (2.0 * step)
-    return float(np.max(np.abs(numeric - w.evaluators[order](x))))

@@ -6,7 +6,9 @@ of the package's kernels beyond the scalar autocovariance), so agreement with
 the library is a genuine cross-check rather than a tautology. The exceptions
 are the two reference samplers: `reference_circulant_path`, the full
 complex-FFT synthesis that the sampler's half-spectrum synthesis is checked
-against, and `reference_cholesky_path`, a second exact route to the same law.
+against, and `reference_cholesky_path`, a second exact route to the same law;
+and `check_derivatives`, which calls a weight's own evaluators, since it checks
+each derivative against a central difference of the one below it.
 """
 
 import functools
@@ -14,8 +16,10 @@ import math
 
 import numpy as np
 
-from fbmvar.kernels import covariance_matrix
+from fbmvar.errors import OrderError
+from fbmvar.kernels import as_integer, covariance_matrix
 from fbmvar.sampler import circulant_eigenvalues
+from fbmvar.weights import WeightFunction
 
 
 def rho_scalar(H, p):
@@ -167,3 +171,23 @@ def reference_cholesky_path(H, n, seed, stream):
     key = np.array([seed, stream], dtype=np.uint64)
     z = np.random.Generator(np.random.Philox(key=key)).standard_normal(n)
     return np.concatenate([[0.0], _cholesky_factor(H, n) @ z])
+
+
+def check_derivatives(w: WeightFunction, order: int, grid, step: float) -> float:
+    """Max |central difference of h^(order-1) - h^(order)| over the grid.
+
+    The truncation error of the symmetric difference is O(step^2), so
+    registered derivatives must track it to that accuracy. An order that is
+    not an integer is a ValueError, one outside [1, max_order] an OrderError.
+    """
+    order = as_integer(order, "order")
+    if not 1 <= order <= w.max_order:
+        raise OrderError(
+            f"weight {w.id!r}: derivative order must be in [1, {w.max_order}], got {order}"
+        )
+    if not 0.0 < step < np.inf:
+        raise ValueError(f"step must be finite and positive, got {step}")
+    x = np.asarray(grid, dtype=np.float64)
+    lower = w.evaluators[order - 1]
+    numeric = (lower(x + step) - lower(x - step)) / (2.0 * step)
+    return float(np.max(np.abs(numeric - w.evaluators[order](x))))

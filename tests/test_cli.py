@@ -1,4 +1,4 @@
-"""CLI: config parsing, report files, exit codes, selftest."""
+"""CLI: config parsing, report files, the regime table, exit codes."""
 
 import hashlib
 import json
@@ -454,7 +454,11 @@ class TestCmdRegimes:
         assert err.startswith("error: --csv /dev/full: ") and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "flag, value", [("--kappas", "1"), ("--kappas", "x"), ("--kappas", "2,1"), ("--h-step", "0"), ("--h-step", "-0.5")]
+        "flag, value",
+        [
+            ("--kappas", "1"), ("--kappas", "x"), ("--kappas", "2,1"), ("--kappas", "2.5"),
+            ("--h-step", "0"), ("--h-step", "-0.5"),
+        ],
     )
     def test_bad_flag_exits_2(self, capsys, flag, value):
         # validated while parsing, so a step of 0 cannot reach the grid loop
@@ -464,6 +468,16 @@ class TestCmdRegimes:
         captured = capsys.readouterr()
         assert flag in captured.err
         assert captured.out == ""
+
+    def test_kappas_read_as_a_config_kappa(self, capsys):
+        # an integral float is its integer, as `kappa = 2.0` is in a config
+        assert cli.main(["regimes", "--kappas", "2,3", "--h-step", "0.25"]) == 0
+        want = capsys.readouterr().out
+        assert cli.main(["regimes", "--kappas", "2.0,3", "--h-step", "0.25"]) == 0
+        assert capsys.readouterr().out == want
+        with pytest.raises(SystemExit):
+            cli.main(["regimes", "--kappas", "2.5"])
+        assert "argument --kappas: kappa must be an integer >= 2, got 2.5" in capsys.readouterr().err
 
     def test_row_cap_refuses_fine_step_promptly(self, tmp_path, capsys):
         target = tmp_path / "table.csv"
@@ -555,49 +569,3 @@ def test_exit_code_and_label_of_each_error(tmp_path, capsys, monkeypatch, config
     assert rc == code
     assert err.startswith(prefix) and "Traceback" not in err
 
-
-class TestCmdSelftest:
-    def test_fresh_build_passes(self, capsys):
-        rc = cli.main(["selftest"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "FAIL" not in out
-        assert out.count("PASS") >= 6
-
-    def test_wrong_synthesis_fails_the_law_check(self, capsys, monkeypatch):
-        import fbmvar.sampler as sampler_mod
-
-        exact = sampler_mod._circulant_coeffs
-
-        def no_nyquist(h, n):
-            h0, _, coef = exact(h, n)
-            return h0, 0.0, coef
-
-        monkeypatch.setattr(sampler_mod, "_circulant_coeffs", no_nyquist)
-        assert cli.main(["selftest"]) == 1
-        assert "FAIL circulant_law_exact" in capsys.readouterr().out
-
-    def test_runs_are_identical(self, capsys):
-        cli.main(["selftest"])
-        first = capsys.readouterr().out
-        cli.main(["selftest"])
-        second = capsys.readouterr().out
-        assert first == second
-
-    def test_corrupted_registry_fails_with_name(self, capsys, monkeypatch):
-        import fbmvar.weights as weights_mod
-
-        broken = dict(weights_mod._BUILTINS)
-        original = broken["x2"]
-        corrupted = weights_mod.WeightFunction(
-            id="x2",
-            evaluators=(original.evaluators[0], lambda x: 2.5 * np.asarray(x, dtype=float))
-            + original.evaluators[2:],
-            growth_bound=original.growth_bound,
-        )
-        broken["x2"] = corrupted
-        monkeypatch.setattr(weights_mod, "_BUILTINS", broken)
-        rc = cli.main(["selftest"])
-        out = capsys.readouterr().out
-        assert rc == 1
-        assert "FAIL weight_derivative_table" in out

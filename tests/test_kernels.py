@@ -19,7 +19,6 @@ from fbmvar import (
     StatisticSpec,
     breuer_major_variance,
     builtin,
-    check_derivatives,
     classify_regime,
     covariance,
     covariance_matrix,
@@ -30,8 +29,10 @@ from fbmvar import (
     increment_autocov,
     increment_autocov_seq,
     require_form_admissible,
+    run_l2_experiment,
     sample_fbm,
 )
+from fbmvar.sampler import block_size, circulant_eigenvalues
 from oracles import exact_unweighted_variance, rho_scalar
 
 HS = st.floats(min_value=0.01, max_value=0.99)
@@ -257,7 +258,7 @@ class TestBreuerMajorVariance:
         assert breuer_major_variance(HurstIndex(0.5), 2, lag_truncation=3) == pytest.approx(2.0, abs=1e-14)
 
     def test_brownian_any_kappa_equals_centered_moment(self):
-        for kappa in (2, 3, 4):
+        for kappa in range(2, 7):
             expect = gaussian_moment(2 * kappa) - gaussian_moment(kappa) ** 2
             assert breuer_major_variance(HurstIndex(0.5), kappa, lag_truncation=3) == pytest.approx(expect, rel=1e-12)
 
@@ -287,7 +288,7 @@ class TestBreuerMajorVariance:
     def test_independent_of_lag_truncation(self):
         # the constant is the n -> infinity limit, so the truncation only decides
         # where the tail formula takes over
-        for kappa, h in ((2, 0.7), (2, 0.74), (3, 0.45), (3, 0.3), (5, 0.45), (4, 0.7)):
+        for kappa, h in ((2, 0.7), (2, 0.74), (3, 0.45), (3, 0.3), (5, 0.45), (5, 0.3), (4, 0.7)):
             short = breuer_major_variance(h, kappa, lag_truncation=10**3)
             long = breuer_major_variance(h, kappa, lag_truncation=10**5)
             assert short == pytest.approx(long, rel=1e-8), (kappa, h)
@@ -357,9 +358,9 @@ class TestCovarianceMatrix:
                 assert m[j, k] == pytest.approx(covariance(0.2, j / n, k / n), rel=1e-14, abs=1e-16)
 
 
-def _ladder(n):
+def _plan(n_ladder):
     spec = StatisticSpec(kappa=2, weight="x2", form="centered_quadratic")
-    return ExperimentPlan(hurst=0.1, spec=spec, n_ladder=(n, 64), replicas=2, seed=0).n_ladder
+    return ExperimentPlan(hurst=0.1, spec=spec, n_ladder=n_ladder, replicas=2, seed=0)
 
 
 # Every integer argument of the package passes kernels.as_integer: (call, field,
@@ -378,9 +379,11 @@ INTEGER_SITES = {
     "breuer_major_variance.lag_truncation": (lambda v: breuer_major_variance(0.3, 2, v), "lag_truncation", 1, 10),
     "sample_fbm.n": (lambda v: sample_fbm(0.3, v, SamplerConfig()).values, "n", 1, 16),
     "sample_fbm.count": (lambda v: sample_fbm(0.3, 16, SamplerConfig(), v).values, "count", 1, 2),
-    "ExperimentPlan.n_ladder": (_ladder, "n_ladder entry", 1, 16),
+    "block_size": (block_size, "n", 1, 16),
+    "circulant_eigenvalues": (lambda v: circulant_eigenvalues(0.3, v), "n", 1, 16),
+    "ExperimentPlan.n_ladder": (lambda v: _plan((v, 64)).n_ladder, "n_ladder entry", 1, 16),
     "WeightFunction.derivative": (lambda v: builtin("sin").derivative(v), "order", None, 1),
-    "check_derivatives": (lambda v: check_derivatives(builtin("x3"), v, [0.0, 1.0], 1e-3), "order", None, 1),
+    "run_l2_experiment.threads": (lambda v: run_l2_experiment(_plan((8, 16)), v).records, "threads", 1, 1),
 }
 
 

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from fbmvar import OrderError, UnknownWeight, builtin, check_derivatives
+from fbmvar import OrderError, UnknownWeight, builtin
 from fbmvar.weights import BUILTIN_IDS
+from oracles import check_derivatives
 
 GRID = np.linspace(-5.0, 5.0, 81)
 
