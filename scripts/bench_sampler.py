@@ -8,7 +8,7 @@ and reports microseconds per replica (a block's time divided by B):
 - `rekey_normals_us`: `_block_normals`, which re-keys the thread's Philox
   generator to each row's `(seed, stream)` and draws the row's 2n normals.
   Each timed call starts at the stream after the last call's block, because
-  a call with the key of the thread's last draw returns the held normals
+  a call for streams that the thread holds returns the held normals
   without drawing;
 - `synthesis_us`: `_block_fgn` on stored normals, the half-spectrum products
   and the one inverse FFT along the rows;
@@ -19,12 +19,20 @@ and reports microseconds per replica (a block's time divided by B):
 - `limit_us`: `limit_functional` on a stored block;
 - `layers_sum_us`: the sum of the five;
 - `block_us`: the harness's own loop (`_replica_values`) drawing and
-  evaluating two whole blocks end to end, per replica, so that no draw has
-  the key of the one before it. What it adds to
+  evaluating two whole blocks end to end, per replica, so that no draw finds
+  its streams in the normals the one before it holds. What it adds to
   `layers_sum_us` is cost that no layer shows alone, such as the page faults
   of large buffers that chained calls free and allocate again;
 - `block_minflt`: the minor page faults (`resource.getrusage`) of that loop
   per block, over CALLS calls after a warm-up call.
+
+Beside the layers it times one ladder, LADDER = (128, 512), on one walk of
+`harness.walk_rows(LADDER)` replicas (`ladder`):
+
+- `ladder_us`: `_replica_values` walking the ladder, whose streams are
+  re-keyed and drawn once, at n = 512, and read again at n = 128;
+- `rungs_us`: the two one-rung plans of as many replicas run one after the
+  other, each drawing its own normals.
 
 The plan is acceptance criterion 6's (H = 0.1, centred quadratic form,
 weight x2). Each op is timed in its own loop over prebuilt inputs, so a call
@@ -61,6 +69,7 @@ HURST = 0.1
 SEED = 20080612
 SPEC = StatisticSpec(kappa=2, weight="x2", form=StatForm.CENTERED_QUADRATIC)
 GRID_SIZES = (128, 2048, 8192)
+LADDER = (128, 512)
 CALLS = 100
 RUNS = 5
 
@@ -114,12 +123,33 @@ def layer_times(n, calls, runs):
     layers = {name: best_us(fn, calls, runs) / block for name, fn in per_block.items()}
     layers["layers_sum_us"] = sum(layers.values())
     def whole_blocks():
-        return harness._replica_values({plan: h}, n, 1, block)[plan]
+        return harness._replica_values({plan: h}, 1)[plan]
 
     layers["block_us"] = best_us(whole_blocks, calls, runs) / plan.replicas
     out = {"block": block, **{name: round(us, 2) for name, us in layers.items()}}
     out["block_minflt"] = round(faults_per_call(whole_blocks, calls) * block / plan.replicas, 2)
     return out
+
+
+def ladder_times(calls, runs):
+    """Microseconds per replica of one walk down LADDER against its rungs run as separate one-rung plans."""
+    h = builtin(SPEC.weight)
+    replicas = harness.walk_rows(LADDER)
+
+    def values(ladder, seed):
+        plan = ExperimentPlan(hurst=HURST, spec=SPEC, n_ladder=ladder, replicas=replicas, seed=seed)
+        return lambda: harness._replica_values({plan: h}, 1)
+
+    # every call draws: a walk opens new held normals, and the rungs' plans
+    # have seeds of their own, so that neither finds its streams held by the
+    # walk or by the other; the seed does not change the cost
+    walk = values(LADDER, SEED)
+    rungs = [values((n,), SEED + 1 + k) for k, n in enumerate(LADDER)]
+    times = {
+        "ladder_us": best_us(walk, calls, runs) / replicas,
+        "rungs_us": best_us(lambda: [rung() for rung in rungs], calls, runs) / replicas,
+    }
+    return {"ladder": list(LADDER), "replicas": replicas, **{name: round(us, 2) for name, us in times.items()}}
 
 
 def main():
@@ -132,6 +162,7 @@ def main():
         "python": platform.python_version(),
         "numpy": np.__version__,
         "layers": {f"n{n}": layer_times(n, CALLS, RUNS) for n in GRID_SIZES},
+        "ladder": ladder_times(CALLS, RUNS),
     }
     print(json.dumps(result))
 

@@ -263,8 +263,10 @@ def _regime_table(args, rows: int, csv_path):
 
 
 def cmd_regimes(args) -> int:
-    """Print the regime table as it is classified; more than REGIMES_MAX_ROWS rows exit 2 before any is built."""
+    """Print the regime table as it is classified; no rows, or more than REGIMES_MAX_ROWS, exit 2 before any is built."""
     rows = len(args.kappas) * max(0, math.ceil((1.0 - 1e-12) / args.h_step) - 1)
+    if rows == 0:
+        raise FbmvarError(f"--h-step {args.h_step!r} gives no H strictly inside (0, 1), so no rows")
     if rows > REGIMES_MAX_ROWS:
         raise FbmvarError(f"--h-step {args.h_step:g} gives {rows} rows, more than the cap of {REGIMES_MAX_ROWS}")
     # without --csv the CSV rows go to the null device
@@ -309,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg.add_argument("--kappas", type=kappa_list, default="2,3", help="comma-separated kappa list (each >= 2)")
     p_reg.add_argument(
         "--h-step", type=positive_float, default=0.05,
-        help=f"H grid step (> 0; at most {REGIMES_MAX_ROWS} rows in all)",
+        help=f"H grid step (> 0, below 1; at most {REGIMES_MAX_ROWS} rows in all)",
     )
     p_reg.add_argument("--csv", default=None, help="also write the table as CSV here")
     p_reg.set_defaults(handler=cmd_regimes)

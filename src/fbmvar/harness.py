@@ -2,14 +2,18 @@
 
 Replica r of a plan always samples from the stream keyed (seed, r), so results
 are a pure function of the plan. Plans with equal (seed, method, n_ladder,
-replicas) hold one replica set and run as one group: each block's normals are
-drawn once, its paths are synthesized once per H of the group, and every
-member evaluates its statistic on its H's paths. Replicas are evaluated in
-blocks of B paths, B a function of the grid size alone; workers may be added
-or removed freely and each block's values land in a buffer indexed by r
-before any reduction. All reductions go through numpy's pairwise summation on those
-buffers, which makes every reported number bit-identical across thread counts
-and the same whether a plan runs alone or in a group.
+replicas) hold one replica set and run as one group. Its replicas are split
+into walks of `walk_rows(ladder)` streams, and a walk visits every rung of the
+ladder, top rung first: its streams are re-keyed and their normals drawn once,
+at the top rung, and each lower rung n reads the first 2n of them from the
+sampler's held normals. At each rung a walk runs in blocks of block_size(n)
+paths; each block is synthesized once per H of the group, and every member
+evaluates its statistic on its H's paths. Workers take whole walks and may be
+added or removed freely; each block's values land in the rung's buffer,
+indexed by r, before any reduction. All reductions go through numpy's
+pairwise summation on those buffers, in ladder order, which makes every
+reported number bit-identical across thread counts and the same whether a
+plan runs alone or in a group.
 """
 
 from __future__ import annotations
@@ -24,12 +28,13 @@ import numpy as np
 
 from .errors import DegenerateFit
 from .kernels import HurstIndex, as_hurst, as_integer
-from .sampler import MAX_GRID_SIZE, SamplerConfig, block_size, sample_fbm
+from .sampler import MAX_GRID_SIZE, SamplerConfig, block_size, held_rows, hold_normals, sample_fbm
 from .statistics import FORMS, StatisticSpec, evaluate_statistic, limit_functional, require_form_admissible
 from .weights import builtin
 
 # The largest replica count a plan may ask for, so that a run's memory stays bounded: a run
-# of one plan at n = 16 and 1 thread peaks at about 343 MiB RSS at this count.
+# of one plan at n = 16 and 1 thread peaks at about 343 MiB RSS at this count, and each
+# further rung of its ladder holds another 160 MB (R, 2) buffer until its records are reduced.
 MAX_REPLICAS = 10**7
 
 
@@ -93,33 +98,52 @@ def _path_key(plan: ExperimentPlan):
     return plan.seed, plan.method, plan.n_ladder, plan.replicas
 
 
-def _replica_values(weights: dict, n: int, threads: int, block: int) -> dict:
-    """(statistic, limit or 0) of each plan's replicas at grid size n, row r of a (R, 2) array per plan.
+def walk_rows(ladder: Sequence[int], block=block_size) -> int:
+    """Replicas per walk down the ladder: a block at its lowest rung, capped by what the held normals cover at its top rung.
 
-    `weights` maps plans of one path key to their weight functions. Each block
-    of `block` paths is drawn once per H, in the order the plans first name
-    it, and every plan at that H evaluates its statistic on all of its rows;
-    the sampler reuses the block's normals after the first H. Workers are
-    capped by the cores this process may run on (the CPU count where the OS
-    has no `sched_getaffinity`) and by the block count: more threads than that
-    only add switching cost.
+    `block` gives the rows of one block at a grid size; a one-rung ladder walks
+    exactly one block.
     """
-    seed, method, _, replicas = _path_key(next(iter(weights)))
-    outs = {plan: np.empty((replicas, 2), dtype=np.float64) for plan in weights}
+    return min(block(ladder[0]), held_rows(ladder[-1]))
+
+
+def _replica_values(weights: dict, threads: int, block=block_size) -> dict:
+    """(statistic, limit or 0) of each plan's replicas at each rung, row r of one (R, 2) array per plan and rung.
+
+    `weights` maps plans of one path key to their weight functions. Replicas
+    are split into walks of `walk_rows` rows, and a walk visits every rung,
+    top first: its streams' normals are drawn once, at the top rung, and each
+    lower rung reads the first 2n of them. At each rung the walk runs in
+    blocks of `block(n)` rows; each block is synthesized once per H, in the
+    order the plans first name it, and every plan at that H evaluates its
+    statistic on all of its rows. Workers take whole walks. They are capped
+    by the cores this process may run on (the CPU count where the OS has no
+    `sched_getaffinity`) and by the walk count: more threads than that only
+    add switching cost.
+    """
+    seed, method, ladder, replicas = _path_key(next(iter(weights)))
+    outs = {plan: [np.empty((replicas, 2), dtype=np.float64) for _ in ladder] for plan in weights}
     by_hurst = {}
     for plan, h in weights.items():
         by_hurst.setdefault(plan.hurst, {})[plan] = h
-    starts = range(0, replicas, block)
+    walk = [(k, ladder[k], block(ladder[k])) for k in reversed(range(len(ladder)))]
+    rows = walk_rows(ladder, block)
+    starts = range(0, replicas, rows)
 
     def work(r0: int) -> None:
-        count = min(block, replicas - r0)
-        config = SamplerConfig(method=method, seed=seed, stream=r0)
-        for hurst, members in by_hurst.items():
-            path = sample_fbm(hurst, n, config, count)
-            for plan, h in members.items():
-                out = outs[plan][r0 : r0 + count]
-                out[:, 0] = evaluate_statistic(path, h, plan.spec)
-                out[:, 1] = limit_functional(path, h, plan.spec) if FORMS[plan.spec.form].limit is not None else 0.0
+        stop = min(r0 + rows, replicas)
+        if len(ladder) > 1:  # a one-rung walk is one block, which sample_fbm draws as it stands
+            hold_normals(seed, r0, stop - r0, ladder[-1])
+        for k, n, step in walk:
+            for s0 in range(r0, stop, step):
+                count = min(step, stop - s0)
+                config = SamplerConfig(method=method, seed=seed, stream=s0)
+                for hurst, members in by_hurst.items():
+                    path = sample_fbm(hurst, n, config, count)
+                    for plan, h in members.items():
+                        out = outs[plan][k][s0 : s0 + count]
+                        out[:, 0] = evaluate_statistic(path, h, plan.spec)
+                        out[:, 1] = limit_functional(path, h, plan.spec) if FORMS[plan.spec.form].limit is not None else 0.0
 
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(threads, cores, len(starts))
@@ -189,16 +213,13 @@ def _record(plan: ExperimentPlan, n: int, vals: np.ndarray) -> McRecord:
 def _run_group(plans: Sequence[ExperimentPlan], threads: int) -> dict:
     """The report of every plan of one path key, from one draw of the shared normals.
 
-    Grid sizes run in ladder order; at each, every plan holds one (R, 2)
-    buffer until its record is reduced.
+    Every plan holds one (R, 2) buffer per rung until the walks end; the
+    records are then reduced in ladder order.
     """
-    weights = {plan: builtin(plan.spec.weight) for plan in plans}
-    records = {plan: [] for plan in plans}
-    for n in plans[0].n_ladder:
-        for plan, vals in _replica_values(weights, n, threads, block_size(n)).items():
-            records[plan].append(_record(plan, n, vals))
+    values = _replica_values({plan: builtin(plan.spec.weight) for plan in plans}, threads)
     reports = {}
-    for plan, recs in records.items():
+    for plan, per_rung in values.items():
+        recs = [_record(plan, n, vals) for n, vals in zip(plan.n_ladder, per_rung)]
         try:
             fit = fit_rate([rec.n for rec in recs], [rate_target(plan.spec, rec) for rec in recs])
         except DegenerateFit:
@@ -212,8 +233,8 @@ class PathGroups:
 
     Plans with equal (seed, method, n_ladder, replicas) read the same replica
     streams, whatever their H. The first report asked of a group runs all its
-    members on one draw of each block's normals, synthesized once per H of the
-    group; later requests return the stored reports.
+    members on one draw of each stream's normals, synthesized once per H of
+    the group at each rung; later requests return the stored reports.
     """
 
     def __init__(self, plans: Sequence[ExperimentPlan]):

@@ -12,13 +12,20 @@ Randomness is counter-based: row i of a block draws from a Philox generator
 keyed by (seed, stream + i), so a path depends only on its own key and never
 on the block it is drawn in or on execution order.
 
-Each thread keeps one workspace: the normals, half-spectrum and inverse-FFT
-buffers of one block at its last grid size, and the key of the normals they
-hold. A run of blocks at one grid size allocates them once instead of freeing
-and faulting in three buffers per block. The normals do not depend on H, so a
-thread asked for the same block again at another H reuses the ones it holds.
-A draw of any size runs block by block through the workspace into one new
-path array, so it needs its output plus one block of memory.
+Each thread keeps one workspace. Its held normals are a rectangle: the first
+2w normals of streams first, first + 1, ... of one seed. A request for the
+first 2n <= 2w normals of streams inside it gets a view of it, whatever H it
+is synthesized at, so a ladder's lower rungs and a group's other H draw
+nothing. A request that continues the held streams at their width draws into
+the rectangle's free rows, if it has room. Anything else draws a new
+rectangle of exactly the rows asked for. `hold_normals` opens an empty
+rectangle with room for the streams of one walk down a ladder, at its top
+rung; the harness keeps it within HELD_POINTS floats, or one block of the top
+rung where that alone is larger. The half-spectrum and inverse-FFT buffers of one
+block are kept beside them and reshaped for each grid size, so blocks and
+rungs reuse the workspace instead of freeing and faulting in buffers. A draw
+of any size runs block by block through the workspace into one new path
+array, so it needs its output plus the workspace.
 """
 
 from __future__ import annotations
@@ -46,6 +53,10 @@ _MAX_UINT64 = 2**64
 # stay well under 1 MB, and the per-call cost is paid once per block, not once per path.
 BLOCK_POINTS = 8192
 
+# The held normals of one thread stay within HELD_POINTS floats (512 KiB), or within one
+# block at the grid size they are drawn for where that alone is larger.
+HELD_POINTS = 8 * BLOCK_POINTS
+
 # The largest grid size a plan may ask for, so that a run's memory stays bounded: a run of
 # one plan at 1 thread peaks at about 213 MiB RSS at n = 2^20 and 709 MiB at n = 2^22.
 MAX_GRID_SIZE = 2**22
@@ -54,6 +65,11 @@ MAX_GRID_SIZE = 2**22
 def block_size(n: int) -> int:
     """Paths per block at grid size n, an integer >= 1: the largest B with B * n <= BLOCK_POINTS, at least 1."""
     return max(1, BLOCK_POINTS // as_integer(n, "n", 1))
+
+
+def held_rows(n: int) -> int:
+    """Streams the held normals cover at grid size n: as many as HELD_POINTS floats hold at width 2n, at least a block."""
+    return max(block_size(n), HELD_POINTS // (2 * as_integer(n, "n", 1)))
 
 
 @dataclass(frozen=True)
@@ -176,39 +192,77 @@ def circulant_eigenvalues(H, n: int) -> np.ndarray:
     return np.fft.fft(row).real
 
 
-def _workspace(count: int, n: int) -> SimpleNamespace:
-    """This thread's workspace at grid size n, with rows = max(count, block_size(n)).
+def _workspace() -> SimpleNamespace:
+    """This thread's workspace: flat buffers and the 2-D views of them that the last block used.
 
-    It holds the (rows, 2n) normals z, the (rows, n + 1) half-spectrum b, the
-    (rows, 2n) inverse FFT output synth, and `key`, the (seed, first, count)
-    of the normals in z's first rows or None. A run of blocks at one grid size
-    reuses one workspace, about 3 * 16 * max(BLOCK_POINTS, n) bytes; a call
-    at another n, or a direct `_block_fgn` call on more rows, replaces it.
+    `z` is a (rows, 2w) view of the flat `normals`, and `held` is the
+    (seed, first, stop) whose streams first..stop-1 fill its first rows.
+    `b`, the (count, n + 1) half-spectra, and `synth`, the (count, 2n)
+    inverse-FFT output, are views of the flat `spectra` and `outputs`.
     """
-    rows = max(count, block_size(n))
     work = getattr(_thread_state, "work", None)
-    if work is None or work.z.shape != (rows, 2 * n):
-        z, b, synth = np.empty((rows, 2 * n)), np.empty((rows, n + 1), dtype=np.complex128), np.empty((rows, 2 * n))
-        work = _thread_state.work = SimpleNamespace(z=z, b=b, synth=synth, key=None)
+    if work is None:
+        empty, none = np.empty(0), np.empty((0, 0))
+        work = _thread_state.work = SimpleNamespace(
+            normals=empty, spectra=empty, outputs=empty, z=none, b=none, synth=none, held=(None, 0, 0)
+        )
     return work
+
+
+def _buffer(work: SimpleNamespace, name: str, size: int, dtype=np.float64) -> np.ndarray:
+    """The workspace's flat buffer `name`, replaced by a new one unless it has exactly `size` entries.
+
+    The synthesis buffers of a block of at most block_size(n) rows have one
+    size at every n <= BLOCK_POINTS, so a ladder walk keeps them; a larger
+    grid or block replaces them, and the next block of the usual size
+    replaces them back.
+    """
+    buf = getattr(work, name)
+    if buf.size != size:
+        buf = np.empty(size, dtype=dtype)
+        setattr(work, name, buf)
+    return buf
+
+
+def hold_normals(seed: int, first: int, count: int, n: int) -> None:
+    """Open this thread's held normals for streams first..first + count - 1 of `seed` at width 2n, none drawn yet.
+
+    The `sample_fbm` calls that follow at grid size n draw those streams into
+    them block by block, and any later call for fewer streams or a smaller
+    grid reads a view of them. count <= held_rows(n) keeps them within
+    HELD_POINTS floats, or one block at n.
+    """
+    work = _workspace()
+    width = 2 * n
+    if work.z.shape != (count, width):
+        normals = _buffer(work, "normals", max(count, BLOCK_POINTS // n) * width)
+        work.z = normals[: count * width].reshape(count, width)
+    work.held = (seed, first, first)
 
 
 def _block_normals(seed: int, first: int, count: int, n: int) -> np.ndarray:
     """(count, 2n) standard normals; row i is the start of stream (seed, first + i).
 
-    The result is a view of this thread's workspace. A repeat of the
-    workspace's key, as the harness asks once per H of a block, returns the
-    held normals without re-keying: only this function writes them.
+    The result is a view of this thread's held normals. A request inside
+    them, as a lower rung or another H of a block asks, returns the held
+    normals without re-keying; one that continues them at their width draws
+    into their free rows if they have room; anything else opens a new
+    rectangle of `count` rows. Only this function writes normals.
     """
-    work = _workspace(count, n)
-    z = work.z[:count]
-    key = (seed, first, count)
-    if work.key != key:
-        work.key = None  # a draw cut short leaves no key on half-written normals
-        for i in range(count):
-            _rng(seed, first + i).standard_normal(out=z[i])
-        work.key = key
-    return z
+    work = _workspace()
+    z = work.z
+    held_seed, held_first, held_stop = work.held
+    width, stop = 2 * n, first + count
+    if held_seed == seed and held_first <= first and stop <= held_stop and width <= z.shape[1]:
+        return z[first - held_first : stop - held_first, :width]
+    if not (held_seed == seed and first == held_stop and width == z.shape[1] and stop - held_first <= z.shape[0]):
+        hold_normals(seed, first, count, n)
+        z, held_first = work.z, first
+    rows = z[first - held_first : stop - held_first]
+    for i in range(count):
+        _rng(seed, first + i).standard_normal(out=rows[i])
+    work.held = (seed, held_first, stop)  # set last: a draw cut short leaves only its finished rows held
+    return rows
 
 
 def _block_fgn(h: float, n: int, z: np.ndarray) -> np.ndarray:
@@ -220,12 +274,16 @@ def _block_fgn(h: float, n: int, z: np.ndarray) -> np.ndarray:
     """
     h0, hn, coef = _circulant_coeffs(h, n)
     count = z.shape[0]
-    work = _workspace(count, n)
-    b = work.b[:count]
+    work = _workspace()
+    b, synth = work.b, work.synth
+    if b.shape != (count, n + 1):
+        spectra = _buffer(work, "spectra", max(2 * BLOCK_POINTS, count * (n + 1)), np.complex128)
+        b = work.b = spectra[: count * (n + 1)].reshape(count, n + 1)
+        synth = work.synth = _buffer(work, "outputs", max(2 * BLOCK_POINTS, count * 2 * n))[: count * 2 * n].reshape(count, 2 * n)
     np.multiply(z[:, 2:], coef, out=b.view(np.float64)[:, 2 : 2 * n])
     b[:, 0] = h0 * z[:, 0]
     b[:, n] = hn * z[:, 1]
-    return np.fft.irfft(b, 2 * n, axis=1, norm="forward", out=work.synth[:count])[:, :n]
+    return np.fft.irfft(b, 2 * n, axis=1, norm="forward", out=synth)[:, :n]
 
 
 def sample_fbm(H, n: int, config: SamplerConfig, count: int = 1) -> FbmPath:

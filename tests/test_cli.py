@@ -458,13 +458,17 @@ class TestCmdRegimes:
         [
             ("--kappas", "1"), ("--kappas", "x"), ("--kappas", "2,1"), ("--kappas", "2.5"),
             ("--h-step", "0"), ("--h-step", "-0.5"),
+            ("--h-step", "2"), ("--h-step", "0.9999999999999"), ("--h-step", "inf"),
         ],
     )
     def test_bad_flag_exits_2(self, capsys, flag, value):
-        # validated while parsing, so a step of 0 cannot reach the grid loop
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["regimes", flag, value])
-        assert exc.value.code == 2
+        # a step of 0 fails while parsing, so it cannot reach the grid loop;
+        # a step with no grid point inside (0, 1) fails before any row is printed
+        try:
+            rc = cli.main(["regimes", flag, value])
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == 2
         captured = capsys.readouterr()
         assert flag in captured.err
         assert captured.out == ""

@@ -1,6 +1,7 @@
 """Monte Carlo harness: determinism, stderr scaling, rate fitting."""
 
 import dataclasses
+import itertools
 import math
 import sys
 import time
@@ -190,6 +191,11 @@ BLOCK_CASES = {
 }
 
 
+def one_row(n):
+    """A block rule of one row at every grid size: walks and blocks of a single replica."""
+    return 1
+
+
 class TestReplicaBlocks:
     def test_cases_cover_every_form(self):
         assert set(BLOCK_CASES) == set(FORMS)
@@ -210,11 +216,11 @@ class TestReplicaBlocks:
             seed=20080612,
         )
         h = builtin(weight)
-        blocked = harness._replica_values({plan: h}, n, 1, block)[plan]
-        single = harness._replica_values({plan: h}, n, 1, 1)[plan]
+        blocked = harness._replica_values({plan: h}, 1)[plan][0]
+        single = harness._replica_values({plan: h}, 1, one_row)[plan][0]
         assert blocked.shape == (replicas, 2)
         assert np.array_equal(blocked, single)
-        assert np.array_equal(harness._replica_values({plan: h}, n, 2, block)[plan], single)
+        assert np.array_equal(harness._replica_values({plan: h}, 2)[plan][0], single)
         if FORMS[form].limit is None:
             assert np.all(blocked[:, 1] == 0.0)
 
@@ -224,13 +230,13 @@ class TestReplicaBlocks:
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         plan = l2_plan(replicas=9, ladder=(2048,))
         h = builtin("x2")
-        serial = harness._replica_values({plan: h}, 2048, 1, 1)[plan]
+        serial = harness._replica_values({plan: h}, 1, one_row)[plan][0]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             start = time.perf_counter()
             for _ in range(5):
-                assert np.array_equal(harness._replica_values({plan: h}, 2048, 4, 1)[plan], serial)
+                assert np.array_equal(harness._replica_values({plan: h}, 4, one_row)[plan][0], serial)
             assert time.perf_counter() - start < 60.0
         finally:
             sys.setswitchinterval(interval)
@@ -280,6 +286,21 @@ GROUP_CASES = {
 }
 
 
+def record_rekeys(monkeypatch):
+    """The stream of every re-key of the sampler's generator from now on, on this thread's emptied workspace."""
+    rekeys = []
+    rng = sampler._rng
+    monkeypatch.setattr(sampler, "_rng", lambda seed, stream: rekeys.append(stream) or rng(seed, stream))
+    sampler._thread_state.work = None
+    return rekeys
+
+
+def blocks_at(plan, n):
+    """The blocks a plan's walks take at grid size n: walks of walk_rows replicas, each in blocks of block_size(n)."""
+    rows = harness.walk_rows(plan.n_ladder)
+    return sum(math.ceil(min(rows, plan.replicas - r0) / harness.block_size(n)) for r0 in range(0, plan.replicas, rows))
+
+
 def record_draws(monkeypatch):
     """The (n, first stream, count) of every block the harness draws from now on."""
     draws = []
@@ -307,41 +328,43 @@ class TestPathGroups:
 
     def test_group_draws_each_block_once(self, monkeypatch):
         draws = record_draws(monkeypatch)
+        rekeys = record_rekeys(monkeypatch)
         first, second = GROUP_CASES["partial_blocks"]
         groups = PathGroups([first, second])
         groups.report(first, threads=1)
         for n in first.n_ladder:
-            block = harness.block_size(n)
-            at_n = [d for d in draws if d[0] == n]
-            assert len(at_n) == math.ceil(first.replicas / block), n
-            assert sorted(stream for _, stream, _ in at_n) == list(range(0, first.replicas, block))
+            at_n = sorted((stream, count) for m, stream, count in draws if m == n)
+            assert len(at_n) == blocks_at(first, n), n
+            # consecutive blocks of at most block_size(n) rows, each replica in one of them
+            assert [stream for stream, _ in at_n] == [0, *itertools.accumulate(count for _, count in at_n[:-1])]
+            assert sum(count for _, count in at_n) == first.replicas
+            assert max(count for _, count in at_n) <= harness.block_size(n)
+        # every stream re-keyed once, at the top rung, whatever the ladder's length
+        assert rekeys == list(range(first.replicas))
         # the other member's report is stored, not drawn again
         drawn = len(draws)
         groups.report(second, threads=1)
-        assert len(draws) == drawn
+        assert len(draws) == drawn and len(rekeys) == first.replicas
 
     def test_group_across_hursts_draws_normals_once(self, monkeypatch):
         # each block is synthesized at both H from one re-keyed draw of its streams
         draws = record_draws(monkeypatch)
-        rekeys = []
-        rng = sampler._rng
-        monkeypatch.setattr(sampler, "_rng", lambda seed, stream: rekeys.append(stream) or rng(seed, stream))
-        sampler._thread_state.work = None
+        rekeys = record_rekeys(monkeypatch)
         first, second = GROUP_CASES["two_hursts"]
         PathGroups([first, second]).report(second, threads=1)
-        assert len(rekeys) == first.replicas * len(first.n_ladder)
-        blocks = sum(math.ceil(first.replicas / harness.block_size(n)) for n in first.n_ladder)
-        assert len(draws) == 2 * blocks
+        assert rekeys == list(range(first.replicas))
+        assert len(draws) == 2 * sum(blocks_at(first, n) for n in first.n_ladder)
 
     @pytest.mark.parametrize("change", [{"n_ladder": (16, 64, 512)}, {"replicas": 77}], ids=["n_ladder", "replicas"])
     def test_plans_with_another_replica_set_draw_separately(self, monkeypatch, change):
         draws = record_draws(monkeypatch)
+        rekeys = record_rekeys(monkeypatch)
         first, second = GROUP_CASES["partial_blocks"]
         second = dataclasses.replace(second, **change)
         groups = PathGroups([first, second])
         reports = [groups.report(plan, threads=1) for plan in (first, second)]
-        blocks = [math.ceil(plan.replicas / harness.block_size(n)) for plan in (first, second) for n in plan.n_ladder]
-        assert len(draws) == sum(blocks)
+        assert len(draws) == sum(blocks_at(plan, n) for plan in (first, second) for n in plan.n_ladder)
+        assert rekeys == [*range(first.replicas), *range(second.replicas)]
         for plan, grouped in zip((first, second), reports):
             assert grouped == runner_of(plan)(plan)
 
@@ -359,6 +382,47 @@ class TestPathGroups:
         plans = GROUP_CASES["equal_ladders"]
         with pytest.raises(ValueError, match="not one of"):
             PathGroups(plans[:1]).report(plans[1], threads=1)
+
+
+class TestLadderWalk:
+    @pytest.mark.parametrize("form", list(StatForm), ids=lambda f: f.value)
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_rungs_match_one_rung_plans(self, monkeypatch, form, threads):
+        # walks of 64 replicas on (16, 64, 512): 100 leave a partial last walk,
+        # whose top rung ends in a partial block of 4
+        H, kappa, weight = BLOCK_CASES[form]
+        plan = plan_of(H, kappa, weight, form, (16, 64, 512), 100)
+        rekeys = record_rekeys(monkeypatch)
+        records = runner_of(plan)(plan, threads=threads).records
+        assert sorted(rekeys) == list(range(plan.replicas))
+        assert [rec.n for rec in records] == list(plan.n_ladder)
+        for rec in records:
+            alone = dataclasses.replace(plan, n_ladder=(rec.n,))
+            assert runner_of(alone)(alone, threads=threads).records == (rec,)
+
+    # ladder -> replicas per walk
+    WALKS = {
+        (1, sampler.MAX_GRID_SIZE): 1,
+        (16, 2**20): 1,
+        (128, 512, 2048, 8192): 4,
+        (128, 512): 64,
+        (128,): 64,
+        (8192,): 1,
+    }
+
+    @pytest.mark.parametrize("ladder", list(WALKS), ids=lambda ladder: "-".join(map(str, ladder)))
+    def test_held_normals_within_bound(self, ladder):
+        low, top = ladder[0], ladder[-1]
+        rows = harness.walk_rows(ladder)
+        assert rows == self.WALKS[ladder]
+        assert sampler.HELD_POINTS * 8 == 512 * 1024
+        # the walk's normals, 2 * top per stream: within 512 KiB, or one block at the top rung
+        assert rows * 2 * top <= max(sampler.HELD_POINTS, sampler.block_size(top) * 2 * top)
+        # whole blocks at the top rung, at most one block at the lowest
+        assert sampler.block_size(top) <= rows <= sampler.block_size(low)
+        # so every block a walk synthesizes and evaluates stays within BLOCK_POINTS points, or one path
+        for n in ladder:
+            assert min(rows, sampler.block_size(n)) * n <= max(sampler.BLOCK_POINTS, n)
 
 
 class TestRunCltDiagnostics:

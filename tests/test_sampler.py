@@ -85,40 +85,62 @@ def _on_fresh_thread(H, n, count, seed, first):
         return pool.submit(sample_fbm, H, n, SamplerConfig(seed=seed, stream=first), count).result().values
 
 
+def _count_rekeys(monkeypatch):
+    """The streams of every re-key of the sampler's generator from now on, on an emptied workspace."""
+    import fbmvar.sampler as sampler_mod
+
+    rekeys = []
+    rng = sampler_mod._rng
+    monkeypatch.setattr(sampler_mod, "_rng", lambda seed, stream: rekeys.append(stream) or rng(seed, stream))
+    sampler_mod._thread_state.work = None
+    return rekeys
+
+
 class TestNormalsMemo:
-    # (H, n, count, seed, first stream): the first six calls each change one of
-    # them, in turn, and the rest jump back; a call that changes only H, or
-    # nothing, finds its normals held unless it spans more than one block
+    # ((H, n, count, seed, first stream), streams re-keyed): a call whose
+    # streams and width lie inside the last block drawn reads its normals
     CALLS = (
-        (0.3, 64, 4, 1, 0),
-        (0.7, 64, 4, 1, 0),
-        (0.7, 64, 3, 1, 0),
-        (0.7, 128, 3, 1, 0),
-        (0.7, 128, 3, 9, 0),
-        (0.7, 128, 3, 9, 5),
-        (0.2, 128, 3, 9, 5),
-        (0.2, 128, 3, 9, 5),
-        (0.3, 64, 4, 1, 0),
-        (0.3, 64, 500, 1, 0),
-        (0.3, 64, 4, 1, 0),
+        ((0.3, 64, 4, 1, 0), 4),
+        ((0.7, 64, 4, 1, 0), 0),  # another H
+        ((0.7, 64, 3, 1, 1), 0),  # streams inside the held ones
+        ((0.7, 32, 3, 1, 0), 0),  # a smaller grid reads the first 64 of each row's 128 normals
+        ((0.7, 64, 5, 1, 0), 5),  # one stream past them
+        ((0.7, 128, 3, 1, 0), 3),  # a larger grid
+        ((0.7, 128, 3, 9, 0), 3),  # another seed
+        ((0.7, 128, 3, 9, 3), 3),  # the next streams: a block of exactly its rows has no room
+        ((0.2, 128, 3, 9, 3), 0),
+        ((0.3, 64, 500, 1, 0), 500),  # four blocks of 128, the last partial
+        ((0.3, 64, 4, 1, 496), 0),  # inside the last of them
+        ((0.3, 64, 4, 1, 0), 4),
     )
 
     def test_interleaved_calls_match_fresh_threads(self, monkeypatch):
+        rekeys = _count_rekeys(monkeypatch)
+        for call, drawn in self.CALLS:
+            H, n, count, seed, first = call
+            before = len(rekeys)
+            got = sample_fbm(H, n, SamplerConfig(seed=seed, stream=first), count).values
+            assert len(rekeys) - before == drawn, call
+            assert np.array_equal(got, _on_fresh_thread(*call)), call
+
+    def test_held_room_fills_block_by_block(self, monkeypatch):
+        # a ladder walk: 64 streams opened at n = 512, drawn in blocks of 16, then read at n = 128
         import fbmvar.sampler as sampler_mod
 
-        rekeys = []
-        rng = sampler_mod._rng
-        monkeypatch.setattr(sampler_mod, "_rng", lambda seed, stream: rekeys.append(stream) or rng(seed, stream))
-        sampler_mod._thread_state.work = None
-        last = None
-        for call in self.CALLS:
-            H, n, count, seed, first = call
-            drawn = len(rekeys)
-            got = sample_fbm(H, n, SamplerConfig(seed=seed, stream=first), count).values
-            held = last is not None and last[1:] == call[1:] and count <= sampler_mod.block_size(n)
-            assert len(rekeys) - drawn == (0 if held else count), call
-            assert np.array_equal(got, _on_fresh_thread(*call)), call
-            last = call
+        rekeys = _count_rekeys(monkeypatch)
+        sampler_mod.hold_normals(3, 100, 64, 512)
+        for first in range(100, 164, 16):
+            sample_fbm(0.3, 512, SamplerConfig(seed=3, stream=first), 16)
+        assert rekeys == list(range(100, 164))
+        reads = ((0.3, 128, 64, 3, 100), (0.6, 128, 64, 3, 100), (0.3, 16, 30, 3, 120), (0.6, 512, 16, 3, 148))
+        got = [sample_fbm(H, n, SamplerConfig(seed=seed, stream=first), count).values for H, n, count, seed, first in reads]
+        assert len(rekeys) == 64
+        # full: the next streams open a new block
+        sample_fbm(0.3, 512, SamplerConfig(seed=3, stream=164), 16)
+        assert rekeys[64:] == list(range(164, 180))
+        assert sampler_mod._thread_state.work.held == (3, 164, 180)
+        for values, call in zip(got, reads):
+            assert np.array_equal(values, _on_fresh_thread(*call)), call
 
     def test_draw_past_one_block_holds_one_block(self):
         import fbmvar.sampler as sampler_mod
@@ -126,7 +148,8 @@ class TestNormalsMemo:
         block = sampler_mod.block_size(64)
         sample_fbm(0.3, 64, SamplerConfig(seed=1), 10 * block + 1)
         work = sampler_mod._thread_state.work
-        assert [buf.shape[0] for buf in (work.z, work.b, work.synth)] == [block] * 3
+        assert work.held == (1, 10 * block, 10 * block + 1) and work.z.shape == (1, 128)
+        assert (work.normals.size, work.spectra.size, work.outputs.size) == (block * 128, *[2 * sampler_mod.BLOCK_POINTS] * 2)
 
 
 class TestReproducibility:

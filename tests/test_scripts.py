@@ -25,3 +25,10 @@ def test_bench_sampler_times_every_layer():
         # drawing normals costs 20 to 30 times the limit; a draw that returned
         # the thread's held normals instead would cost a small share of it
         assert out["rekey_normals_us"] > out["limit_us"], (n, out)
+
+
+def test_bench_sampler_times_the_ladder():
+    script = load_script("bench_sampler")
+    out = script.ladder_times(calls=2, runs=3)
+    assert out["ladder"] == list(script.LADDER) and out["replicas"] == 64
+    assert out["ladder_us"] > 0 and out["rungs_us"] > 0, out
