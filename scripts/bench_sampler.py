@@ -13,11 +13,18 @@ and reports microseconds per replica (a block's time divided by B):
 - `synthesis_us`: `_block_fgn` on stored normals, the half-spectrum products
   and the one inverse FFT along the rows;
 - `assembly_us`: what `sample_fbm` does with a block's stored increments,
-  the cumulative sum into a new path array, freezing it and the `FbmPath`
-  validation;
-- `statistic_us`: `evaluate_statistic` on a stored block;
-- `limit_us`: `limit_functional` on a stored block;
-- `layers_sum_us`: the sum of the five;
+  the copy of its rows into a new increments array, freezing it and
+  `FbmPath.from_increments`;
+- `statistic_us`: `evaluate_statistic` on a new path built from the stored
+  increments each call, so that the partial sums that the weighted form
+  reads are formed in every call, as in a run;
+- `partial_sums_us`: the part of `statistic_us` that forms those partial
+  sums, the first read of `values` of a new path built from the stored
+  increments;
+- `limit_us`: `limit_functional` on a stored block whose partial sums are
+  formed, as the statistic leaves them;
+- `layers_sum_us`: the sum of the five layers, with `partial_sums_us`
+  counted once, inside `statistic_us`;
 - `block_us`: the harness's own loop (`_replica_values`) drawing and
   evaluating two whole blocks end to end, per replica, so that no draw finds
   its streams in the normals the one before it holds. What it adds to
@@ -108,20 +115,24 @@ def layer_times(n, calls, runs):
     streams = itertools.count(block, block)
 
     def assemble():
-        values = np.zeros((block, n + 1))
-        np.cumsum(fgn, axis=1, out=values[:, 1:])
-        values.flags.writeable = False
-        return FbmPath(hurst=path.hurst, values=values)
+        increments = np.empty((block, n))
+        increments[:] = fgn
+        increments.flags.writeable = False
+        return FbmPath.from_increments(path.hurst, increments)
+
+    def fresh():
+        return FbmPath.from_increments(path.hurst, path.increments)
 
     per_block = {
         "rekey_normals_us": lambda: sampler_mod._block_normals(SEED, next(streams), block, n),
         "synthesis_us": lambda: sampler_mod._block_fgn(HURST, n, z),
         "assembly_us": assemble,
-        "statistic_us": lambda: evaluate_statistic(path, h, SPEC),
+        "statistic_us": lambda: evaluate_statistic(fresh(), h, SPEC),
         "limit_us": lambda: limit_functional(path, h, SPEC),
     }
     layers = {name: best_us(fn, calls, runs) / block for name, fn in per_block.items()}
     layers["layers_sum_us"] = sum(layers.values())
+    layers["partial_sums_us"] = best_us(lambda: fresh().values, calls, runs) / block  # inside statistic_us
     def whole_blocks():
         return harness._replica_values({plan: h}, 1)[plan]
 

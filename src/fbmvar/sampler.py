@@ -4,9 +4,10 @@ The circulant route draws from the exact finite-dimensional law
 N(0, [R_H(t_j, t_k)]). It embeds the unit-variance fGn autocovariance rho_H
 into a length-2n circulant (Wood & Chan 1994, Dietrich & Newsam 1997) whose
 spectrum is Hermitian, so one real inverse FFT of the n+1 half-spectrum
-synthesizes the n^{-H}-scaled increments in O(n log n); a cumulative sum gives
-the path. A block of B paths is B rows of one normal buffer, transformed by
-one inverse FFT along its rows.
+synthesizes the n^{-H}-scaled increments in O(n log n). A block of B paths is
+B rows of one normal buffer, transformed by one inverse FFT along its rows.
+A path keeps the increments it was synthesized as; their cumulative sum, the
+path's values B_{k/n}, is formed only when something reads it.
 
 Randomness is counter-based: row i of a block draws from a Philox generator
 keyed by (seed, stream + i), so a path depends only on its own key and never
@@ -24,8 +25,9 @@ rung; the harness keeps it within HELD_POINTS floats, or one block of the top
 rung where that alone is larger. The half-spectrum and inverse-FFT buffers of one
 block are kept beside them and reshaped for each grid size, so blocks and
 rungs reuse the workspace instead of freeing and faulting in buffers. A draw
-of any size runs block by block through the workspace into one new path
-array, so it needs its output plus the workspace.
+of any size runs block by block through the workspace into one new
+increments array, so it needs its output plus the workspace, and the values
+array too once they are read.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ BLOCK_POINTS = 8192
 HELD_POINTS = 8 * BLOCK_POINTS
 
 # The largest grid size a plan may ask for, so that a run's memory stays bounded: a run of
-# one plan at 1 thread peaks at about 213 MiB RSS at n = 2^20 and 709 MiB at n = 2^22.
+# one plan at 1 thread, weighted or not, peaks at about 213 MiB RSS at n = 2^20 and 709 MiB
+# at n = 2^22: the embedding's set-up and the workspace, not the path arrays, set the peak.
 MAX_GRID_SIZE = 2**22
 
 
@@ -90,37 +93,86 @@ class SamplerConfig:
             object.__setattr__(self, field, value)
 
 
-@dataclass(frozen=True, eq=False)
-class FbmPath:
-    """A block of trajectories: row i is (B_0, B_{1/n}, ..., B_1) of one path; values are immutable.
+def _owned(array) -> np.ndarray:
+    """`array` itself if nothing else can write it (a read-only float64 array owning its data), else a read-only copy."""
+    if not (isinstance(array, np.ndarray) and array.dtype == np.float64 and not array.flags.writeable and array.flags.owndata):
+        array = np.array(array, dtype=np.float64)
+        array.flags.writeable = False
+    return array
 
-    A read-only float64 array is kept as given; anything else is copied, so the
-    caller's writable array is neither aliased nor frozen.
+
+class FbmPath:
+    """A block of trajectories of one H, immutable; row i of `values` is (B_0, B_{1/n}, ..., B_1) of one path.
+
+    A path is built from its values, `FbmPath(hurst, values)`, or from its
+    increments, `FbmPath.from_increments(hurst, increments)`. The other form
+    is derived on first read and cached: `values` is [0, cumsum(increments)]
+    along each row and `increments` is `np.diff(values)`. Both are read-only.
+    A read-only float64 array that owns its data is kept as given; anything
+    else is copied, so the caller's array is neither aliased nor frozen and
+    no later write of it reaches the path.
     """
 
-    hurst: HurstIndex
-    values: np.ndarray
+    __slots__ = ("hurst", "_values", "_increments")
 
-    def __post_init__(self):
-        object.__setattr__(self, "hurst", as_hurst(self.hurst))
-        vals = self.values
-        if not (isinstance(vals, np.ndarray) and vals.dtype == np.float64 and not vals.flags.writeable):
-            vals = np.array(vals, dtype=np.float64)
+    def __init__(self, hurst, values):
+        vals = _owned(values)
         if vals.ndim != 2 or vals.shape[0] < 1 or vals.shape[1] < 2:
             raise ValueError(f"expected a (paths, n + 1) block with n >= 1, got shape {vals.shape}")
         if np.any(vals[:, 0] != 0.0):
             raise ValueError(f"paths must start at 0, got {vals[:, 0]!r}")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        self._set(hurst, vals, None)
+
+    @classmethod
+    def from_increments(cls, hurst, increments) -> FbmPath:
+        """The block whose row i has the increments (B_{(k+1)/n} - B_{k/n})_{k < n} of row i of `increments`."""
+        incs = _owned(increments)
+        if incs.ndim != 2 or incs.shape[0] < 1 or incs.shape[1] < 1:
+            raise ValueError(f"expected a (paths, n) block of increments with n >= 1, got shape {incs.shape}")
+        path = cls.__new__(cls)
+        path._set(hurst, None, incs)
+        return path
+
+    def _set(self, hurst, values, increments) -> None:
+        object.__setattr__(self, "hurst", as_hurst(hurst))
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_increments", increments)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FbmPath is immutable; cannot set {name!r}")
+
+    @property
+    def values(self) -> np.ndarray:
+        """The (paths, n + 1) array of B_{k/n}, k = 0..n.
+
+        Threads that read it first at once each form the same bits, and one of them is kept.
+        """
+        if self._values is None:
+            incs = self._increments
+            vals = np.empty((incs.shape[0], incs.shape[1] + 1))
+            vals[:, 0] = 0.0
+            np.cumsum(incs, axis=1, out=vals[:, 1:])
+            vals.flags.writeable = False
+            object.__setattr__(self, "_values", vals)
+        return self._values
+
+    @property
+    def increments(self) -> np.ndarray:
+        """The (paths, n) array of Delta B_k = B_{(k+1)/n} - B_{k/n}, k = 0..n-1."""
+        if self._increments is None:
+            incs = np.diff(self._values, axis=1)
+            incs.flags.writeable = False
+            object.__setattr__(self, "_increments", incs)
+        return self._increments
 
     @property
     def n(self) -> int:
         """Grid size: each path has n increments."""
-        return self.values.shape[1] - 1
+        return self._increments.shape[1] if self._increments is not None else self._values.shape[1] - 1
 
     @property
     def left(self) -> np.ndarray:
-        """Left endpoints B_{k/n}, k = 0..n-1, of every path (a view)."""
+        """Left endpoints B_{k/n}, k = 0..n-1, of every path (a view of `values`)."""
         return self.values[:, :-1]
 
 
@@ -289,21 +341,23 @@ def _block_fgn(h: float, n: int, z: np.ndarray) -> np.ndarray:
 def sample_fbm(H, n: int, config: SamplerConfig, count: int = 1) -> FbmPath:
     """A block of `count` exact fBm paths on {k/n}; row i is stream (seed, config.stream + i)'s path.
 
-    n and count are integers >= 1. The paths are drawn block_size(n) rows at a
-    time into one new read-only array, which `FbmPath` keeps without a copy.
+    n and count are integers >= 1. The increments are synthesized
+    block_size(n) rows at a time and copied into one new read-only array,
+    which `FbmPath.from_increments` keeps without a copy; the path's values
+    are summed only when first read.
     """
     hurst = as_hurst(H)
     n, count = as_integer(n, "n", 1), as_integer(count, "count", 1)
     seed, first = config.seed, config.stream
     if first + count > _MAX_UINT64:
         raise ValueError(f"streams {first}..{first + count - 1} must be below 2^64")
-    values = np.zeros((count, n + 1))
+    increments = np.empty((count, n))
     rows = block_size(n)
     for r0 in range(0, count, rows):
         z = _block_normals(seed, first + r0, min(rows, count - r0), n)
-        np.cumsum(_block_fgn(hurst.value, n, z), axis=1, out=values[r0 : r0 + rows, 1:])
-    values.flags.writeable = False
-    return FbmPath(hurst=hurst, values=values)
+        increments[r0 : r0 + rows] = _block_fgn(hurst.value, n, z)
+    increments.flags.writeable = False
+    return FbmPath.from_increments(hurst, increments)
 
 
 def dump_path(path: FbmPath, fileobj) -> None:

@@ -149,8 +149,7 @@ def evaluate_statistic(path: FbmPath, h: WeightFunction, spec: StatisticSpec) ->
     row = FORMS[spec.form]
     hv = path.hurst.value
     n = np.float64(path.n)  # n^{kappa H} past float64 is inf, where a Python float raises
-    left = path.left
-    diff = path.values[:, 1:] - left
+    diff = path.increments
     # left to right, ((n^{kappa H} Delta) Delta) ...
     terms = n ** (spec.kappa * hv) * diff
     for _ in range(spec.kappa - 1):
@@ -158,10 +157,10 @@ def evaluate_statistic(path: FbmPath, h: WeightFunction, spec: StatisticSpec) ->
     mu = gaussian_moment(spec.kappa)
     if mu:
         terms -= mu
-    if row.weighted:
-        terms *= h(left)
+    if row.weighted:  # only a weight reads B_{k/n}, so only a weighted form sums the path
+        terms *= h(path.left)
     if row.compensator:
-        terms += row.compensator * h.derivative(1)(left) * n ** (-hv)
+        terms += row.compensator * h.derivative(1)(path.left) * n ** (-hv)
     a, b = row.exponent
     return n ** (a * hv + b) * np.sum(terms, axis=1)
 

@@ -314,6 +314,34 @@ def record_draws(monkeypatch):
     return draws
 
 
+def record_partial_sums(monkeypatch):
+    """One entry per read of a path's values from now on: True where that read formed the partial sums."""
+    reads = []
+    values = sampler.FbmPath.values
+    monkeypatch.setattr(sampler.FbmPath, "values", property(lambda path: reads.append(path._values is None) or values.fget(path)))
+    return reads
+
+
+class TestPartialSums:
+    def test_unweighted_plans_never_sum_a_path(self, monkeypatch):
+        draws = record_draws(monkeypatch)
+        reads = record_partial_sums(monkeypatch)
+        ladder = (16, 64, 256)
+        plans = (
+            plan_of(0.3, 2, "one", StatForm.UNWEIGHTED_CENTERED, ladder, 130),
+            plan_of(0.3, 3, "one", StatForm.UNWEIGHTED_ODD, ladder, 130),
+        )
+        harness._replica_values({plan: builtin("one") for plan in plans}, 1)
+        assert draws and reads == []
+
+    def test_weighted_plans_at_one_hurst_sum_each_block_once(self, monkeypatch):
+        draws = record_draws(monkeypatch)
+        reads = record_partial_sums(monkeypatch)
+        plans = GROUP_CASES["equal_ladders"]
+        harness._replica_values({plan: builtin(plan.spec.weight) for plan in plans}, 1)
+        assert reads.count(True) == len(draws) > 0
+
+
 class TestPathGroups:
     @pytest.mark.parametrize("case", list(GROUP_CASES))
     @pytest.mark.parametrize("threads", [1, 2])

@@ -65,6 +65,8 @@ class TestBufferOwnership:
         draws = [sample_fbm(0.3, n, SamplerConfig(seed=1, stream=0), count) for n, count in ((64, 4), (64, 4), (64, 2), (128, 4))]
         for a, b in zip(draws, draws[1:]):
             assert not np.shares_memory(a.values, b.values)
+            for x, y in itertools.product((a.increments, a.values), (b.increments, b.values)):
+                assert not np.shares_memory(x, y)
 
     def test_caller_array_neither_aliased_nor_frozen(self):
         values = np.zeros((2, 5))
@@ -78,6 +80,64 @@ class TestBufferOwnership:
         values = np.zeros((2, 5))
         values.flags.writeable = False
         assert FbmPath(hurst=HurstIndex(0.3), values=values).values is values
+        increments = np.ones((2, 4))
+        increments.flags.writeable = False
+        assert FbmPath.from_increments(HurstIndex(0.3), increments).increments is increments
+
+    def test_read_only_view_of_writable_array_is_copied(self):
+        # the view cannot be written, but its base can: keeping it would let
+        # the path, and every array derived from it, change under the caller's writes
+        a = np.zeros((1, 5))
+        v = a[:, :]
+        v.flags.writeable = False
+        p = FbmPath(0.3, v)
+        a[0, 2] = 7.0
+        assert p.values[0, 2] == 0.0
+        d = np.ones((1, 4))
+        w = d[:, :]
+        w.flags.writeable = False
+        q = FbmPath.from_increments(0.3, w)
+        d[0, 2] = 7.0
+        assert q.increments[0, 2] == 1.0 and q.values[0, 4] == 4.0
+
+    def test_caller_increments_neither_aliased_nor_frozen(self):
+        increments = np.ones((2, 4))
+        path = FbmPath.from_increments(HurstIndex(0.3), increments)
+        assert not np.shares_memory(path.increments, increments)
+        assert increments.flags.writeable and not path.increments.flags.writeable
+        increments[0, 1] = 5.0
+        assert path.increments[0, 1] == 1.0
+
+
+class TestTwoForms:
+    def test_values_are_the_partial_sums_of_the_increments(self):
+        d = np.random.default_rng(3).standard_normal((3, 257))
+        path = FbmPath.from_increments(0.3, d)
+        want = np.concatenate([np.zeros((3, 1)), np.cumsum(d, axis=1)], axis=1)
+        assert path.n == 257 and path.values.shape == (3, 258)
+        assert np.array_equal(path.values, want)
+        assert np.array_equal(path.left, want[:, :-1])
+
+    def test_increments_are_the_differences_of_the_values(self):
+        values = np.concatenate([np.zeros((3, 1)), np.random.default_rng(4).standard_normal((3, 256))], axis=1)
+        path = FbmPath(0.3, values)
+        assert path.n == 256
+        assert np.array_equal(path.increments, np.diff(values, axis=1))
+
+    def test_both_forms_read_only_and_cached(self):
+        for path in (sample_fbm(0.3, 16, SamplerConfig(seed=1), 3), FbmPath(0.3, np.zeros((2, 9)))):
+            for name in ("values", "increments"):
+                array = getattr(path, name)
+                assert getattr(path, name) is array, name
+                with pytest.raises(ValueError):
+                    array[0, 1] = 1.0
+        with pytest.raises(AttributeError):
+            path.hurst = HurstIndex(0.4)
+
+    def test_rejects_wrong_increment_shape(self):
+        for increments in ([0.1, 0.2], np.zeros((0, 4)), np.zeros((2, 0))):
+            with pytest.raises(ValueError):
+                FbmPath.from_increments(HurstIndex(0.3), np.array(increments))
 
 
 def _on_fresh_thread(H, n, count, seed, first):

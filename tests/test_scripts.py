@@ -16,7 +16,7 @@ def load_script(name):
 def test_bench_sampler_times_every_layer():
     # the script calls sampler._block_normals/_block_fgn and harness._replica_values
     script = load_script("bench_sampler")
-    times = ("rekey_normals_us", "synthesis_us", "assembly_us", "statistic_us", "limit_us", "layers_sum_us", "block_us")
+    times = ("rekey_normals_us", "synthesis_us", "assembly_us", "statistic_us", "partial_sums_us", "limit_us", "layers_sum_us", "block_us")
     for n in script.GRID_SIZES:
         out = script.layer_times(n, calls=2, runs=3)
         assert set(out) == {"block", "block_minflt", *times}

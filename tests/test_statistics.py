@@ -194,7 +194,7 @@ class TestUnweighted:
 
     def test_mirrored_path_flips_odd_statistic(self):
         p = sampled(0.3, 64, seed=21)
-        q = FbmPath(hurst=p.hurst, values=-p.values)
+        q = FbmPath.from_increments(p.hurst, -p.increments)
         assert unweighted(q, 3) == -unweighted(p, 3)
 
     def test_term_by_term_oracle_kappa4(self):
@@ -285,12 +285,44 @@ class TestLinearity:
 
 class TestOddSymmetry:
     def test_negated_path_flips_odd_statistics_exactly(self):
-        p = sampled(0.3, 64, seed=77)
-        q = FbmPath(hurst=p.hurst, values=-p.values)
-        for weight in ("x2", "cos", "one"):  # even weights
-            h = builtin(weight)
-            assert odd(q, h, 3) == -odd(p, h, 3)
-        assert unweighted(q, 3) == -unweighted(p, 3)
+        # negating either form is exact, and so are the sums and differences
+        # derived from it; a sampled path is built from its increments
+        sampled_path = sampled(0.3, 64, seed=77)
+        pairs = (
+            (sampled_path, FbmPath.from_increments(sampled_path.hurst, -sampled_path.increments)),
+            (FbmPath(sampled_path.hurst, values=sampled_path.values), FbmPath(sampled_path.hurst, values=-sampled_path.values)),
+        )
+        for p, q in pairs:
+            for weight in ("x2", "cos", "one"):  # even weights
+                h = builtin(weight)
+                assert odd(q, h, 3) == -odd(p, h, 3)
+            assert unweighted(q, 3) == -unweighted(p, 3)
+
+
+class TestTwoForms:
+    # (form, kappa, weight, H): every form, on a sampled path and on the same path built from its values
+    CASES = (
+        (StatForm.CENTERED_QUADRATIC, 2, "x2", 0.1),
+        (StatForm.COMPENSATED_CUBIC, 3, "sin", 0.12),
+        (StatForm.ODD_WEIGHTED, 3, "cos", 0.35),
+        (StatForm.UNWEIGHTED_CENTERED, 4, "one", 0.3),
+        (StatForm.UNWEIGHTED_ODD, 3, "one", 0.3),
+        (StatForm.MIXING_NORMALIZED, 2, "x2", 0.35),
+    )
+
+    def test_cases_cover_every_form(self):
+        assert {form for form, *_ in self.CASES} == set(StatForm)
+
+    @pytest.mark.parametrize("form, kappa, weight, H", CASES)
+    def test_forms_agree_across_representations(self, form, kappa, weight, H):
+        # the increments differ in the last bits: synthesized, or the
+        # differences of their rounded partial sums
+        p = sample_fbm(H, 256, SamplerConfig(seed=91), 8)
+        q = FbmPath(p.hurst, values=p.values)
+        spec, h = StatisticSpec(kappa, weight, form), builtin(weight)
+        np.testing.assert_allclose(evaluate_statistic(q, h, spec), evaluate_statistic(p, h, spec), rtol=1e-12, atol=0)
+        if FORMS[form].limit is not None:
+            assert np.array_equal(limit_functional(q, h, spec), limit_functional(p, h, spec))
 
 
 class TestStatisticSpecValidation:
