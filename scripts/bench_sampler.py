@@ -13,25 +13,35 @@ and reports microseconds per replica (a block's time divided by B):
 - `synthesis_us`: `_block_fgn` on stored normals, the half-spectrum products
   and the one inverse FFT along the rows;
 - `assembly_us`: what `sample_fbm` does with a block's stored increments,
-  the copy of its rows into a new increments array, freezing it and
-  `FbmPath.from_increments`;
+  the copy of its rows into a new increments array, freezing it and handing
+  it to a new path;
 - `statistic_us`: `evaluate_statistic` on a new path built from the stored
   increments each call, so that the partial sums that the weighted form
   reads are formed in every call, as in a run;
 - `partial_sums_us`: the part of `statistic_us` that forms those partial
   sums, the first read of `values` of a new path built from the stored
   increments;
-- `limit_us`: `limit_functional` on a stored block whose partial sums are
-  formed, as the statistic leaves them;
+- `limit_us`: `limit_functional` on a new path each call, built from the
+  stored block with its partial sums formed, so that the limit evaluates
+  its weight derivative instead of reading the one that an earlier call
+  left in the thread's workspace;
 - `layers_sum_us`: the sum of the five layers, with `partial_sums_us`
   counted once, inside `statistic_us`;
+- `stat_limit_us`: the statistic and then the limit on one new path, as a
+  run evaluates a block: the limit reads the weight derivatives that the
+  statistic left in the workspace, so for the cubic form, whose limit reads
+  -cos where the statistic read cos, it is below `statistic_us +
+  limit_us`;
 - `block_us`: the harness's own loop (`_replica_values`) drawing and
   evaluating two whole blocks end to end, per replica, so that no draw finds
   its streams in the normals the one before it holds. What it adds to
   `layers_sum_us` is cost that no layer shows alone, such as the page faults
   of large buffers that chained calls free and allocate again;
 - `block_minflt`: the minor page faults (`resource.getrusage`) of that loop
-  per block, over CALLS calls after a warm-up call.
+  per block, over CALLS calls after a warm-up call;
+- `first_minflt`: the minor page faults per block of one call of that loop
+  on a new thread, whose sampler and statistics workspaces start empty, as
+  they do in a process's first run.
 
 Beside the layers it times one ladder, LADDER = (128, 512), on one walk of
 `harness.walk_rows(LADDER)` replicas (`ladder`):
@@ -41,8 +51,10 @@ Beside the layers it times one ladder, LADDER = (128, 512), on one walk of
 - `rungs_us`: the two one-rung plans of as many replicas run one after the
   other, each drawing its own normals.
 
-The plan is acceptance criterion 6's (H = 0.1, centred quadratic form,
-weight x2). Each op is timed in its own loop over prebuilt inputs, so a call
+The plan of `layers` is acceptance criterion 6's (H = 0.1, centred
+quadratic form, weight x2); `cubic_layers` times criterion 7's (H = 0.1,
+compensated cubic form, weight sin) at n = 128, whose weight derivatives
+cost the most and are shared between its statistic and its limit. Each op is timed in its own loop over prebuilt inputs, so a call
 reuses the buffers that the previous call of the same op freed: each figure
 is the minimum over RUNS runs of the mean over CALLS calls, after one
 warm-up call that also fills the coefficient cache.
@@ -54,6 +66,7 @@ import itertools
 import json
 import platform
 import resource
+import threading
 import time
 
 import numpy as np
@@ -75,7 +88,9 @@ from fbmvar import sampler as sampler_mod
 HURST = 0.1
 SEED = 20080612
 SPEC = StatisticSpec(kappa=2, weight="x2", form=StatForm.CENTERED_QUADRATIC)
+CUBIC = StatisticSpec(kappa=3, weight="sin", form=StatForm.COMPENSATED_CUBIC)
 GRID_SIZES = (128, 2048, 8192)
+CUBIC_GRID_SIZE = 128
 LADDER = (128, 512)
 CALLS = 100
 RUNS = 5
@@ -103,42 +118,63 @@ def faults_per_call(fn, calls):
     return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
 
 
-def layer_times(n, calls, runs):
+def first_faults(fn):
+    """Minor page faults of the process during one call of fn on a new thread."""
+    thread = threading.Thread(target=fn)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    thread.start()
+    thread.join()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+def layer_times(n, calls, runs, spec=SPEC):
     block = harness.block_size(n)
-    h = builtin(SPEC.weight)
+    h = builtin(spec.weight)
     # copies: both calls return views of this thread's workspace, which the next draw overwrites
     z = sampler_mod._block_normals(SEED, 0, block, n).copy()
     fgn = sampler_mod._block_fgn(HURST, n, z).copy()
     path = sample_fbm(HURST, n, SamplerConfig(seed=SEED), block)
     # two whole blocks, which alternate in the thread's one remembered draw
-    plan = ExperimentPlan(hurst=HURST, spec=SPEC, n_ladder=(n,), replicas=2 * block, seed=SEED)
+    plan = ExperimentPlan(hurst=HURST, spec=spec, n_ladder=(n,), replicas=2 * block, seed=SEED)
     streams = itertools.count(block, block)
 
+    # new paths around the stored arrays, which are read-only and kept as they are, as sample_fbm hands its own over
     def assemble():
         increments = np.empty((block, n))
         increments[:] = fgn
         increments.flags.writeable = False
-        return FbmPath.from_increments(path.hurst, increments)
+        return FbmPath._adopt(path.hurst, None, increments)
 
     def fresh():
-        return FbmPath.from_increments(path.hurst, path.increments)
+        return FbmPath._adopt(path.hurst, None, path.increments)
 
+    def summed():
+        return FbmPath._adopt(path.hurst, path.values, path.increments)
+
+    def stat_limit():
+        p = fresh()
+        evaluate_statistic(p, h, spec)
+        return limit_functional(p, h, spec)
+
+    def whole_blocks():
+        return harness._replica_values({plan: h}, 1)[plan]
+
+    first = first_faults(whole_blocks)
     per_block = {
         "rekey_normals_us": lambda: sampler_mod._block_normals(SEED, next(streams), block, n),
         "synthesis_us": lambda: sampler_mod._block_fgn(HURST, n, z),
         "assembly_us": assemble,
-        "statistic_us": lambda: evaluate_statistic(fresh(), h, SPEC),
-        "limit_us": lambda: limit_functional(path, h, SPEC),
+        "statistic_us": lambda: evaluate_statistic(fresh(), h, spec),
+        "limit_us": lambda: limit_functional(summed(), h, spec),
     }
     layers = {name: best_us(fn, calls, runs) / block for name, fn in per_block.items()}
     layers["layers_sum_us"] = sum(layers.values())
     layers["partial_sums_us"] = best_us(lambda: fresh().values, calls, runs) / block  # inside statistic_us
-    def whole_blocks():
-        return harness._replica_values({plan: h}, 1)[plan]
-
+    layers["stat_limit_us"] = best_us(stat_limit, calls, runs) / block
     layers["block_us"] = best_us(whole_blocks, calls, runs) / plan.replicas
     out = {"block": block, **{name: round(us, 2) for name, us in layers.items()}}
     out["block_minflt"] = round(faults_per_call(whole_blocks, calls) * block / plan.replicas, 2)
+    out["first_minflt"] = round(first * block / plan.replicas, 2)
     return out
 
 
@@ -173,6 +209,7 @@ def main():
         "python": platform.python_version(),
         "numpy": np.__version__,
         "layers": {f"n{n}": layer_times(n, CALLS, RUNS) for n in GRID_SIZES},
+        "cubic_layers": {f"n{CUBIC_GRID_SIZE}": layer_times(CUBIC_GRID_SIZE, CALLS, RUNS, CUBIC)},
         "ladder": ladder_times(CALLS, RUNS),
     }
     print(json.dumps(result))

@@ -61,7 +61,8 @@ HELD_POINTS = 8 * BLOCK_POINTS
 
 # The largest grid size a plan may ask for, so that a run's memory stays bounded: a run of
 # one plan at 1 thread, weighted or not, peaks at about 213 MiB RSS at n = 2^20 and 709 MiB
-# at n = 2^22: the embedding's set-up and the workspace, not the path arrays, set the peak.
+# at n = 2^22, also for a compensated_cubic/sin plan, whose statistics workspace holds three
+# n-point buffers: the embedding's set-up and the sampler's workspace set the peak.
 MAX_GRID_SIZE = 2**22
 
 
@@ -93,11 +94,10 @@ class SamplerConfig:
             object.__setattr__(self, field, value)
 
 
-def _owned(array) -> np.ndarray:
-    """`array` itself if nothing else can write it (a read-only float64 array owning its data), else a read-only copy."""
-    if not (isinstance(array, np.ndarray) and array.dtype == np.float64 and not array.flags.writeable and array.flags.owndata):
-        array = np.array(array, dtype=np.float64)
-        array.flags.writeable = False
+def _frozen_copy(array) -> np.ndarray:
+    """A read-only float64 copy of `array`, which nothing but the path can reach."""
+    array = np.array(array, dtype=np.float64)
+    array.flags.writeable = False
     return array
 
 
@@ -108,15 +108,15 @@ class FbmPath:
     increments, `FbmPath.from_increments(hurst, increments)`. The other form
     is derived on first read and cached: `values` is [0, cumsum(increments)]
     along each row and `increments` is `np.diff(values)`. Both are read-only.
-    A read-only float64 array that owns its data is kept as given; anything
-    else is copied, so the caller's array is neither aliased nor frozen and
-    no later write of it reaches the path.
+    Either constructor copies the caller's array, so it is neither aliased
+    nor frozen, and no later write to it or to its base reaches the path,
+    not even after the caller makes a read-only array writable again.
     """
 
     __slots__ = ("hurst", "_values", "_increments")
 
     def __init__(self, hurst, values):
-        vals = _owned(values)
+        vals = _frozen_copy(values)
         if vals.ndim != 2 or vals.shape[0] < 1 or vals.shape[1] < 2:
             raise ValueError(f"expected a (paths, n + 1) block with n >= 1, got shape {vals.shape}")
         if np.any(vals[:, 0] != 0.0):
@@ -126,11 +126,20 @@ class FbmPath:
     @classmethod
     def from_increments(cls, hurst, increments) -> FbmPath:
         """The block whose row i has the increments (B_{(k+1)/n} - B_{k/n})_{k < n} of row i of `increments`."""
-        incs = _owned(increments)
+        incs = _frozen_copy(increments)
         if incs.ndim != 2 or incs.shape[0] < 1 or incs.shape[1] < 1:
             raise ValueError(f"expected a (paths, n) block of increments with n >= 1, got shape {incs.shape}")
+        return cls._adopt(hurst, None, incs)
+
+    @classmethod
+    def _adopt(cls, hurst, values, increments) -> FbmPath:
+        """The block holding `values` and `increments` (either may be None) as given: no copy, no check.
+
+        Only for read-only arrays that nothing else can write, such as
+        `sample_fbm`'s new increments.
+        """
         path = cls.__new__(cls)
-        path._set(hurst, None, incs)
+        path._set(hurst, values, increments)
         return path
 
     def _set(self, hurst, values, increments) -> None:
@@ -343,8 +352,8 @@ def sample_fbm(H, n: int, config: SamplerConfig, count: int = 1) -> FbmPath:
 
     n and count are integers >= 1. The increments are synthesized
     block_size(n) rows at a time and copied into one new read-only array,
-    which `FbmPath.from_increments` keeps without a copy; the path's values
-    are summed only when first read.
+    which the path keeps without a further copy; the path's values are
+    summed only when first read.
     """
     hurst = as_hurst(H)
     n, count = as_integer(n, "n", 1), as_integer(count, "count", 1)
@@ -357,7 +366,7 @@ def sample_fbm(H, n: int, config: SamplerConfig, count: int = 1) -> FbmPath:
         z = _block_normals(seed, first + r0, min(rows, count - r0), n)
         increments[r0 : r0 + rows] = _block_fgn(hurst.value, n, z)
     increments.flags.writeable = False
-    return FbmPath.from_increments(hurst, increments)
+    return FbmPath._adopt(hurst, None, increments)
 
 
 def dump_path(path: FbmPath, fileobj) -> None:

@@ -5,25 +5,36 @@ rule, weighting, normalization, compensator, admissible H interval and
 pathwise limit; every form subtracts the Gaussian moment mu_kappa, which is
 zero for odd kappa. Each statistic is the literal left-hand side of one of the
 limit displays for weighted/unweighted kappa-variations of fBm; weights are
-always evaluated at the left endpoint B_{k/n}. `limit_functional` provides the
+always evaluated at the left endpoint B_{k/n}, and read through this
+thread's workspace (`derivative_at_left`). `limit_functional` provides the
 matching discrete right-hand side on the same path (left-endpoint Riemann sum
 with step 1/n), so the mean-square gap between the two is exactly the quantity
 the L2 theorems drive to zero. `REGIMES` gives the limit regimes of the cells
 no form row covers, and `classify_regime` maps (kappa, H, weighted?) to its
 first matching row of `REGIMES`, then of `FORMS`.
+
+Each thread keeps one workspace: the last block it evaluated a weight on,
+held by reference, and the values h^(j)(B_{k/n}) of every evaluator read on
+that block, each in a flat buffer of its own that the next block reuses. So a
+statistic and its limit, and every plan of a group at one H, evaluate each
+derivative once per block. A weight's `negation_step` lets h^(j+2) of sin
+and cos be the negation of a held h^(j). The buffers hold at most one block
+per evaluator: max(BLOCK_POINTS, B n) floats each.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import RegimeError
 from .kernels import as_hurst, as_integer, gaussian_moment, increment_autocov_seq
-from .sampler import FbmPath
+from .sampler import BLOCK_POINTS, FbmPath
 from .weights import BUILTIN_IDS, WeightFunction
 
 # Endpoints of the theorems' H intervals; messages print each as its nearest fraction.
@@ -144,6 +155,52 @@ class StatisticSpec:
             raise ValueError(f"{self.form.value} is unweighted and requires weight = one, got weight '{self.weight}'")
 
 
+_thread_state = threading.local()
+
+
+def derivative_at_left(path: FbmPath, h: WeightFunction, order: int) -> np.ndarray:
+    """h^(order)(B_{k/n}), k < n, of every path of the block: a read-only view of this thread's workspace.
+
+    The first read of an evaluator on the thread's current block writes its
+    values into the evaluator's buffer, or negates a held h^(order -+ s),
+    s = h.negation_step; later reads return them. A block other than the
+    current one becomes current and starts with nothing held, so the view
+    keeps its values only until this thread reads a weight on another block.
+    OrderError past h's table; TypeError for an evaluator that does not
+    return the `out` it was given.
+    """
+    evaluator = h.derivative(order)
+    try:
+        work = _thread_state.work
+    except AttributeError:
+        work = _thread_state.work = SimpleNamespace(path=None, held={}, buffers=[])
+    if work.path is not path:
+        work.path, work.held = path, {}
+    held = work.held
+    values = held.get(evaluator)
+    if values is not None:
+        return values
+    left = path.left
+    i, size = len(held), max(BLOCK_POINTS, left.size)  # one size for every block of n <= BLOCK_POINTS
+    if i == len(work.buffers):
+        work.buffers.append(np.empty(size))
+    elif work.buffers[i].size != size:
+        work.buffers[i] = np.empty(size)
+    values = work.buffers[i][: left.size].reshape(left.shape)
+    step = h.negation_step  # h^(order) = -h^(order -+ step): negate a held one if there is one
+    for j in (order - step, order + step) if step else ():
+        twin = held.get(h.evaluators[j]) if 0 <= j <= h.max_order else None
+        if twin is not None:
+            np.negative(twin, out=values)
+            break
+    else:
+        if evaluator(left, out=values) is not values:
+            raise TypeError(f"evaluator {order} of weight {h.id!r} must write its values into out and return it")
+    values.flags.writeable = False
+    held[evaluator] = values
+    return values
+
+
 def evaluate_statistic(path: FbmPath, h: WeightFunction, spec: StatisticSpec) -> np.ndarray:
     """The statistic of `spec`'s form row on each path of the block; h is unused by unweighted forms."""
     row = FORMS[spec.form]
@@ -158,11 +215,11 @@ def evaluate_statistic(path: FbmPath, h: WeightFunction, spec: StatisticSpec) ->
     if mu:
         terms -= mu
     if row.weighted:  # only a weight reads B_{k/n}, so only a weighted form sums the path
-        terms *= h(path.left)
+        terms *= derivative_at_left(path, h, 0)
     if row.compensator:
-        terms += row.compensator * h.derivative(1)(path.left) * n ** (-hv)
+        terms += row.compensator * derivative_at_left(path, h, 1) * n ** (-hv)
     a, b = row.exponent
-    return n ** (a * hv + b) * np.sum(terms, axis=1)
+    return n ** (a * hv + b) * np.add.reduce(terms, axis=1)
 
 
 def limit_functional(path: FbmPath, h: WeightFunction, spec: StatisticSpec) -> np.ndarray:
@@ -175,7 +232,8 @@ def limit_functional(path: FbmPath, h: WeightFunction, spec: StatisticSpec) -> n
     if row.limit is None:
         raise ValueError(f"no pathwise limit functional for form {spec.form.value!r}")
     constant, order = row.limit
-    return constant(spec.kappa) * np.mean(h.derivative(order)(path.left), axis=1)
+    # np.mean's own arithmetic: the pairwise row sums divided by the row length
+    return constant(spec.kappa) * (np.add.reduce(derivative_at_left(path, h, order), axis=1) / path.n)
 
 
 def require_form_admissible(form: StatForm, kappa: int, H) -> None:

@@ -4,6 +4,12 @@ Two rules derive every table: h = p(x) exp(-a x^2), a = 0 for a polynomial
 and 1 for the Gaussian bump, has derivatives p_i(x) exp(-a x^2) with p_0 = p
 and p_{i+1} = p_i' - 2a x p_i; sin and cos follow their 4-cycle.
 
+An evaluator is called as e(x) or e(x, out=buf): it returns h^(i)(x) as a
+float64 array of x's shape, written into `out` when one is given. A weight
+whose derivatives repeat up to sign states it in `negation_step` (2 for sin
+and cos, whose h^(i+2) = -h^(i)), so a caller that holds h^(i) on some points
+can form h^(i+2) there by negation, with the same bits as the evaluator's.
+
 Every registered weight is a polynomial or a bounded smooth function, so
 every derivative composed with a Gaussian random variable has finite moments
 of all orders; each weight's `growth_bound` certifies that, and the limit
@@ -30,12 +36,15 @@ class WeightFunction:
     """A weight h with evaluators (h, h', ..., h^(max_order)).
 
     growth_bound = (A, d) certifies |h^(i)(x)| <= A (1 + |x|^d) for every
-    registered order i; d = 0 for the bounded smooth class.
+    registered order i; d = 0 for the bounded smooth class. negation_step =
+    s > 0 states h^(i+s) = -h^(i) for every pair of registered orders; 0
+    states nothing.
     """
 
     id: str
     evaluators: Tuple[Callable, ...]
     growth_bound: Tuple[float, int]
+    negation_step: int = 0
 
     @property
     def max_order(self) -> int:
@@ -56,14 +65,29 @@ class WeightFunction:
 
 
 def _poly(coeffs: tuple, a: float = 0.0) -> Callable:
-    """x -> p(x) exp(-a x^2) by Horner from p's leading coefficient (coefficients in increasing degree order)."""
+    """x -> p(x) exp(-a x^2) by Horner in place from p's leading coefficient (coefficients in increasing degree order).
 
-    def f(x):
+    A zero coefficient is skipped: adding it would change no value, only the sign of a zero.
+    """
+    lead, rest = coeffs[-1], coeffs[-2::-1]
+
+    def f(x, out=None):
         x = np.asarray(x, dtype=np.float64)
-        out = np.full_like(x, coeffs[-1])
-        for c in coeffs[-2::-1]:
-            out = out * x + c
-        return out * np.exp(-a * x * x) if a else out
+        out = np.empty_like(x) if out is None else out
+        if rest:
+            np.multiply(x, lead, out=out)
+        else:
+            out[...] = lead
+        for i, c in enumerate(rest):
+            if i:
+                out *= x
+            if c:
+                out += c
+        if a:
+            bump = np.multiply(x, -a, out=np.empty_like(x))
+            bump *= x
+            out *= np.exp(bump, out=bump)
+        return out
 
     return f
 
@@ -87,12 +111,19 @@ def _table(coeffs: tuple, a: float = 0.0) -> Tuple[Callable, ...]:
     return tuple(out)
 
 
-def _neg(f: Callable) -> Callable:
-    return lambda x: -f(np.asarray(x, dtype=np.float64))
+def _ufunc(f: Callable, negate: bool = False) -> Callable:
+    """x -> f(x), or -f(x) by negating f's output in place."""
+
+    def e(x, out=None):
+        x = np.asarray(x, dtype=np.float64)
+        out = f(x, out=np.empty_like(x) if out is None else out)
+        return np.negative(out, out=out) if negate else out
+
+    return e
 
 
 # sin' = cos, cos' = -sin, ...: order i of the weight at phase p is _TRIG_CYCLE[(p + i) % 4].
-_TRIG_CYCLE = (np.sin, np.cos, _neg(np.sin), _neg(np.cos))
+_TRIG_CYCLE = (_ufunc(np.sin), _ufunc(np.cos), _ufunc(np.sin, True), _ufunc(np.cos, True))
 
 
 def _trig(phase: int) -> Tuple[Callable, ...]:
@@ -100,15 +131,15 @@ def _trig(phase: int) -> Tuple[Callable, ...]:
 
 
 _BUILTINS = {
-    wid: WeightFunction(id=wid, evaluators=evaluators, growth_bound=bound)
-    for wid, evaluators, bound in (
-        ("one", _table((1.0,)), (1.0, 0)),
-        ("x", _table((0.0, 1.0)), (1.0, 1)),
-        ("x2", _table((0.0, 0.0, 1.0)), (2.0, 2)),
-        ("x3", _table((0.0, 0.0, 0.0, 1.0)), (6.0, 3)),
-        ("sin", _trig(0), (1.0, 0)),
-        ("cos", _trig(1), (1.0, 0)),
-        ("exp_neg_x2", _table((1.0,), a=1.0), (130.0, 0)),
+    wid: WeightFunction(id=wid, evaluators=evaluators, growth_bound=bound, negation_step=step)
+    for wid, evaluators, bound, step in (
+        ("one", _table((1.0,)), (1.0, 0), 0),
+        ("x", _table((0.0, 1.0)), (1.0, 1), 0),
+        ("x2", _table((0.0, 0.0, 1.0)), (2.0, 2), 0),
+        ("x3", _table((0.0, 0.0, 0.0, 1.0)), (6.0, 3), 0),
+        ("sin", _trig(0), (1.0, 0), 2),
+        ("cos", _trig(1), (1.0, 0), 2),
+        ("exp_neg_x2", _table((1.0,), a=1.0), (130.0, 0), 0),
     )
 }
 

@@ -342,6 +342,41 @@ class TestPartialSums:
         assert reads.count(True) == len(draws) > 0
 
 
+class TestWeightWorkspace:
+    # four plans at one H share each block; sin and cos share cos and -cos
+    SHARED = (
+        plan_of(0.1, 2, "x2", StatForm.CENTERED_QUADRATIC, (128, 512), 200),
+        plan_of(0.1, 3, "sin", StatForm.COMPENSATED_CUBIC, (128, 512), 200),
+        plan_of(0.1, 3, "x", StatForm.ODD_WEIGHTED, (128, 512), 200),
+        plan_of(0.1, 2, "cos", StatForm.CENTERED_QUADRATIC, (128, 512), 200),
+    )
+
+    def test_cubic_sin_evaluates_sin_and_cos_once_per_block(self, monkeypatch):
+        draws = record_draws(monkeypatch)
+        sin, calls = builtin("sin"), []
+
+        def counting(order, evaluator):
+            return lambda x, out=None: calls.append(order) or evaluator(x, out=out)
+
+        counted = dataclasses.replace(sin, evaluators=tuple(itertools.starmap(counting, enumerate(sin.evaluators))))
+        plan = plan_of(0.1, 3, "sin", StatForm.COMPENSATED_CUBIC, (16, 128, 512), 130)
+        got = harness._replica_values({plan: counted}, 1)[plan]
+        # h = sin for the weight and h' = cos for the compensator; the limit's h''' = -cos is cos negated
+        assert sorted(calls) == [0] * len(draws) + [1] * len(draws) and draws
+        want = harness._replica_values({plan: sin}, 1)[plan]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_shared_blocks_equal_at_one_and_two_threads_and_alone(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
+        weights = {plan: builtin(plan.spec.weight) for plan in self.SHARED}
+        one, two = (harness._replica_values(weights, threads) for threads in (1, 2))
+        assert harness.walk_rows(self.SHARED[0].n_ladder) < 200  # several walks, so two workers run
+        for plan, h in weights.items():
+            alone = harness._replica_values({plan: h}, 1)[plan]
+            for a, b, c in zip(one[plan], two[plan], alone):
+                assert np.array_equal(a, b) and np.array_equal(a, c), plan.spec
+
+
 class TestPathGroups:
     @pytest.mark.parametrize("case", list(GROUP_CASES))
     @pytest.mark.parametrize("threads", [1, 2])

@@ -76,13 +76,22 @@ class TestBufferOwnership:
         values[0, 1] = 5.0
         assert path.values[0, 1] == 0.0
 
-    def test_read_only_array_kept_without_copy(self):
-        values = np.zeros((2, 5))
-        values.flags.writeable = False
-        assert FbmPath(hurst=HurstIndex(0.3), values=values).values is values
-        increments = np.ones((2, 4))
-        increments.flags.writeable = False
-        assert FbmPath.from_increments(HurstIndex(0.3), increments).increments is increments
+    def test_read_only_array_made_writable_again_does_not_reach_the_path(self):
+        # a caller that owns a read-only array can make it writable again
+        a = np.zeros((1, 5))
+        a.flags.writeable = False
+        p = FbmPath(0.3, a)
+        p.increments
+        a.flags.writeable = True
+        a[0, 2] = 7.0
+        assert p.values[0, 2] == 0.0 and np.array_equal(p.increments, np.zeros((1, 4)))
+        d = np.ones((1, 4))
+        d.flags.writeable = False
+        q = FbmPath.from_increments(0.3, d)
+        q.values
+        d.flags.writeable = True
+        d[0, 2] = 7.0
+        assert q.increments[0, 2] == 1.0 and np.array_equal(q.values, [[0.0, 1.0, 2.0, 3.0, 4.0]])
 
     def test_read_only_view_of_writable_array_is_copied(self):
         # the view cannot be written, but its base can: keeping it would let

@@ -16,12 +16,14 @@ def load_script(name):
 def test_bench_sampler_times_every_layer():
     # the script calls sampler._block_normals/_block_fgn and harness._replica_values
     script = load_script("bench_sampler")
-    times = ("rekey_normals_us", "synthesis_us", "assembly_us", "statistic_us", "partial_sums_us", "limit_us", "layers_sum_us", "block_us")
-    for n in script.GRID_SIZES:
-        out = script.layer_times(n, calls=2, runs=3)
-        assert set(out) == {"block", "block_minflt", *times}
+    times = ("rekey_normals_us", "synthesis_us", "assembly_us", "statistic_us", "partial_sums_us", "limit_us", "layers_sum_us", "stat_limit_us", "block_us")
+    cases = [(n, script.SPEC) for n in script.GRID_SIZES] + [(script.CUBIC_GRID_SIZE, script.CUBIC)]
+    for n, spec in cases:
+        out = script.layer_times(n, calls=2, runs=3, spec=spec)
+        assert set(out) == {"block", "block_minflt", "first_minflt", *times}
         assert out["block"] == 8192 // n
         assert all(out[name] > 0 for name in times), out
+        assert out["first_minflt"] >= 0
         # drawing normals costs 20 to 30 times the limit; a draw that returned
         # the thread's held normals instead would cost a small share of it
         assert out["rekey_normals_us"] > out["limit_us"], (n, out)
