@@ -5,11 +5,9 @@ The harness evaluates replicas in blocks of B = `harness.block_size(n)`
 paths; this script times the layers of one such block at each grid size n
 and reports microseconds per replica (a block's time divided by B):
 
-- `rekey_normals_us`: `_block_normals`, which re-keys the thread's Philox
-  generator to each row's `(seed, stream)` and draws the row's 2n normals.
-  Each timed call starts at the stream after the last call's block, because
-  a call for streams that the thread holds returns the held normals
-  without drawing;
+- `rekey_normals_us`: `draw_normals`, which re-keys the thread's Philox
+  generator to each row's `(seed, stream)` and draws the row's 2n normals
+  into a new array;
 - `synthesis_us`: `_block_fgn` on stored normals, the half-spectrum products
   and the one inverse FFT along the rows;
 - `assembly_us`: what `sample_fbm` does with a block's stored increments,
@@ -24,7 +22,7 @@ and reports microseconds per replica (a block's time divided by B):
 - `limit_us`: `limit_functional` on a new path each call, built from the
   stored block with its partial sums formed, so that the limit evaluates
   its weight derivative instead of reading the one that an earlier call
-  left in the thread's workspace;
+  left in the thread's statistics workspace;
 - `layers_sum_us`: the sum of the five layers, with `partial_sums_us`
   counted once, inside `statistic_us`;
 - `stat_limit_us`: the statistic and then the limit on one new path, as a
@@ -33,15 +31,14 @@ and reports microseconds per replica (a block's time divided by B):
   -cos where the statistic read cos, it is below `statistic_us +
   limit_us`;
 - `block_us`: the harness's own loop (`_replica_values`) drawing and
-  evaluating two whole blocks end to end, per replica, so that no draw finds
-  its streams in the normals the one before it holds. What it adds to
+  evaluating two whole blocks end to end, per replica. What it adds to
   `layers_sum_us` is cost that no layer shows alone, such as the page faults
   of large buffers that chained calls free and allocate again;
 - `block_minflt`: the minor page faults (`resource.getrusage`) of that loop
   per block, over CALLS calls after a warm-up call;
 - `first_minflt`: the minor page faults per block of one call of that loop
-  on a new thread, whose sampler and statistics workspaces start empty, as
-  they do in a process's first run.
+  on a new thread, whose synthesis buffers and statistics workspace start
+  empty, as they do in a process's first run.
 
 Beside the layers it times one ladder, LADDER = (128, 512), on one walk of
 `harness.walk_rows(LADDER)` replicas (`ladder`):
@@ -62,7 +59,6 @@ warm-up call that also fills the coefficient cache.
     PYTHONPATH=src python3 scripts/bench_sampler.py
 """
 
-import itertools
 import json
 import platform
 import resource
@@ -130,13 +126,11 @@ def first_faults(fn):
 def layer_times(n, calls, runs, spec=SPEC):
     block = harness.block_size(n)
     h = builtin(spec.weight)
-    # copies: both calls return views of this thread's workspace, which the next draw overwrites
-    z = sampler_mod._block_normals(SEED, 0, block, n).copy()
+    z = sampler_mod.draw_normals(SEED, 0, block, n)
+    # a copy: the synthesis returns a view of this thread's buffer, which the next block overwrites
     fgn = sampler_mod._block_fgn(HURST, n, z).copy()
     path = sample_fbm(HURST, n, SamplerConfig(seed=SEED), block)
-    # two whole blocks, which alternate in the thread's one remembered draw
     plan = ExperimentPlan(hurst=HURST, spec=spec, n_ladder=(n,), replicas=2 * block, seed=SEED)
-    streams = itertools.count(block, block)
 
     # new paths around the stored arrays, which are read-only and kept as they are, as sample_fbm hands its own over
     def assemble():
@@ -161,7 +155,7 @@ def layer_times(n, calls, runs, spec=SPEC):
 
     first = first_faults(whole_blocks)
     per_block = {
-        "rekey_normals_us": lambda: sampler_mod._block_normals(SEED, next(streams), block, n),
+        "rekey_normals_us": lambda: sampler_mod.draw_normals(SEED, 0, block, n),
         "synthesis_us": lambda: sampler_mod._block_fgn(HURST, n, z),
         "assembly_us": assemble,
         "statistic_us": lambda: evaluate_statistic(fresh(), h, spec),
@@ -183,15 +177,12 @@ def ladder_times(calls, runs):
     h = builtin(SPEC.weight)
     replicas = harness.walk_rows(LADDER)
 
-    def values(ladder, seed):
-        plan = ExperimentPlan(hurst=HURST, spec=SPEC, n_ladder=ladder, replicas=replicas, seed=seed)
+    def values(ladder):
+        plan = ExperimentPlan(hurst=HURST, spec=SPEC, n_ladder=ladder, replicas=replicas, seed=SEED)
         return lambda: harness._replica_values({plan: h}, 1)
 
-    # every call draws: a walk opens new held normals, and the rungs' plans
-    # have seeds of their own, so that neither finds its streams held by the
-    # walk or by the other; the seed does not change the cost
-    walk = values(LADDER, SEED)
-    rungs = [values((n,), SEED + 1 + k) for k, n in enumerate(LADDER)]
+    walk = values(LADDER)
+    rungs = [values((n,)) for n in LADDER]
     times = {
         "ladder_us": best_us(walk, calls, runs) / replicas,
         "rungs_us": best_us(lambda: [rung() for rung in rungs], calls, runs) / replicas,

@@ -4,23 +4,22 @@ Replica r of a plan always samples from the stream keyed (seed, r), so results
 are a pure function of the plan. Plans with equal (seed, method, n_ladder,
 replicas) hold one replica set and run as one group. Its replicas are split
 into walks of `walk_rows(ladder)` streams, and a walk visits every rung of the
-ladder, top rung first: its streams are re-keyed and their normals drawn once,
-at the top rung, and each lower rung n reads the first 2n of them from the
-sampler's held normals. At each rung a walk runs in blocks of block_size(n)
-paths; each block is synthesized once per H of the group, and every member
-evaluates its statistic on its H's paths. Workers take whole walks and may be
-added or removed freely; each block's values land in the rung's buffer,
-indexed by r, before any reduction. All reductions go through numpy's
-pairwise summation on those buffers, in ladder order, which makes every
-reported number bit-identical across thread counts and the same whether a
-plan runs alone or in a group.
+ladder, top rung first. The walk owns its normals: it draws each stream's
+normals once, at the top rung, and hands every block at every rung n the
+first 2n columns of its rows. At each rung a walk runs in blocks of
+block_size(n) paths; each block is synthesized once per H of the group, and
+every member evaluates its statistic on its H's paths. Workers take whole
+walks and may be added or removed freely; each block's values land in the
+rung's buffer, indexed by r, before any reduction. All reductions go through
+numpy's pairwise summation on those buffers, in ladder order, which makes
+every reported number bit-identical across thread counts and the same
+whether a plan runs alone or in a group.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from .errors import DegenerateFit
 from .kernels import HurstIndex, as_hurst, as_integer
-from .sampler import MAX_GRID_SIZE, SamplerConfig, block_size, held_rows, hold_normals, sample_fbm
+from .sampler import BLOCK_POINTS, MAX_GRID_SIZE, SamplerConfig, block_size, draw_normals, sample_fbm
 from .statistics import FORMS, StatisticSpec, evaluate_statistic, limit_functional, require_form_admissible
 from .weights import builtin
 
@@ -36,6 +35,10 @@ from .weights import builtin
 # of one plan at n = 16 and 1 thread peaks at about 343 MiB RSS at this count, and each
 # further rung of its ladder holds another 160 MB (R, 2) buffer until its records are reduced.
 MAX_REPLICAS = 10**7
+
+# The normals of one walk stay within HELD_POINTS floats (512 KiB), or within one block at
+# its top rung where that alone is larger.
+HELD_POINTS = 8 * BLOCK_POINTS
 
 
 @dataclass(frozen=True)
@@ -99,12 +102,13 @@ def _path_key(plan: ExperimentPlan):
 
 
 def walk_rows(ladder: Sequence[int], block=block_size) -> int:
-    """Replicas per walk down the ladder: a block at its lowest rung, capped by what the held normals cover at its top rung.
+    """Replicas per walk down the ladder: a block at its lowest rung, capped by the streams whose top-rung normals fit in HELD_POINTS floats, or one block there.
 
     `block` gives the rows of one block at a grid size; a one-rung ladder walks
     exactly one block.
     """
-    return min(block(ladder[0]), held_rows(ladder[-1]))
+    top = ladder[-1]
+    return min(block(ladder[0]), max(block_size(top), HELD_POINTS // (2 * top)))
 
 
 def _replica_values(weights: dict, threads: int, block=block_size) -> dict:
@@ -112,14 +116,14 @@ def _replica_values(weights: dict, threads: int, block=block_size) -> dict:
 
     `weights` maps plans of one path key to their weight functions. Replicas
     are split into walks of `walk_rows` rows, and a walk visits every rung,
-    top first: its streams' normals are drawn once, at the top rung, and each
-    lower rung reads the first 2n of them. At each rung the walk runs in
-    blocks of `block(n)` rows; each block is synthesized once per H, in the
-    order the plans first name it, and every plan at that H evaluates its
-    statistic on all of its rows. Workers take whole walks. They are capped
-    by the cores this process may run on (the CPU count where the OS has no
-    `sched_getaffinity`) and by the walk count: more threads than that only
-    add switching cost.
+    top first: it draws its streams' normals once, at the top rung, and each
+    block at each rung n is synthesized from the first 2n columns of its
+    rows. At each rung the walk runs in blocks of `block(n)` rows; each block
+    is synthesized once per H, in the order the plans first name it, and
+    every plan at that H evaluates its statistic on all of its rows. Workers
+    take whole walks. They are capped by the cores this process may run on
+    (the CPU count where the OS has no `sched_getaffinity`) and by the walk
+    count: more threads than that only add switching cost.
     """
     seed, method, ladder, replicas = _path_key(next(iter(weights)))
     outs = {plan: [np.empty((replicas, 2), dtype=np.float64) for _ in ladder] for plan in weights}
@@ -132,14 +136,14 @@ def _replica_values(weights: dict, threads: int, block=block_size) -> dict:
 
     def work(r0: int) -> None:
         stop = min(r0 + rows, replicas)
-        if len(ladder) > 1:  # a one-rung walk is one block, which sample_fbm draws as it stands
-            hold_normals(seed, r0, stop - r0, ladder[-1])
+        normals = draw_normals(seed, r0, stop - r0, ladder[-1])
         for k, n, step in walk:
             for s0 in range(r0, stop, step):
                 count = min(step, stop - s0)
                 config = SamplerConfig(method=method, seed=seed, stream=s0)
+                z = normals[s0 - r0 : s0 - r0 + count]
                 for hurst, members in by_hurst.items():
-                    path = sample_fbm(hurst, n, config, count)
+                    path = sample_fbm(hurst, n, config, count, z)
                     for plan, h in members.items():
                         out = outs[plan][k][s0 : s0 + count]
                         out[:, 0] = evaluate_statistic(path, h, plan.spec)
@@ -151,6 +155,8 @@ def _replica_values(weights: dict, threads: int, block=block_size) -> dict:
         for r0 in starts:
             work(r0)
     else:
+        from concurrent.futures import ThreadPoolExecutor  # imported here: a run at one worker never needs it
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(work, starts))
     return outs

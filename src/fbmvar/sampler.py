@@ -11,23 +11,16 @@ path's values B_{k/n}, is formed only when something reads it.
 
 Randomness is counter-based: row i of a block draws from a Philox generator
 keyed by (seed, stream + i), so a path depends only on its own key and never
-on the block it is drawn in or on execution order.
+on the block it is drawn in or on execution order. `draw_normals` returns the
+first 2n normals of consecutive streams as a new array, and the first 2m of
+each row are what a draw at m <= n gives; `sample_fbm` synthesizes from rows
+of such an array that its caller passes, or draws its own block by block.
 
-Each thread keeps one workspace. Its held normals are a rectangle: the first
-2w normals of streams first, first + 1, ... of one seed. A request for the
-first 2n <= 2w normals of streams inside it gets a view of it, whatever H it
-is synthesized at, so a ladder's lower rungs and a group's other H draw
-nothing. A request that continues the held streams at their width draws into
-the rectangle's free rows, if it has room. Anything else draws a new
-rectangle of exactly the rows asked for. `hold_normals` opens an empty
-rectangle with room for the streams of one walk down a ladder, at its top
-rung; the harness keeps it within HELD_POINTS floats, or one block of the top
-rung where that alone is larger. The half-spectrum and inverse-FFT buffers of one
-block are kept beside them and reshaped for each grid size, so blocks and
-rungs reuse the workspace instead of freeing and faulting in buffers. A draw
-of any size runs block by block through the workspace into one new
-increments array, so it needs its output plus the workspace, and the values
-array too once they are read.
+Each thread keeps its generator and one pair of half-spectrum and
+inverse-FFT buffers, which every block writes before it reads them. A draw of
+any size runs block by block through them into one new increments array, so
+it needs its output plus those buffers, and the values array too once they
+are read.
 """
 
 from __future__ import annotations
@@ -36,7 +29,6 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -55,25 +47,18 @@ _MAX_UINT64 = 2**64
 # stay well under 1 MB, and the per-call cost is paid once per block, not once per path.
 BLOCK_POINTS = 8192
 
-# The held normals of one thread stay within HELD_POINTS floats (512 KiB), or within one
-# block at the grid size they are drawn for where that alone is larger.
-HELD_POINTS = 8 * BLOCK_POINTS
-
 # The largest grid size a plan may ask for, so that a run's memory stays bounded: a run of
 # one plan at 1 thread, weighted or not, peaks at about 213 MiB RSS at n = 2^20 and 709 MiB
 # at n = 2^22, also for a compensated_cubic/sin plan, whose statistics workspace holds three
-# n-point buffers: the embedding's set-up and the sampler's workspace set the peak.
+# n-point buffers. The embedding's set-up, the walk's normals (2n floats per stream) and
+# the synthesis buffers set the peak. Each further (H, n) key of a group keeps 16(n-1)
+# bytes of coefficients, 64 MiB at 2^22.
 MAX_GRID_SIZE = 2**22
 
 
 def block_size(n: int) -> int:
     """Paths per block at grid size n, an integer >= 1: the largest B with B * n <= BLOCK_POINTS, at least 1."""
     return max(1, BLOCK_POINTS // as_integer(n, "n", 1))
-
-
-def held_rows(n: int) -> int:
-    """Streams the held normals cover at grid size n: as many as HELD_POINTS floats hold at width 2n, at least a block."""
-    return max(block_size(n), HELD_POINTS // (2 * as_integer(n, "n", 1)))
 
 
 @dataclass(frozen=True)
@@ -212,8 +197,9 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return gen
 
 
-# One entry holds 16(n-1) bytes. The most (H, n) keys a shipped config draws
-# is 10, so no run builds the same embedding twice.
+# One entry holds 16(n-1) bytes. The most (H, n) keys a shipped config draws is 10. A walk
+# visits every rung at every H of its group in turn, so a group of more than 16 keys
+# misses on every block and rebuilds each embedding once per block.
 @functools.lru_cache(maxsize=16)
 def _circulant_coeffs(h: float, n: int):
     """Half-spectrum synthesis coefficients (h0, hn, coef) for n^{-H}-scaled fGn.
@@ -253,118 +239,65 @@ def circulant_eigenvalues(H, n: int) -> np.ndarray:
     return np.fft.fft(row).real
 
 
-def _workspace() -> SimpleNamespace:
-    """This thread's workspace: flat buffers and the 2-D views of them that the last block used.
-
-    `z` is a (rows, 2w) view of the flat `normals`, and `held` is the
-    (seed, first, stop) whose streams first..stop-1 fill its first rows.
-    `b`, the (count, n + 1) half-spectra, and `synth`, the (count, 2n)
-    inverse-FFT output, are views of the flat `spectra` and `outputs`.
-    """
-    work = getattr(_thread_state, "work", None)
-    if work is None:
-        empty, none = np.empty(0), np.empty((0, 0))
-        work = _thread_state.work = SimpleNamespace(
-            normals=empty, spectra=empty, outputs=empty, z=none, b=none, synth=none, held=(None, 0, 0)
-        )
-    return work
-
-
-def _buffer(work: SimpleNamespace, name: str, size: int, dtype=np.float64) -> np.ndarray:
-    """The workspace's flat buffer `name`, replaced by a new one unless it has exactly `size` entries.
-
-    The synthesis buffers of a block of at most block_size(n) rows have one
-    size at every n <= BLOCK_POINTS, so a ladder walk keeps them; a larger
-    grid or block replaces them, and the next block of the usual size
-    replaces them back.
-    """
-    buf = getattr(work, name)
-    if buf.size != size:
-        buf = np.empty(size, dtype=dtype)
-        setattr(work, name, buf)
-    return buf
-
-
-def hold_normals(seed: int, first: int, count: int, n: int) -> None:
-    """Open this thread's held normals for streams first..first + count - 1 of `seed` at width 2n, none drawn yet.
-
-    The `sample_fbm` calls that follow at grid size n draw those streams into
-    them block by block, and any later call for fewer streams or a smaller
-    grid reads a view of them. count <= held_rows(n) keeps them within
-    HELD_POINTS floats, or one block at n.
-    """
-    work = _workspace()
-    width = 2 * n
-    if work.z.shape != (count, width):
-        normals = _buffer(work, "normals", max(count, BLOCK_POINTS // n) * width)
-        work.z = normals[: count * width].reshape(count, width)
-    work.held = (seed, first, first)
-
-
-def _block_normals(seed: int, first: int, count: int, n: int) -> np.ndarray:
-    """(count, 2n) standard normals; row i is the start of stream (seed, first + i).
-
-    The result is a view of this thread's held normals. A request inside
-    them, as a lower rung or another H of a block asks, returns the held
-    normals without re-keying; one that continues them at their width draws
-    into their free rows if they have room; anything else opens a new
-    rectangle of `count` rows. Only this function writes normals.
-    """
-    work = _workspace()
-    z = work.z
-    held_seed, held_first, held_stop = work.held
-    width, stop = 2 * n, first + count
-    if held_seed == seed and held_first <= first and stop <= held_stop and width <= z.shape[1]:
-        return z[first - held_first : stop - held_first, :width]
-    if not (held_seed == seed and first == held_stop and width == z.shape[1] and stop - held_first <= z.shape[0]):
-        hold_normals(seed, first, count, n)
-        z, held_first = work.z, first
-    rows = z[first - held_first : stop - held_first]
+def draw_normals(seed: int, first: int, count: int, n: int) -> np.ndarray:
+    """A new (count, 2n) array of standard normals; row i is the start of stream (seed, first + i)."""
+    z = np.empty((count, 2 * n))
     for i in range(count):
-        _rng(seed, first + i).standard_normal(out=rows[i])
-    work.held = (seed, held_first, stop)  # set last: a draw cut short leaves only its finished rows held
-    return rows
+        _rng(seed, first + i).standard_normal(out=z[i])
+    return z
 
 
 def _block_fgn(h: float, n: int, z: np.ndarray) -> np.ndarray:
     """Rows of n^{-H}-scaled fGn increments, one real inverse FFT of each row's half-spectrum.
 
-    Row i's 2n normals fill its Hermitian half-spectrum b_0..b_n: z_0 and z_1
-    the real DC and Nyquist terms, (z_{2j}, z_{2j+1}) the conjugated b_j. The
-    result is a view of this thread's workspace.
+    The first 2n normals of row i of z fill its Hermitian half-spectrum
+    b_0..b_n: z_0 and z_1 the real DC and Nyquist terms, (z_{2j}, z_{2j+1})
+    the conjugated b_j. The result is a view of this thread's inverse-FFT
+    buffer, which the next block overwrites.
     """
     h0, hn, coef = _circulant_coeffs(h, n)
     count = z.shape[0]
-    work = _workspace()
-    b, synth = work.b, work.synth
-    if b.shape != (count, n + 1):
-        spectra = _buffer(work, "spectra", max(2 * BLOCK_POINTS, count * (n + 1)), np.complex128)
-        b = work.b = spectra[: count * (n + 1)].reshape(count, n + 1)
-        synth = work.synth = _buffer(work, "outputs", max(2 * BLOCK_POINTS, count * 2 * n))[: count * 2 * n].reshape(count, 2 * n)
-    np.multiply(z[:, 2:], coef, out=b.view(np.float64)[:, 2 : 2 * n])
+    # Flat, of max(2 * BLOCK_POINTS, need) entries: one size for every usual block at n <= BLOCK_POINTS,
+    # so blocks and rungs reuse them; a larger block replaces them, and the next usual one replaces them back.
+    sizes = (max(2 * BLOCK_POINTS, count * (n + 1)), max(2 * BLOCK_POINTS, count * 2 * n))
+    buffers = getattr(_thread_state, "synthesis", None)
+    if buffers is None or (buffers[0].size, buffers[1].size) != sizes:
+        buffers = _thread_state.synthesis = (np.empty(sizes[0], np.complex128), np.empty(sizes[1]))
+    b = buffers[0][: count * (n + 1)].reshape(count, n + 1)
+    synth = buffers[1][: count * 2 * n].reshape(count, 2 * n)
+    np.multiply(z[:, 2 : 2 * n], coef, out=b.view(np.float64)[:, 2 : 2 * n])
     b[:, 0] = h0 * z[:, 0]
     b[:, n] = hn * z[:, 1]
     return np.fft.irfft(b, 2 * n, axis=1, norm="forward", out=synth)[:, :n]
 
 
-def sample_fbm(H, n: int, config: SamplerConfig, count: int = 1) -> FbmPath:
+def sample_fbm(H, n: int, config: SamplerConfig, count: int = 1, normals: np.ndarray | None = None) -> FbmPath:
     """A block of `count` exact fBm paths on {k/n}; row i is stream (seed, config.stream + i)'s path.
 
-    n and count are integers >= 1. The increments are synthesized
-    block_size(n) rows at a time and copied into one new read-only array,
-    which the path keeps without a further copy; the path's values are
-    summed only when first read.
+    n and count are integers >= 1. Row i is synthesized from the first 2n
+    columns of row i of `normals`, a 2-D float64 array of `count` rows that
+    the caller drew with `draw_normals` for those streams at a grid size
+    >= n; without it, the normals are drawn block by block. The increments
+    are synthesized block_size(n) rows at a time and copied into one new
+    read-only array, which the path keeps without a further copy; the path's
+    values are summed only when first read.
     """
     hurst = as_hurst(H)
     n, count = as_integer(n, "n", 1), as_integer(count, "count", 1)
     seed, first = config.seed, config.stream
     if first + count > _MAX_UINT64:
         raise ValueError(f"streams {first}..{first + count - 1} must be below 2^64")
+    if normals is not None and not (
+        isinstance(normals, np.ndarray) and normals.dtype == np.float64 and normals.ndim == 2 and normals.shape[0] == count and normals.shape[1] >= 2 * n
+    ):
+        got = f"a {normals.dtype} array of shape {normals.shape}" if isinstance(normals, np.ndarray) else type(normals).__name__
+        raise ValueError(f"normals must be a 2-D float64 array of {count} rows of at least {2 * n} columns, got {got}")
     increments = np.empty((count, n))
     rows = block_size(n)
     for r0 in range(0, count, rows):
-        z = _block_normals(seed, first + r0, min(rows, count - r0), n)
-        increments[r0 : r0 + rows] = _block_fgn(hurst.value, n, z)
+        stop = min(r0 + rows, count)
+        z = draw_normals(seed, first + r0, stop - r0, n) if normals is None else normals[r0:stop]
+        increments[r0:stop] = _block_fgn(hurst.value, n, z)
     increments.flags.writeable = False
     return FbmPath._adopt(hurst, None, increments)
 

@@ -132,7 +132,7 @@ class TestRunL2Experiment:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2})
         # workers = min(threads, cores, blocks); B = 1 at n = 8192 and 2 at n = 4096
         plan = l2_plan(replicas=4, ladder=(8192,))
@@ -287,11 +287,10 @@ GROUP_CASES = {
 
 
 def record_rekeys(monkeypatch):
-    """The stream of every re-key of the sampler's generator from now on, on this thread's emptied workspace."""
+    """The stream of every re-key of the sampler's generator from now on."""
     rekeys = []
     rng = sampler._rng
     monkeypatch.setattr(sampler, "_rng", lambda seed, stream: rekeys.append(stream) or rng(seed, stream))
-    sampler._thread_state.work = None
     return rekeys
 
 
@@ -306,9 +305,9 @@ def record_draws(monkeypatch):
     draws = []
     sample = harness.sample_fbm
 
-    def counting(H, n, config, count=1):
+    def counting(H, n, config, count=1, normals=None):
         draws.append((n, config.stream, count))
-        return sample(H, n, config, count)
+        return sample(H, n, config, count, normals)
 
     monkeypatch.setattr(harness, "sample_fbm", counting)
     return draws
@@ -478,9 +477,9 @@ class TestLadderWalk:
         low, top = ladder[0], ladder[-1]
         rows = harness.walk_rows(ladder)
         assert rows == self.WALKS[ladder]
-        assert sampler.HELD_POINTS * 8 == 512 * 1024
+        assert harness.HELD_POINTS * 8 == 512 * 1024
         # the walk's normals, 2 * top per stream: within 512 KiB, or one block at the top rung
-        assert rows * 2 * top <= max(sampler.HELD_POINTS, sampler.block_size(top) * 2 * top)
+        assert rows * 2 * top <= max(harness.HELD_POINTS, sampler.block_size(top) * 2 * top)
         # whole blocks at the top rung, at most one block at the lowest
         assert sampler.block_size(top) <= rows <= sampler.block_size(low)
         # so every block a walk synthesizes and evaluates stays within BLOCK_POINTS points, or one path

@@ -155,28 +155,28 @@ def _on_fresh_thread(H, n, count, seed, first):
 
 
 def _count_rekeys(monkeypatch):
-    """The streams of every re-key of the sampler's generator from now on, on an emptied workspace."""
+    """The streams of every re-key of the sampler's generator from now on."""
     import fbmvar.sampler as sampler_mod
 
     rekeys = []
     rng = sampler_mod._rng
     monkeypatch.setattr(sampler_mod, "_rng", lambda seed, stream: rekeys.append(stream) or rng(seed, stream))
-    sampler_mod._thread_state.work = None
     return rekeys
 
 
 class TestNormalsMemo:
-    # ((H, n, count, seed, first stream), streams re-keyed): a call whose
-    # streams and width lie inside the last block drawn reads its normals
+    # ((H, n, count, seed, first stream), streams re-keyed): a call that draws
+    # normals draws its own rows at its width; a call that draws none is
+    # synthesized from rows of the last drawn array, of a width >= 2n
     CALLS = (
         ((0.3, 64, 4, 1, 0), 4),
         ((0.7, 64, 4, 1, 0), 0),  # another H
-        ((0.7, 64, 3, 1, 1), 0),  # streams inside the held ones
+        ((0.7, 64, 3, 1, 1), 0),  # rows inside the drawn ones
         ((0.7, 32, 3, 1, 0), 0),  # a smaller grid reads the first 64 of each row's 128 normals
         ((0.7, 64, 5, 1, 0), 5),  # one stream past them
         ((0.7, 128, 3, 1, 0), 3),  # a larger grid
         ((0.7, 128, 3, 9, 0), 3),  # another seed
-        ((0.7, 128, 3, 9, 3), 3),  # the next streams: a block of exactly its rows has no room
+        ((0.7, 128, 3, 9, 3), 3),  # the next streams
         ((0.2, 128, 3, 9, 3), 0),
         ((0.3, 64, 500, 1, 0), 500),  # four blocks of 128, the last partial
         ((0.3, 64, 4, 1, 496), 0),  # inside the last of them
@@ -184,41 +184,52 @@ class TestNormalsMemo:
     )
 
     def test_interleaved_calls_match_fresh_threads(self, monkeypatch):
+        import fbmvar.sampler as sampler_mod
+
         rekeys = _count_rekeys(monkeypatch)
         for call, drawn in self.CALLS:
             H, n, count, seed, first = call
             before = len(rekeys)
-            got = sample_fbm(H, n, SamplerConfig(seed=seed, stream=first), count).values
+            if drawn:
+                normals, origin = sampler_mod.draw_normals(seed, first, count, n), first
+            rows = normals[first - origin : first - origin + count]
+            got = sample_fbm(H, n, SamplerConfig(seed=seed, stream=first), count, rows).values
             assert len(rekeys) - before == drawn, call
             assert np.array_equal(got, _on_fresh_thread(*call)), call
 
     def test_held_room_fills_block_by_block(self, monkeypatch):
-        # a ladder walk: 64 streams opened at n = 512, drawn in blocks of 16, then read at n = 128
+        # a ladder walk: 64 streams drawn at n = 512, synthesized there in blocks of 16, then read at n = 128
         import fbmvar.sampler as sampler_mod
 
         rekeys = _count_rekeys(monkeypatch)
-        sampler_mod.hold_normals(3, 100, 64, 512)
+        normals = sampler_mod.draw_normals(3, 100, 64, 512)
+        assert normals.shape == (64, 1024)
         for first in range(100, 164, 16):
-            sample_fbm(0.3, 512, SamplerConfig(seed=3, stream=first), 16)
+            sample_fbm(0.3, 512, SamplerConfig(seed=3, stream=first), 16, normals[first - 100 : first - 84])
         assert rekeys == list(range(100, 164))
         reads = ((0.3, 128, 64, 3, 100), (0.6, 128, 64, 3, 100), (0.3, 16, 30, 3, 120), (0.6, 512, 16, 3, 148))
-        got = [sample_fbm(H, n, SamplerConfig(seed=seed, stream=first), count).values for H, n, count, seed, first in reads]
+        got = [sample_fbm(H, n, SamplerConfig(seed=seed, stream=first), count, normals[first - 100 : first - 100 + count]).values for H, n, count, seed, first in reads]
         assert len(rekeys) == 64
-        # full: the next streams open a new block
-        sample_fbm(0.3, 512, SamplerConfig(seed=3, stream=164), 16)
-        assert rekeys[64:] == list(range(164, 180))
-        assert sampler_mod._thread_state.work.held == (3, 164, 180)
         for values, call in zip(got, reads):
             assert np.array_equal(values, _on_fresh_thread(*call)), call
 
     def test_draw_past_one_block_holds_one_block(self):
+        # the synthesis buffers hold one block of the usual size after a draw of many, and again after a larger block
         import fbmvar.sampler as sampler_mod
+
+        usual = (2 * sampler_mod.BLOCK_POINTS,) * 2
+
+        def sizes():
+            return tuple(buffer.size for buffer in sampler_mod._thread_state.synthesis)
 
         block = sampler_mod.block_size(64)
         sample_fbm(0.3, 64, SamplerConfig(seed=1), 10 * block + 1)
-        work = sampler_mod._thread_state.work
-        assert work.held == (1, 10 * block, 10 * block + 1) and work.z.shape == (1, 128)
-        assert (work.normals.size, work.spectra.size, work.outputs.size) == (block * 128, *[2 * sampler_mod.BLOCK_POINTS] * 2)
+        assert sizes() == usual
+        big = 4 * sampler_mod.BLOCK_POINTS
+        sample_fbm(0.3, big, SamplerConfig(seed=1))
+        assert sizes() == (big + 1, 2 * big)
+        sample_fbm(0.3, 64, SamplerConfig(seed=1), block)
+        assert sizes() == usual
 
 
 class TestReproducibility:
@@ -260,6 +271,15 @@ class TestGuards:
             rows = sample_fbm(0.3, n, SamplerConfig(seed=0, stream=first), count).values
             for i, row in enumerate(rows):
                 assert np.array_equal(row, sample_fbm(0.3, n, SamplerConfig(seed=0, stream=first + i)).values[0]), (n, i)
+
+    @pytest.mark.parametrize(
+        "normals",
+        [np.zeros((3, 64)), np.zeros((5, 64)), np.zeros((4, 63)), np.zeros((4, 64), dtype=np.float32), np.zeros((4, 64, 1)), np.zeros(256), np.zeros((4, 64)).tolist()],
+        ids=["fewer_rows", "more_rows", "narrow", "float32", "3d", "1d", "list"],
+    )
+    def test_bad_normals_rejected(self, normals):
+        with pytest.raises(ValueError, match="normals"):
+            sample_fbm(0.3, 32, SamplerConfig(seed=0), 4, normals)
 
     def test_seed_range(self):
         with pytest.raises(ValueError):

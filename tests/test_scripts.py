@@ -14,7 +14,7 @@ def load_script(name):
 
 
 def test_bench_sampler_times_every_layer():
-    # the script calls sampler._block_normals/_block_fgn and harness._replica_values
+    # the script calls sampler.draw_normals/_block_fgn and harness._replica_values
     script = load_script("bench_sampler")
     times = ("rekey_normals_us", "synthesis_us", "assembly_us", "statistic_us", "partial_sums_us", "limit_us", "layers_sum_us", "stat_limit_us", "block_us")
     cases = [(n, script.SPEC) for n in script.GRID_SIZES] + [(script.CUBIC_GRID_SIZE, script.CUBIC)]
@@ -24,8 +24,7 @@ def test_bench_sampler_times_every_layer():
         assert out["block"] == 8192 // n
         assert all(out[name] > 0 for name in times), out
         assert out["first_minflt"] >= 0
-        # drawing normals costs 20 to 30 times the limit; a draw that returned
-        # the thread's held normals instead would cost a small share of it
+        # drawing normals costs 20 to 30 times the limit
         assert out["rekey_normals_us"] > out["limit_us"], (n, out)
 
 
