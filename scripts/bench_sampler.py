@@ -48,6 +48,17 @@ Beside the layers it times one ladder, LADDER = (128, 512), on one walk of
 - `rungs_us`: the two one-rung plans of as many replicas run one after the
   other, each drawing its own normals.
 
+It also times one walk of a path group of 17 plans at distinct H (0.05 to
+0.69 in steps of 0.04, `unweighted_centered`) at n = SWEEP_GRID_SIZE = 2048
+(`sweep`), one (H, n) key more than the sampler's coefficient cache holds:
+
+- `embedding_builds`: the circulant embeddings the walk builds from an empty
+  cache, counted at `sampler.increment_autocov_seq`; the group resolves each
+  key once, so 17;
+- `us_per_replica`: the walk's microseconds per replica. Each call builds
+  all 17 embeddings again, since 17 keys visited in turn evict each other
+  from a cache of 16.
+
 The plan of `layers` is acceptance criterion 6's (H = 0.1, centred
 quadratic form, weight x2); `cubic_layers` times criterion 7's (H = 0.1,
 compensated cubic form, weight sin) at n = 128, whose weight derivatives
@@ -88,6 +99,8 @@ CUBIC = StatisticSpec(kappa=3, weight="sin", form=StatForm.COMPENSATED_CUBIC)
 GRID_SIZES = (128, 2048, 8192)
 CUBIC_GRID_SIZE = 128
 LADDER = (128, 512)
+SWEEP_HURSTS = tuple(round(0.05 + 0.04 * i, 2) for i in range(17))
+SWEEP_GRID_SIZE = 2048
 CALLS = 100
 RUNS = 5
 
@@ -128,7 +141,8 @@ def layer_times(n, calls, runs, spec=SPEC):
     h = builtin(spec.weight)
     z = sampler_mod.draw_normals(SEED, 0, block, n)
     # a copy: the synthesis returns a view of this thread's buffer, which the next block overwrites
-    fgn = sampler_mod._block_fgn(HURST, n, z).copy()
+    embedding = sampler_mod._circulant_coeffs(HURST, n)
+    fgn = sampler_mod._block_fgn(embedding, n, z).copy()
     path = sample_fbm(HURST, n, SamplerConfig(seed=SEED), block)
     plan = ExperimentPlan(hurst=HURST, spec=spec, n_ladder=(n,), replicas=2 * block, seed=SEED)
 
@@ -156,7 +170,7 @@ def layer_times(n, calls, runs, spec=SPEC):
     first = first_faults(whole_blocks)
     per_block = {
         "rekey_normals_us": lambda: sampler_mod.draw_normals(SEED, 0, block, n),
-        "synthesis_us": lambda: sampler_mod._block_fgn(HURST, n, z),
+        "synthesis_us": lambda: sampler_mod._block_fgn(embedding, n, z),
         "assembly_us": assemble,
         "statistic_us": lambda: evaluate_statistic(fresh(), h, spec),
         "limit_us": lambda: limit_functional(summed(), h, spec),
@@ -190,6 +204,24 @@ def ladder_times(calls, runs):
     return {"ladder": list(LADDER), "replicas": replicas, **{name: round(us, 2) for name, us in times.items()}}
 
 
+def sweep_times(calls, runs):
+    """Embedding builds and microseconds per replica of one walk of a group of one plan per SWEEP_HURSTS at SWEEP_GRID_SIZE."""
+    replicas = harness.walk_rows((SWEEP_GRID_SIZE,))
+    spec = StatisticSpec(kappa=2, weight="one", form=StatForm.UNWEIGHTED_CENTERED)
+    one = builtin("one")
+    weights = {ExperimentPlan(hurst=h, spec=spec, n_ladder=(SWEEP_GRID_SIZE,), replicas=replicas, seed=SEED): one for h in SWEEP_HURSTS}
+    builds = []
+    seq = sampler_mod.increment_autocov_seq
+    sampler_mod.increment_autocov_seq = lambda H, n: builds.append((H, n)) or seq(H, n)
+    try:
+        sampler_mod._circulant_coeffs.cache_clear()
+        harness._replica_values(weights, 1)
+    finally:
+        sampler_mod.increment_autocov_seq = seq
+    us = best_us(lambda: harness._replica_values(weights, 1), calls, runs) / replicas
+    return {"hursts": len(SWEEP_HURSTS), "n": SWEEP_GRID_SIZE, "replicas": replicas, "embedding_builds": len(builds), "us_per_replica": round(us, 2)}
+
+
 def main():
     result = {
         "hurst": HURST,
@@ -202,6 +234,7 @@ def main():
         "layers": {f"n{n}": layer_times(n, CALLS, RUNS) for n in GRID_SIZES},
         "cubic_layers": {f"n{CUBIC_GRID_SIZE}": layer_times(CUBIC_GRID_SIZE, CALLS, RUNS, CUBIC)},
         "ladder": ladder_times(CALLS, RUNS),
+        "sweep": sweep_times(CALLS, RUNS),
     }
     print(json.dumps(result))
 

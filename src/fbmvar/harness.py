@@ -2,18 +2,18 @@
 
 Replica r of a plan always samples from the stream keyed (seed, r), so results
 are a pure function of the plan. Plans with equal (seed, method, n_ladder,
-replicas) hold one replica set and run as one group. Its replicas are split
-into walks of `walk_rows(ladder)` streams, and a walk visits every rung of the
-ladder, top rung first. The walk owns its normals: it draws each stream's
-normals once, at the top rung, and hands every block at every rung n the
-first 2n columns of its rows. At each rung a walk runs in blocks of
-block_size(n) paths; each block is synthesized once per H of the group, and
-every member evaluates its statistic on its H's paths. Workers take whole
-walks and may be added or removed freely; each block's values land in the
-rung's buffer, indexed by r, before any reduction. All reductions go through
-numpy's pairwise summation on those buffers, in ladder order, which makes
-every reported number bit-identical across thread counts and the same
-whether a plan runs alone or in a group.
+replicas) hold one replica set and run as one group, which resolves the
+embedding of each (H, n) once. Its replicas are split into walks of
+`walk_rows(ladder)` streams, and a walk visits every rung of the ladder, top
+rung first. The walk owns its normals: it draws each stream's normals once, at
+the top rung, and hands every block at every rung n the first 2n columns of its
+rows. At each rung a walk runs in blocks of block_size(n) paths; each block is
+synthesized once per H of the group, and every member evaluates its statistic
+on its H's paths. Workers take whole walks and may be added or removed freely;
+each block's values land in the rung's buffer, indexed by r, before any
+reduction. All reductions go through numpy's pairwise summation on those
+buffers, in ladder order, which makes every reported number bit-identical
+across thread counts and the same whether a plan runs alone or in a group.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DegenerateFit
 from .kernels import HurstIndex, as_hurst, as_integer
-from .sampler import BLOCK_POINTS, MAX_GRID_SIZE, SamplerConfig, block_size, draw_normals, sample_fbm
+from .sampler import BLOCK_POINTS, MAX_GRID_SIZE, SamplerConfig, _circulant_coeffs, block_size, draw_normals, sample_fbm
 from .statistics import FORMS, StatisticSpec, evaluate_statistic, limit_functional, require_form_admissible
 from .weights import builtin
 
@@ -118,9 +118,10 @@ def _replica_values(weights: dict, threads: int, block=block_size) -> dict:
     are split into walks of `walk_rows` rows, and a walk visits every rung,
     top first: it draws its streams' normals once, at the top rung, and each
     block at each rung n is synthesized from the first 2n columns of its
-    rows. At each rung the walk runs in blocks of `block(n)` rows; each block
-    is synthesized once per H, in the order the plans first name it, and
-    every plan at that H evaluates its statistic on all of its rows. Workers
+    rows, with the embedding of (H, n) that the group resolved before its
+    first walk. At each rung the walk runs in blocks of `block(n)` rows; each
+    block is synthesized once per H, in the order the plans first name it,
+    and every plan at that H evaluates its statistic on all of its rows. Workers
     take whole walks. They are capped by the cores this process may run on
     (the CPU count where the OS has no `sched_getaffinity`) and by the walk
     count: more threads than that only add switching cost.
@@ -133,6 +134,7 @@ def _replica_values(weights: dict, threads: int, block=block_size) -> dict:
     walk = [(k, ladder[k], block(ladder[k])) for k in reversed(range(len(ladder)))]
     rows = walk_rows(ladder, block)
     starts = range(0, replicas, rows)
+    embeddings = {(hurst, n): _circulant_coeffs(hurst.value, n) for _, n, _ in walk for hurst in by_hurst}
 
     def work(r0: int) -> None:
         stop = min(r0 + rows, replicas)
@@ -143,7 +145,7 @@ def _replica_values(weights: dict, threads: int, block=block_size) -> dict:
                 config = SamplerConfig(method=method, seed=seed, stream=s0)
                 z = normals[s0 - r0 : s0 - r0 + count]
                 for hurst, members in by_hurst.items():
-                    path = sample_fbm(hurst, n, config, count, z)
+                    path = sample_fbm(hurst, n, config, count, z, embeddings[hurst, n])
                     for plan, h in members.items():
                         out = outs[plan][k][s0 : s0 + count]
                         out[:, 0] = evaluate_statistic(path, h, plan.spec)

@@ -48,11 +48,12 @@ _MAX_UINT64 = 2**64
 BLOCK_POINTS = 8192
 
 # The largest grid size a plan may ask for, so that a run's memory stays bounded: a run of
-# one plan at 1 thread, weighted or not, peaks at about 213 MiB RSS at n = 2^20 and 709 MiB
+# one plan at 1 thread, weighted or not, peaks at about 191 MiB RSS at n = 2^20 and 639 MiB
 # at n = 2^22, also for a compensated_cubic/sin plan, whose statistics workspace holds three
-# n-point buffers. The embedding's set-up, the walk's normals (2n floats per stream) and
-# the synthesis buffers set the peak. Each further (H, n) key of a group keeps 16(n-1)
-# bytes of coefficients, 64 MiB at 2^22.
+# n-point buffers, and a group of 8 plans at distinct H peaks at 1090 MiB at 2^22. A group
+# holds one embedding per (H, n) key, 16(n-1) bytes each (64 MiB at 2^22), until it ends;
+# the embeddings' set-up, the walk's normals (2n floats per stream) and the synthesis
+# buffers set the rest of the peak.
 MAX_GRID_SIZE = 2**22
 
 
@@ -197,12 +198,9 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return gen
 
 
-# One entry holds 16(n-1) bytes. The most (H, n) keys a shipped config draws is 10. A walk
-# visits every rung at every H of its group in turn, so a group of more than 16 keys
-# misses on every block and rebuilds each embedding once per block.
 @functools.lru_cache(maxsize=16)
 def _circulant_coeffs(h: float, n: int):
-    """Half-spectrum synthesis coefficients (h0, hn, coef) for n^{-H}-scaled fGn.
+    """The embedding (h, n, h0, hn, coef) of n^{-H}-scaled fGn: its key and half-spectrum synthesis coefficients.
 
     With m = 2n and lambda the embedding spectrum: h0 = sqrt(lambda_0/m) n^{-H},
     hn = sqrt(lambda_n/m) n^{-H}, and coef = [c_1, -c_1, ..., c_{n-1}, -c_{n-1}]
@@ -227,7 +225,7 @@ def _circulant_coeffs(h: float, n: int):
     coef[0::2] = c
     coef[1::2] = -c
     coef.flags.writeable = False
-    return h0, hn, coef
+    return h, n, h0, hn, coef
 
 
 def circulant_eigenvalues(H, n: int) -> np.ndarray:
@@ -247,15 +245,15 @@ def draw_normals(seed: int, first: int, count: int, n: int) -> np.ndarray:
     return z
 
 
-def _block_fgn(h: float, n: int, z: np.ndarray) -> np.ndarray:
+def _block_fgn(embedding: tuple, n: int, z: np.ndarray) -> np.ndarray:
     """Rows of n^{-H}-scaled fGn increments, one real inverse FFT of each row's half-spectrum.
 
-    The first 2n normals of row i of z fill its Hermitian half-spectrum
-    b_0..b_n: z_0 and z_1 the real DC and Nyquist terms, (z_{2j}, z_{2j+1})
-    the conjugated b_j. The result is a view of this thread's inverse-FFT
-    buffer, which the next block overwrites.
+    `embedding` is `_circulant_coeffs(H, n)`. The first 2n normals of row i
+    of z fill its Hermitian half-spectrum b_0..b_n: z_0 and z_1 the real DC
+    and Nyquist terms, (z_{2j}, z_{2j+1}) the conjugated b_j. The result is a
+    view of this thread's inverse-FFT buffer, which the next block overwrites.
     """
-    h0, hn, coef = _circulant_coeffs(h, n)
+    h0, hn, coef = embedding[2:]
     count = z.shape[0]
     # Flat, of max(2 * BLOCK_POINTS, need) entries: one size for every usual block at n <= BLOCK_POINTS,
     # so blocks and rungs reuse them; a larger block replaces them, and the next usual one replaces them back.
@@ -271,16 +269,17 @@ def _block_fgn(h: float, n: int, z: np.ndarray) -> np.ndarray:
     return np.fft.irfft(b, 2 * n, axis=1, norm="forward", out=synth)[:, :n]
 
 
-def sample_fbm(H, n: int, config: SamplerConfig, count: int = 1, normals: np.ndarray | None = None) -> FbmPath:
+def sample_fbm(H, n: int, config: SamplerConfig, count: int = 1, normals: np.ndarray | None = None, embedding: tuple | None = None) -> FbmPath:
     """A block of `count` exact fBm paths on {k/n}; row i is stream (seed, config.stream + i)'s path.
 
     n and count are integers >= 1. Row i is synthesized from the first 2n
     columns of row i of `normals`, a 2-D float64 array of `count` rows that
     the caller drew with `draw_normals` for those streams at a grid size
-    >= n; without it, the normals are drawn block by block. The increments
-    are synthesized block_size(n) rows at a time and copied into one new
-    read-only array, which the path keeps without a further copy; the path's
-    values are summed only when first read.
+    >= n; without it, the normals are drawn block by block. `embedding` is
+    `_circulant_coeffs(H, n)` as the caller resolved it; without it, the call
+    resolves its own once. The increments are synthesized block_size(n) rows
+    at a time and copied into one new read-only array, which the path keeps
+    without a further copy; the path's values are summed only when first read.
     """
     hurst = as_hurst(H)
     n, count = as_integer(n, "n", 1), as_integer(count, "count", 1)
@@ -292,12 +291,17 @@ def sample_fbm(H, n: int, config: SamplerConfig, count: int = 1, normals: np.nda
     ):
         got = f"a {normals.dtype} array of shape {normals.shape}" if isinstance(normals, np.ndarray) else type(normals).__name__
         raise ValueError(f"normals must be a 2-D float64 array of {count} rows of at least {2 * n} columns, got {got}")
+    if embedding is None:
+        embedding = _circulant_coeffs(hurst.value, n)
+    elif not (isinstance(embedding, tuple) and embedding[:2] == (hurst.value, n)):
+        got = f"the one of (H, n) = {embedding[:2]}" if isinstance(embedding, tuple) else type(embedding).__name__
+        raise ValueError(f"embedding must be _circulant_coeffs({hurst.value}, {n}), got {got}")
     increments = np.empty((count, n))
     rows = block_size(n)
     for r0 in range(0, count, rows):
         stop = min(r0 + rows, count)
         z = draw_normals(seed, first + r0, stop - r0, n) if normals is None else normals[r0:stop]
-        increments[r0:stop] = _block_fgn(hurst.value, n, z)
+        increments[r0:stop] = _block_fgn(embedding, n, z)
     increments.flags.writeable = False
     return FbmPath._adopt(hurst, None, increments)
 

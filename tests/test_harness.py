@@ -305,9 +305,9 @@ def record_draws(monkeypatch):
     draws = []
     sample = harness.sample_fbm
 
-    def counting(H, n, config, count=1, normals=None):
+    def counting(H, n, config, count=1, normals=None, embedding=None):
         draws.append((n, config.stream, count))
-        return sample(H, n, config, count, normals)
+        return sample(H, n, config, count, normals, embedding)
 
     monkeypatch.setattr(harness, "sample_fbm", counting)
     return draws
@@ -444,6 +444,45 @@ class TestPathGroups:
         plans = GROUP_CASES["equal_ladders"]
         with pytest.raises(ValueError, match="not one of"):
             PathGroups(plans[:1]).report(plans[1], threads=1)
+
+
+def record_builds(monkeypatch):
+    """The (H, n) of every circulant embedding built from now on, from an emptied cache."""
+    builds = []
+    seq = sampler.increment_autocov_seq
+    monkeypatch.setattr(sampler, "increment_autocov_seq", lambda H, n: builds.append((H, n)) or seq(H, n))
+    sampler._circulant_coeffs.cache_clear()
+    return builds
+
+
+# more (H, n) keys than the cache's 16, each read by several blocks: 5 H on 4 rungs, 2 walks of
+# 4 blocks at n = 2048; and 17 H at one rung, 3 walks of one block
+SWEEPS = {
+    "5H_4rungs": tuple(plan_of(h, 2, "x2", StatForm.MIXING_NORMALIZED, (256, 512, 1024, 2048), 32) for h in (0.3, 0.35, 0.4, 0.45, 0.5)),
+    "17H_1rung": tuple(plan_of(round(0.05 + 0.04 * i, 2), 2, "one", StatForm.UNWEIGHTED_CENTERED, (1024,), 24) for i in range(17)),
+}
+
+
+class TestEmbeddings:
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        yield
+        sampler._circulant_coeffs.cache_clear()
+
+    @pytest.mark.parametrize("case, keys", [("5H_4rungs", 20), ("17H_1rung", 17)])
+    def test_group_builds_each_key_once(self, monkeypatch, case, keys):
+        plans = SWEEPS[case]
+        builds = record_builds(monkeypatch)
+        harness._replica_values({plan: builtin(plan.spec.weight) for plan in plans}, 1)
+        assert len(builds) == len(set(builds)) == keys
+        assert set(builds) == {(plan.hurst.value, n) for plan in plans for n in plan.n_ladder}
+
+    def test_sweep_equal_at_one_and_two_threads_and_alone(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
+        plans = SWEEPS["17H_1rung"]
+        reports = {threads: {plan: PathGroups(plans).report(plan, threads) for plan in plans} for threads in (1, 2)}
+        for plan in plans:
+            assert reports[1][plan] == reports[2][plan] == run_clt_diagnostics(plan), plan.hurst
 
 
 class TestLadderWalk:

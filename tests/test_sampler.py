@@ -19,7 +19,7 @@ from fbmvar import (
     sample_fbm,
 )
 from fbmvar.kernels import increment_autocov_seq
-from fbmvar.sampler import _block_fgn, circulant_eigenvalues, dump_path
+from fbmvar.sampler import _block_fgn, _circulant_coeffs, circulant_eigenvalues, dump_path
 from oracles import _cholesky_factor, cov_scalar, reference_cholesky_path, reference_circulant_path
 
 # Seeds and streams at both ends of the 64-bit key words and at the acceptance seed.
@@ -281,6 +281,19 @@ class TestGuards:
         with pytest.raises(ValueError, match="normals"):
             sample_fbm(0.3, 32, SamplerConfig(seed=0), 4, normals)
 
+    @pytest.mark.parametrize(
+        "embedding",
+        [_circulant_coeffs(0.4, 32), _circulant_coeffs(0.3, 64), _circulant_coeffs(0.3, 32)[2:], _circulant_coeffs(0.3, 32)[4], list(_circulant_coeffs(0.3, 32))],
+        ids=["other_hurst", "other_n", "no_key", "coefficients", "list"],
+    )
+    def test_bad_embedding_rejected(self, embedding):
+        with pytest.raises(ValueError, match="embedding"):
+            sample_fbm(0.3, 32, SamplerConfig(seed=0), 4, None, embedding)
+
+    def test_embedding_of_its_key_gives_the_same_paths(self):
+        got = sample_fbm(0.3, 32, SamplerConfig(seed=0), 4, None, _circulant_coeffs(0.3, 32))
+        assert np.array_equal(got.increments, sample_fbm(0.3, 32, SamplerConfig(seed=0), 4).increments)
+
     def test_seed_range(self):
         with pytest.raises(ValueError):
             SamplerConfig(seed=-1, stream=0)
@@ -348,7 +361,7 @@ class TestExactLaw:
         eps = np.finfo(np.float64).eps
         lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
         for h in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
-            a_t = _block_fgn(h, n, np.eye(2 * n))
+            a_t = _block_fgn(_circulant_coeffs(h, n), n, np.eye(2 * n))
             scale = float(n) ** (-2 * h)
             err = np.max(np.abs(a_t.T @ a_t - scale * increment_autocov_seq(h, n)[lag]))
             assert err <= 2 * n * (math.log2(2 * n) + 2) * eps * scale, (h, n, err / scale)

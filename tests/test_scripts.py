@@ -33,3 +33,11 @@ def test_bench_sampler_times_the_ladder():
     out = script.ladder_times(calls=2, runs=3)
     assert out["ladder"] == list(script.LADDER) and out["replicas"] == 64
     assert out["ladder_us"] > 0 and out["rungs_us"] > 0, out
+
+
+def test_bench_sampler_counts_the_sweep_builds():
+    script = load_script("bench_sampler")
+    out = script.sweep_times(calls=2, runs=3)
+    assert (out["hursts"], out["n"], out["replicas"]) == (17, 2048, 4)
+    assert out["embedding_builds"] == 17
+    assert out["us_per_replica"] > 0, out
