@@ -8,28 +8,30 @@ and reports microseconds per replica (a block's time divided by B):
 - `rekey_normals_us`: `draw_normals`, which re-keys the thread's Philox
   generator to each row's `(seed, stream)` and draws the row's 2n normals
   into a new array;
-- `synthesis_us`: `_block_fgn` on stored normals, the half-spectrum products
-  and the one inverse FFT along the rows;
+- `synthesis_us`: `_block_fgn` on stored normals into a workspace sized for
+  one block, the half-spectrum products and the one inverse FFT along the
+  rows;
 - `assembly_us`: what `sample_fbm` does with a block's stored increments,
   the copy of its rows into a new increments array, freezing it and handing
   it to a new path;
 - `statistic_us`: `evaluate_statistic` on a new path built from the stored
   increments each call, so that the partial sums that the weighted form
-  reads are formed in every call, as in a run;
+  reads are formed in every call, as in a run, with the workspace's
+  derivative table started afresh, as the harness starts it at each block;
 - `partial_sums_us`: the part of `statistic_us` that forms those partial
   sums, the first read of `values` of a new path built from the stored
   increments;
 - `limit_us`: `limit_functional` on a new path each call, built from the
-  stored block with its partial sums formed, so that the limit evaluates
-  its weight derivative instead of reading the one that an earlier call
-  left in the thread's statistics workspace;
+  stored block with its partial sums formed, with the workspace's table
+  started afresh, so that the limit evaluates its weight derivative instead
+  of reading the one that an earlier call left there;
 - `layers_sum_us`: the sum of the five layers, with `partial_sums_us`
   counted once, inside `statistic_us`;
-- `stat_limit_us`: the statistic and then the limit on one new path, as a
-  run evaluates a block: the limit reads the weight derivatives that the
-  statistic left in the workspace, so for the cubic form, whose limit reads
-  -cos where the statistic read cos, it is below `statistic_us +
-  limit_us`;
+- `stat_limit_us`: the statistic and then the limit on one new path and
+  one fresh table, as a run evaluates a block: the limit reads the weight
+  derivatives that the statistic left in the workspace's table, so for the
+  cubic form, whose limit reads -cos where the statistic read cos, it is
+  below `statistic_us + limit_us`;
 - `block_us`: the harness's own loop (`_replica_values`) drawing and
   evaluating two whole blocks end to end, per replica. What it adds to
   `layers_sum_us` is cost that no layer shows alone, such as the page faults
@@ -37,8 +39,9 @@ and reports microseconds per replica (a block's time divided by B):
 - `block_minflt`: the minor page faults (`resource.getrusage`) of that loop
   per block, over CALLS calls after a warm-up call;
 - `first_minflt`: the minor page faults per block of one call of that loop
-  on a new thread, whose synthesis buffers and statistics workspace start
-  empty, as they do in a process's first run.
+  on a new thread, whose generator starts new, as in a process's first run.
+  Like every call of the loop, it makes one workspace per worker, which all
+  its blocks reuse.
 
 Beside the layers it times one ladder, LADDER = (128, 512), on one walk of
 `harness.walk_rows(LADDER)` replicas (`ladder`):
@@ -140,9 +143,10 @@ def layer_times(n, calls, runs, spec=SPEC):
     block = harness.block_size(n)
     h = builtin(spec.weight)
     z = sampler_mod.draw_normals(SEED, 0, block, n)
-    # a copy: the synthesis returns a view of this thread's buffer, which the next block overwrites
+    work = sampler_mod.Workspace(block * (n + 1))
+    # a copy: the synthesis returns a view of the workspace's buffer, which the next block overwrites
     embedding = sampler_mod._circulant_coeffs(HURST, n)
-    fgn = sampler_mod._block_fgn(embedding, n, z).copy()
+    fgn = sampler_mod._block_fgn(embedding, n, z, work).copy()
     path = sample_fbm(HURST, n, SamplerConfig(seed=SEED), block)
     plan = ExperimentPlan(hurst=HURST, spec=spec, n_ladder=(n,), replicas=2 * block, seed=SEED)
 
@@ -159,10 +163,15 @@ def layer_times(n, calls, runs, spec=SPEC):
     def summed():
         return FbmPath._adopt(path.hurst, path.values, path.increments)
 
+    def table():
+        # the workspace with its derivative table started afresh, as the harness starts it at each block
+        work.derivatives.clear()
+        return work
+
     def stat_limit():
-        p = fresh()
-        evaluate_statistic(p, h, spec)
-        return limit_functional(p, h, spec)
+        p, w = fresh(), table()
+        evaluate_statistic(p, h, spec, w)
+        return limit_functional(p, h, spec, w)
 
     def whole_blocks():
         return harness._replica_values({plan: h}, 1)[plan]
@@ -170,10 +179,10 @@ def layer_times(n, calls, runs, spec=SPEC):
     first = first_faults(whole_blocks)
     per_block = {
         "rekey_normals_us": lambda: sampler_mod.draw_normals(SEED, 0, block, n),
-        "synthesis_us": lambda: sampler_mod._block_fgn(embedding, n, z),
+        "synthesis_us": lambda: sampler_mod._block_fgn(embedding, n, z, work),
         "assembly_us": assemble,
-        "statistic_us": lambda: evaluate_statistic(fresh(), h, spec),
-        "limit_us": lambda: limit_functional(summed(), h, spec),
+        "statistic_us": lambda: evaluate_statistic(fresh(), h, spec, table()),
+        "limit_us": lambda: limit_functional(summed(), h, spec, table()),
     }
     layers = {name: best_us(fn, calls, runs) / block for name, fn in per_block.items()}
     layers["layers_sum_us"] = sum(layers.values())

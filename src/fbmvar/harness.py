@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DegenerateFit
 from .kernels import HurstIndex, as_hurst, as_integer
-from .sampler import BLOCK_POINTS, MAX_GRID_SIZE, SamplerConfig, _circulant_coeffs, block_size, draw_normals, sample_fbm
+from .sampler import BLOCK_POINTS, MAX_GRID_SIZE, SamplerConfig, Workspace, _circulant_coeffs, block_size, draw_normals, sample_fbm
 from .statistics import FORMS, StatisticSpec, evaluate_statistic, limit_functional, require_form_admissible
 from .weights import builtin
 
@@ -121,10 +121,12 @@ def _replica_values(weights: dict, threads: int, block=block_size) -> dict:
     rows, with the embedding of (H, n) that the group resolved before its
     first walk. At each rung the walk runs in blocks of `block(n)` rows; each
     block is synthesized once per H, in the order the plans first name it,
-    and every plan at that H evaluates its statistic on all of its rows. Workers
-    take whole walks. They are capped by the cores this process may run on
-    (the CPU count where the OS has no `sched_getaffinity`) and by the walk
-    count: more threads than that only add switching cost.
+    and every plan at that H evaluates its statistic on all of its rows. Worker
+    i of w takes walks i, i + w, ... and keeps one `Workspace`, sized for the
+    group's largest block, for all of them (one per walk would fault its pages
+    in again); w is capped by the cores this process may run on (the CPU count
+    where the OS has no `sched_getaffinity`) and by the walk count, since more
+    threads only add switching cost.
     """
     seed, method, ladder, replicas = _path_key(next(iter(weights)))
     outs = {plan: [np.empty((replicas, 2), dtype=np.float64) for _ in ladder] for plan in weights}
@@ -135,8 +137,9 @@ def _replica_values(weights: dict, threads: int, block=block_size) -> dict:
     rows = walk_rows(ladder, block)
     starts = range(0, replicas, rows)
     embeddings = {(hurst, n): _circulant_coeffs(hurst.value, n) for _, n, _ in walk for hurst in by_hurst}
+    points = max(min(step, rows) * (n + 1) for _, n, step in walk)  # the group's largest block
 
-    def work(r0: int) -> None:
+    def work(r0: int, workspace: Workspace) -> None:
         stop = min(r0 + rows, replicas)
         normals = draw_normals(seed, r0, stop - r0, ladder[-1])
         for k, n, step in walk:
@@ -145,22 +148,27 @@ def _replica_values(weights: dict, threads: int, block=block_size) -> dict:
                 config = SamplerConfig(method=method, seed=seed, stream=s0)
                 z = normals[s0 - r0 : s0 - r0 + count]
                 for hurst, members in by_hurst.items():
-                    path = sample_fbm(hurst, n, config, count, z, embeddings[hurst, n])
+                    path = sample_fbm(hurst, n, config, count, z, embeddings[hurst, n], workspace)
+                    workspace.derivatives.clear()  # a new block: its table starts empty
                     for plan, h in members.items():
                         out = outs[plan][k][s0 : s0 + count]
-                        out[:, 0] = evaluate_statistic(path, h, plan.spec)
-                        out[:, 1] = limit_functional(path, h, plan.spec) if FORMS[plan.spec.form].limit is not None else 0.0
+                        out[:, 0] = evaluate_statistic(path, h, plan.spec, workspace)
+                        out[:, 1] = limit_functional(path, h, plan.spec, workspace) if FORMS[plan.spec.form].limit is not None else 0.0
+
+    def worker(walk_starts: range) -> None:
+        workspace = Workspace(points)
+        for r0 in walk_starts:
+            work(r0, workspace)  # frees the walk's normals before the next walk draws its own
 
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(threads, cores, len(starts))
     if workers <= 1:
-        for r0 in starts:
-            work(r0)
+        worker(starts)
     else:
         from concurrent.futures import ThreadPoolExecutor  # imported here: a run at one worker never needs it
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, starts))
+            list(pool.map(worker, [starts[i::workers] for i in range(workers)]))
     return outs
 
 

@@ -16,11 +16,11 @@ first 2n normals of consecutive streams as a new array, and the first 2m of
 each row are what a draw at m <= n gives; `sample_fbm` synthesizes from rows
 of such an array that its caller passes, or draws its own block by block.
 
-Each thread keeps its generator and one pair of half-spectrum and
-inverse-FFT buffers, which every block writes before it reads them. A draw of
-any size runs block by block through them into one new increments array, so
-it needs its output plus those buffers, and the values array too once they
-are read.
+A `Workspace` is one worker's scratch, sized once for its largest block and
+reused block after block: the half-spectrum and inverse-FFT buffers, and the
+weight derivatives of `statistics.derivative_at_left`. A draw runs block by
+block through it into one new increments array. The only per-thread state is
+the Philox generator, which every use re-keys.
 """
 
 from __future__ import annotations
@@ -49,11 +49,11 @@ BLOCK_POINTS = 8192
 
 # The largest grid size a plan may ask for, so that a run's memory stays bounded: a run of
 # one plan at 1 thread, weighted or not, peaks at about 191 MiB RSS at n = 2^20 and 639 MiB
-# at n = 2^22, also for a compensated_cubic/sin plan, whose statistics workspace holds three
-# n-point buffers, and a group of 8 plans at distinct H peaks at 1090 MiB at 2^22. A group
+# at n = 2^22, also for a compensated_cubic/sin plan, whose workspace holds three n-point
+# derivative buffers, and a group of 8 plans at distinct H peaks at 1090 MiB at 2^22. A group
 # holds one embedding per (H, n) key, 16(n-1) bytes each (64 MiB at 2^22), until it ends;
-# the embeddings' set-up, the walk's normals (2n floats per stream) and the synthesis
-# buffers set the rest of the peak.
+# the embeddings' set-up, the walk's normals (2n floats per stream) and each worker's
+# workspace set the rest of the peak.
 MAX_GRID_SIZE = 2**22
 
 
@@ -171,6 +171,19 @@ class FbmPath:
         return self.values[:, :-1]
 
 
+class Workspace:
+    """A worker's scratch for blocks of at most `points` = paths * (n + 1) points.
+
+    `spectrum` and `synthesis` are `_block_fgn`'s buffers; `derivatives` maps each
+    evaluator read on the current block to its values in `buffers`, which
+    `statistics.derivative_at_left` fills. Whoever starts a block empties it.
+    """
+
+    def __init__(self, points: int):
+        self.points, self.derivatives, self.buffers = points, {}, []
+        self.spectrum, self.synthesis = np.empty(points, np.complex128), np.empty(2 * points)
+
+
 _thread_state = threading.local()
 
 
@@ -181,9 +194,8 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     a new bit generator per call. The generator is shared by every call on the
     thread, so a caller must finish its draws before the next `_rng` call.
     """
-    try:
-        gen = _thread_state.gen
-    except AttributeError:
+    gen = getattr(_thread_state, "gen", None)
+    if gen is None:
         gen = _thread_state.gen = np.random.Generator(np.random.Philox(key=0))
     # Counter 0 and an empty output buffer, as a fresh Philox(key=...) starts.
     # Plain lists are read into the state faster than uint64 arrays.
@@ -245,31 +257,25 @@ def draw_normals(seed: int, first: int, count: int, n: int) -> np.ndarray:
     return z
 
 
-def _block_fgn(embedding: tuple, n: int, z: np.ndarray) -> np.ndarray:
+def _block_fgn(embedding: tuple, n: int, z: np.ndarray, workspace: Workspace) -> np.ndarray:
     """Rows of n^{-H}-scaled fGn increments, one real inverse FFT of each row's half-spectrum.
 
     `embedding` is `_circulant_coeffs(H, n)`. The first 2n normals of row i
     of z fill its Hermitian half-spectrum b_0..b_n: z_0 and z_1 the real DC
     and Nyquist terms, (z_{2j}, z_{2j+1}) the conjugated b_j. The result is a
-    view of this thread's inverse-FFT buffer, which the next block overwrites.
+    view of the workspace's inverse-FFT buffer, which the next block overwrites.
     """
     h0, hn, coef = embedding[2:]
     count = z.shape[0]
-    # Flat, of max(2 * BLOCK_POINTS, need) entries: one size for every usual block at n <= BLOCK_POINTS,
-    # so blocks and rungs reuse them; a larger block replaces them, and the next usual one replaces them back.
-    sizes = (max(2 * BLOCK_POINTS, count * (n + 1)), max(2 * BLOCK_POINTS, count * 2 * n))
-    buffers = getattr(_thread_state, "synthesis", None)
-    if buffers is None or (buffers[0].size, buffers[1].size) != sizes:
-        buffers = _thread_state.synthesis = (np.empty(sizes[0], np.complex128), np.empty(sizes[1]))
-    b = buffers[0][: count * (n + 1)].reshape(count, n + 1)
-    synth = buffers[1][: count * 2 * n].reshape(count, 2 * n)
+    b = workspace.spectrum[: count * (n + 1)].reshape(count, n + 1)
+    synth = workspace.synthesis[: count * 2 * n].reshape(count, 2 * n)
     np.multiply(z[:, 2 : 2 * n], coef, out=b.view(np.float64)[:, 2 : 2 * n])
     b[:, 0] = h0 * z[:, 0]
     b[:, n] = hn * z[:, 1]
     return np.fft.irfft(b, 2 * n, axis=1, norm="forward", out=synth)[:, :n]
 
 
-def sample_fbm(H, n: int, config: SamplerConfig, count: int = 1, normals: np.ndarray | None = None, embedding: tuple | None = None) -> FbmPath:
+def sample_fbm(H, n: int, config: SamplerConfig, count: int = 1, normals: np.ndarray | None = None, embedding: tuple | None = None, workspace: Workspace | None = None) -> FbmPath:
     """A block of `count` exact fBm paths on {k/n}; row i is stream (seed, config.stream + i)'s path.
 
     n and count are integers >= 1. Row i is synthesized from the first 2n
@@ -278,8 +284,8 @@ def sample_fbm(H, n: int, config: SamplerConfig, count: int = 1, normals: np.nda
     >= n; without it, the normals are drawn block by block. `embedding` is
     `_circulant_coeffs(H, n)` as the caller resolved it; without it, the call
     resolves its own once. The increments are synthesized block_size(n) rows
-    at a time and copied into one new read-only array, which the path keeps
-    without a further copy; the path's values are summed only when first read.
+    at a time in `workspace` (a new one without it) and copied into one new
+    read-only array, which the path keeps; its values are summed when first read.
     """
     hurst = as_hurst(H)
     n, count = as_integer(n, "n", 1), as_integer(count, "count", 1)
@@ -298,10 +304,11 @@ def sample_fbm(H, n: int, config: SamplerConfig, count: int = 1, normals: np.nda
         raise ValueError(f"embedding must be _circulant_coeffs({hurst.value}, {n}), got {got}")
     increments = np.empty((count, n))
     rows = block_size(n)
+    workspace = workspace or Workspace(min(rows, count) * (n + 1))
     for r0 in range(0, count, rows):
         stop = min(r0 + rows, count)
         z = draw_normals(seed, first + r0, stop - r0, n) if normals is None else normals[r0:stop]
-        increments[r0:stop] = _block_fgn(embedding, n, z)
+        increments[r0:stop] = _block_fgn(embedding, n, z, workspace)
     increments.flags.writeable = False
     return FbmPath._adopt(hurst, None, increments)
 

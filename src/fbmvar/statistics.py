@@ -5,36 +5,32 @@ rule, weighting, normalization, compensator, admissible H interval and
 pathwise limit; every form subtracts the Gaussian moment mu_kappa, which is
 zero for odd kappa. Each statistic is the literal left-hand side of one of the
 limit displays for weighted/unweighted kappa-variations of fBm; weights are
-always evaluated at the left endpoint B_{k/n}, and read through this
-thread's workspace (`derivative_at_left`). `limit_functional` provides the
-matching discrete right-hand side on the same path (left-endpoint Riemann sum
-with step 1/n), so the mean-square gap between the two is exactly the quantity
-the L2 theorems drive to zero. `REGIMES` gives the limit regimes of the cells
-no form row covers, and `classify_regime` maps (kappa, H, weighted?) to its
-first matching row of `REGIMES`, then of `FORMS`.
+always evaluated at the left endpoint B_{k/n} (`derivative_at_left`).
+`limit_functional` provides the matching discrete right-hand side on the same
+path (left-endpoint Riemann sum with step 1/n), so the mean-square gap between
+the two is exactly the quantity the L2 theorems drive to zero. `REGIMES` gives
+the limit regimes of the cells no form row covers, and `classify_regime` maps
+(kappa, H, weighted?) to its first matching row of `REGIMES`, then of `FORMS`.
 
-Each thread keeps one workspace: the last block it evaluated a weight on,
-held by reference, and the values h^(j)(B_{k/n}) of every evaluator read on
-that block, each in a flat buffer of its own that the next block reuses. So a
+The module keeps no state. A caller's `sampler.Workspace` holds the table of
+its current block, which the caller starts afresh at each block: h^(j)(B_{k/n})
+of every evaluator read on it, in buffers that the next block reuses. So a
 statistic and its limit, and every plan of a group at one H, evaluate each
-derivative once per block. A weight's `negation_step` lets h^(j+2) of sin
-and cos be the negation of a held h^(j). The buffers hold at most one block
-per evaluator: max(BLOCK_POINTS, B n) floats each.
+derivative once per block; sin and cos negate a held h^(j) for h^(j+2). A call
+without a workspace evaluates its own, with the same bits.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from enum import Enum
-from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import RegimeError
 from .kernels import as_hurst, as_integer, gaussian_moment, increment_autocov_seq
-from .sampler import BLOCK_POINTS, FbmPath
+from .sampler import FbmPath, Workspace
 from .weights import BUILTIN_IDS, WeightFunction
 
 # Endpoints of the theorems' H intervals; messages print each as its nearest fraction.
@@ -155,38 +151,26 @@ class StatisticSpec:
             raise ValueError(f"{self.form.value} is unweighted and requires weight = one, got weight '{self.weight}'")
 
 
-_thread_state = threading.local()
+def derivative_at_left(path: FbmPath, h: WeightFunction, order: int, workspace: Workspace | None = None) -> np.ndarray:
+    """h^(order)(B_{k/n}), k < n, of every path of the block; with a workspace, a read-only view of its table.
 
-
-def derivative_at_left(path: FbmPath, h: WeightFunction, order: int) -> np.ndarray:
-    """h^(order)(B_{k/n}), k < n, of every path of the block: a read-only view of this thread's workspace.
-
-    The first read of an evaluator on the thread's current block writes its
-    values into the evaluator's buffer, or negates a held h^(order -+ s),
-    s = h.negation_step; later reads return them. A block other than the
-    current one becomes current and starts with nothing held, so the view
-    keeps its values only until this thread reads a weight on another block.
-    OrderError past h's table; TypeError for an evaluator that does not
-    return the `out` it was given.
+    The first read of an evaluator on the block writes its values into a
+    buffer of the workspace, or negates a held h^(order -+ h.negation_step);
+    later reads return them until the caller empties `workspace.derivatives`.
+    Without a workspace, each call evaluates h^(order) anew. OrderError past
+    h's table; TypeError for an evaluator that does not return its `out`.
     """
     evaluator = h.derivative(order)
-    try:
-        work = _thread_state.work
-    except AttributeError:
-        work = _thread_state.work = SimpleNamespace(path=None, held={}, buffers=[])
-    if work.path is not path:
-        work.path, work.held = path, {}
-    held = work.held
+    if workspace is None:
+        return evaluator(path.left)
+    held, buffers = workspace.derivatives, workspace.buffers
     values = held.get(evaluator)
     if values is not None:
         return values
     left = path.left
-    i, size = len(held), max(BLOCK_POINTS, left.size)  # one size for every block of n <= BLOCK_POINTS
-    if i == len(work.buffers):
-        work.buffers.append(np.empty(size))
-    elif work.buffers[i].size != size:
-        work.buffers[i] = np.empty(size)
-    values = work.buffers[i][: left.size].reshape(left.shape)
+    if len(held) == len(buffers):
+        buffers.append(np.empty(workspace.points))
+    values = buffers[len(held)][: left.size].reshape(left.shape)
     step = h.negation_step  # h^(order) = -h^(order -+ step): negate a held one if there is one
     for j in (order - step, order + step) if step else ():
         twin = held.get(h.evaluators[j]) if 0 <= j <= h.max_order else None
@@ -201,8 +185,8 @@ def derivative_at_left(path: FbmPath, h: WeightFunction, order: int) -> np.ndarr
     return values
 
 
-def evaluate_statistic(path: FbmPath, h: WeightFunction, spec: StatisticSpec) -> np.ndarray:
-    """The statistic of `spec`'s form row on each path of the block; h is unused by unweighted forms."""
+def evaluate_statistic(path: FbmPath, h: WeightFunction, spec: StatisticSpec, workspace: Workspace | None = None) -> np.ndarray:
+    """The statistic of `spec`'s form row on each path of the block; h, unused by unweighted forms, is read with `workspace`."""
     row = FORMS[spec.form]
     hv = path.hurst.value
     n = np.float64(path.n)  # n^{kappa H} past float64 is inf, where a Python float raises
@@ -215,25 +199,25 @@ def evaluate_statistic(path: FbmPath, h: WeightFunction, spec: StatisticSpec) ->
     if mu:
         terms -= mu
     if row.weighted:  # only a weight reads B_{k/n}, so only a weighted form sums the path
-        terms *= derivative_at_left(path, h, 0)
+        terms *= derivative_at_left(path, h, 0, workspace)
     if row.compensator:
-        terms += row.compensator * derivative_at_left(path, h, 1) * n ** (-hv)
+        terms += row.compensator * derivative_at_left(path, h, 1, workspace) * n ** (-hv)
     a, b = row.exponent
     return n ** (a * hv + b) * np.add.reduce(terms, axis=1)
 
 
-def limit_functional(path: FbmPath, h: WeightFunction, spec: StatisticSpec) -> np.ndarray:
+def limit_functional(path: FbmPath, h: WeightFunction, spec: StatisticSpec, workspace: Workspace | None = None) -> np.ndarray:
     """Discrete limit c (1/n) sum_k g(B_{k/n}) matching the L2 statistic of `spec`, per path of the block.
 
     (c, g) is (1/4, h'') for the quadratic form, (-1/8, h''') for the cubic
-    form and (-mu_{kappa+1}/2, h') for the odd form.
+    form and (-mu_{kappa+1}/2, h') for the odd form; g is read with `workspace`.
     """
     row = FORMS[spec.form]
     if row.limit is None:
         raise ValueError(f"no pathwise limit functional for form {spec.form.value!r}")
     constant, order = row.limit
     # np.mean's own arithmetic: the pairwise row sums divided by the row length
-    return constant(spec.kappa) * (np.add.reduce(derivative_at_left(path, h, order), axis=1) / path.n)
+    return constant(spec.kappa) * (np.add.reduce(derivative_at_left(path, h, order, workspace), axis=1) / path.n)
 
 
 def require_form_admissible(form: StatForm, kappa: int, H) -> None:

@@ -19,7 +19,9 @@ from fbmvar import (
     StatForm,
     StatisticSpec,
     builtin,
+    evaluate_statistic,
     fit_rate,
+    limit_functional,
     run_clt_diagnostics,
     run_l2_experiment,
 )
@@ -305,9 +307,9 @@ def record_draws(monkeypatch):
     draws = []
     sample = harness.sample_fbm
 
-    def counting(H, n, config, count=1, normals=None, embedding=None):
+    def counting(H, n, config, count=1, normals=None, embedding=None, workspace=None):
         draws.append((n, config.stream, count))
-        return sample(H, n, config, count, normals, embedding)
+        return sample(H, n, config, count, normals, embedding, workspace)
 
     monkeypatch.setattr(harness, "sample_fbm", counting)
     return draws
@@ -374,6 +376,43 @@ class TestWeightWorkspace:
             alone = harness._replica_values({plan: h}, 1)[plan]
             for a, b, c in zip(one[plan], two[plan], alone):
                 assert np.array_equal(a, b) and np.array_equal(a, c), plan.spec
+
+    def test_one_workspace_per_worker_per_group(self, monkeypatch):
+        # a workspace per walk or per block would fault its pages in again
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
+        made = []
+        init = sampler.Workspace.__init__
+        monkeypatch.setattr(sampler.Workspace, "__init__", lambda self, points: made.append(points) or init(self, points))
+        weights = {plan: builtin(plan.spec.weight) for plan in self.SHARED}
+        assert math.ceil(200 / harness.walk_rows(self.SHARED[0].n_ladder)) == 4
+        harness._replica_values(weights, 1)
+        # sized once for the group's largest block: 64 paths at n = 128, against 16 at n = 512
+        assert made == [64 * 129]
+        harness._replica_values(weights, 2)
+        assert made[1:] in ([64 * 129], [64 * 129] * 2)
+
+    # every weighted form, each with sin, cos and x2
+    PUBLIC = tuple(
+        plan_of(H, kappa, weight, form, (16, 128), 300)
+        for form, kappa, H in (
+            (StatForm.CENTERED_QUADRATIC, 2, 0.1),
+            (StatForm.COMPENSATED_CUBIC, 3, 0.1),
+            (StatForm.ODD_WEIGHTED, 3, 0.1),
+            (StatForm.MIXING_NORMALIZED, 2, 0.35),
+        )
+        for weight in ("sin", "cos", "x2")
+    )
+
+    def test_calls_without_a_workspace_equal_the_shared_table(self):
+        assert {plan.spec.form for plan in self.PUBLIC} == {form for form, row in FORMS.items() if row.weighted}
+        weights = {plan: builtin(plan.spec.weight) for plan in self.PUBLIC}
+        shared = harness._replica_values(weights, 1)
+        for plan, h in weights.items():
+            for n, got in zip(plan.n_ladder, shared[plan]):
+                path = sampler.sample_fbm(plan.hurst, n, sampler.SamplerConfig(seed=plan.seed), plan.replicas)
+                assert got[:, 0].tobytes() == evaluate_statistic(path, h, plan.spec).tobytes(), (plan.spec, n)
+                limit = limit_functional(path, h, plan.spec) if FORMS[plan.spec.form].limit is not None else np.zeros(plan.replicas)
+                assert got[:, 1].tobytes() == limit.tobytes(), (plan.spec, n)
 
 
 class TestPathGroups:

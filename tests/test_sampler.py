@@ -19,7 +19,7 @@ from fbmvar import (
     sample_fbm,
 )
 from fbmvar.kernels import increment_autocov_seq
-from fbmvar.sampler import _block_fgn, _circulant_coeffs, circulant_eigenvalues, dump_path
+from fbmvar.sampler import Workspace, _block_fgn, _circulant_coeffs, circulant_eigenvalues, dump_path
 from oracles import _cholesky_factor, cov_scalar, reference_cholesky_path, reference_circulant_path
 
 # Seeds and streams at both ends of the 64-bit key words and at the acceptance seed.
@@ -213,23 +213,29 @@ class TestNormalsMemo:
         for values, call in zip(got, reads):
             assert np.array_equal(values, _on_fresh_thread(*call)), call
 
-    def test_draw_past_one_block_holds_one_block(self):
-        # the synthesis buffers hold one block of the usual size after a draw of many, and again after a larger block
+    def test_draw_past_one_block_holds_one_block(self, monkeypatch):
+        # a draw of many blocks makes one workspace of one block of the usual size, a larger block one of its
+        # own size, the next usual block one of the usual size again; a caller's workspace is used as given
         import fbmvar.sampler as sampler_mod
 
-        usual = (2 * sampler_mod.BLOCK_POINTS,) * 2
+        made = []
+        init = sampler_mod.Workspace.__init__
+        monkeypatch.setattr(sampler_mod.Workspace, "__init__", lambda self, points: made.append(self) or init(self, points))
+        block = sampler_mod.block_size(64)
+        usual = (block * 65, 2 * block * 65)
 
         def sizes():
-            return tuple(buffer.size for buffer in sampler_mod._thread_state.synthesis)
+            return made[-1].spectrum.size, made[-1].synthesis.size
 
-        block = sampler_mod.block_size(64)
         sample_fbm(0.3, 64, SamplerConfig(seed=1), 10 * block + 1)
-        assert sizes() == usual
+        assert len(made) == 1 and sizes() == usual
         big = 4 * sampler_mod.BLOCK_POINTS
         sample_fbm(0.3, big, SamplerConfig(seed=1))
-        assert sizes() == (big + 1, 2 * big)
+        assert sizes() == (big + 1, 2 * (big + 1))
         sample_fbm(0.3, 64, SamplerConfig(seed=1), block)
-        assert sizes() == usual
+        assert len(made) == 3 and sizes() == usual
+        sample_fbm(0.3, 64, SamplerConfig(seed=1), 10 * block + 1, workspace=made[0])
+        assert len(made) == 3
 
 
 class TestReproducibility:
@@ -361,7 +367,7 @@ class TestExactLaw:
         eps = np.finfo(np.float64).eps
         lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
         for h in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
-            a_t = _block_fgn(_circulant_coeffs(h, n), n, np.eye(2 * n))
+            a_t = _block_fgn(_circulant_coeffs(h, n), n, np.eye(2 * n), Workspace(2 * n * (n + 1)))
             scale = float(n) ** (-2 * h)
             err = np.max(np.abs(a_t.T @ a_t - scale * increment_autocov_seq(h, n)[lag]))
             assert err <= 2 * n * (math.log2(2 * n) + 2) * eps * scale, (h, n, err / scale)

@@ -27,6 +27,7 @@ from fbmvar import (
     require_form_admissible,
     sample_fbm,
 )
+from fbmvar.sampler import Workspace
 from fbmvar.statistics import HALF, QUARTER, SIXTH, THREE_QUARTERS, RegimeName, derivative_at_left
 from fbmvar.weights import BUILTIN_IDS
 from oracles import (
@@ -340,50 +341,57 @@ class TestTwoForms:
 
 
 class TestWeightWorkspace:
-    # (count, n): blocks of changing shape, so that each buffer is reused
-    # across n, replaced past BLOCK_POINTS and replaced back
+    # (count, n): blocks of changing shape, read in turn through one workspace
+    # sized for the largest, so that each buffer is reused across n
     SHAPES = ((64, 128), (16, 512), (3, 40), (1, 9000), (64, 128))
 
     @pytest.mark.parametrize("wid", BUILTIN_IDS)
     def test_every_order_bitwise_equal_to_the_evaluator(self, wid):
         h = builtin(wid)
+        work = Workspace(max(count * (n + 1) for count, n in self.SHAPES))
         for k, (count, n) in enumerate(self.SHAPES):
             path = sample_fbm(0.3, n, SamplerConfig(seed=5, stream=k), count)
+            work.derivatives.clear()
             # ascending and descending, so that sin and cos form h^(j+2) from h^(j) and the reverse
             for j in range(7) if k % 2 == 0 else range(6, -1, -1):
-                got = derivative_at_left(path, h, j)
+                got = derivative_at_left(path, h, j, work)
                 want = h.derivative(j)(path.left)
                 assert got.shape == want.shape == (count, n) and got.tobytes() == want.tobytes(), (wid, n, j)
                 assert not got.flags.writeable
-                assert derivative_at_left(path, h, j) is got
+                assert derivative_at_left(path, h, j, work) is got
+                assert derivative_at_left(path, h, j).tobytes() == want.tobytes()
 
     def test_path_read_again_after_another_gives_its_own_values(self):
         h = builtin("sin")
         spec = spec_for(3, h, StatForm.COMPENSATED_CUBIC)
         a, b = (sample_fbm(0.1, 128, SamplerConfig(seed=seed), 4) for seed in (1, 2))
+        work = Workspace(4 * 129)
 
         def both(p):
-            return evaluate_statistic(p, h, spec).tobytes(), limit_functional(p, h, spec).tobytes()
+            work.derivatives.clear()  # a new block, as the harness starts one
+            return evaluate_statistic(p, h, spec, work).tobytes(), limit_functional(p, h, spec, work).tobytes()
 
         first, other = both(a), both(b)
         assert both(a) == first
         assert other[0] != first[0] and other[1] != first[1]
-        # a new block with a's increments is another block, read afresh
+        # a new block with a's increments gives a's values, and so do calls without a workspace
         assert both(FbmPath.from_increments(a.hurst, a.increments)) == first
+        assert (evaluate_statistic(a, h, spec).tobytes(), limit_functional(a, h, spec).tobytes()) == first
 
     def test_evaluator_that_ignores_out_rejected(self):
         p = sample_fbm(0.1, 16, SamplerConfig(seed=4), 2)
         careless = WeightFunction(id="test", evaluators=(lambda x, out=None: np.sin(x),), growth_bound=(1.0, 0))
         with pytest.raises(TypeError, match="out"):
-            derivative_at_left(p, careless, 0)
+            derivative_at_left(p, careless, 0, Workspace(2 * 17))
 
     def test_weights_that_share_an_evaluator_read_one_value(self):
         # cos is the h' of sin and the h of cos; -cos is the h''' of sin and the h'' of cos
         p = sample_fbm(0.1, 64, SamplerConfig(seed=3), 8)
         sin, cos = builtin("sin"), builtin("cos")
-        assert derivative_at_left(p, sin, 1) is derivative_at_left(p, cos, 0)
-        assert derivative_at_left(p, cos, 2) is derivative_at_left(p, sin, 3)
-        assert np.array_equal(derivative_at_left(p, cos, 2), -np.cos(p.left))
+        work = Workspace(8 * 65)
+        assert derivative_at_left(p, sin, 1, work) is derivative_at_left(p, cos, 0, work)
+        assert derivative_at_left(p, cos, 2, work) is derivative_at_left(p, sin, 3, work)
+        assert np.array_equal(derivative_at_left(p, cos, 2, work), -np.cos(p.left))
 
 
 class TestStatisticSpecValidation:
