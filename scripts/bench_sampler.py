@@ -5,9 +5,9 @@ The harness evaluates replicas in blocks of B = `harness.block_size(n)`
 paths; this script times the layers of one such block at each grid size n
 and reports microseconds per replica (a block's time divided by B):
 
-- `rekey_normals_us`: `draw_normals`, which re-keys the thread's Philox
-  generator to each row's `(seed, stream)` and draws the row's 2n normals
-  into a new array;
+- `rekey_normals_us`: `draw_normals`, which re-keys the Philox generator
+  of the workspace it is given to each row's `(seed, stream)` and draws the
+  row's 2n normals into a new array;
 - `synthesis_us`: `_block_fgn` on stored normals into a workspace sized for
   one block, the half-spectrum products and the one inverse FFT along the
   rows;
@@ -17,7 +17,7 @@ and reports microseconds per replica (a block's time divided by B):
 - `statistic_us`: `evaluate_statistic` on a new path built from the stored
   increments each call, so that the partial sums that the weighted form
   reads are formed in every call, as in a run, with the workspace's
-  derivative table started afresh, as the harness starts it at each block;
+  derivative table started afresh, as `sample_fbm` starts it at each block;
 - `partial_sums_us`: the part of `statistic_us` that forms those partial
   sums, the first read of `values` of a new path built from the stored
   increments;
@@ -30,8 +30,9 @@ and reports microseconds per replica (a block's time divided by B):
 - `stat_limit_us`: the statistic and then the limit on one new path and
   one fresh table, as a run evaluates a block: the limit reads the weight
   derivatives that the statistic left in the workspace's table, so for the
-  cubic form, whose limit reads -cos where the statistic read cos, it is
-  below `statistic_us + limit_us`;
+  cubic form, whose limit reads the cos its compensator read (h''' = -cos,
+  with the limit's constant negated), it is below
+  `statistic_us + limit_us`;
 - `block_us`: the harness's own loop (`_replica_values`) drawing and
   evaluating two whole blocks end to end, per replica. What it adds to
   `layers_sum_us` is cost that no layer shows alone, such as the page faults
@@ -39,9 +40,9 @@ and reports microseconds per replica (a block's time divided by B):
 - `block_minflt`: the minor page faults (`resource.getrusage`) of that loop
   per block, over CALLS calls after a warm-up call;
 - `first_minflt`: the minor page faults per block of one call of that loop
-  on a new thread, whose generator starts new, as in a process's first run.
-  Like every call of the loop, it makes one workspace per worker, which all
-  its blocks reuse.
+  on a new thread, as in a process's first run. Like every call of the
+  loop, it makes one workspace per worker, with its own generator, which
+  all its blocks reuse.
 
 Beside the layers it times one ladder, LADDER = (128, 512), on one walk of
 `harness.walk_rows(LADDER)` replicas (`ladder`):
@@ -53,14 +54,13 @@ Beside the layers it times one ladder, LADDER = (128, 512), on one walk of
 
 It also times one walk of a path group of 17 plans at distinct H (0.05 to
 0.69 in steps of 0.04, `unweighted_centered`) at n = SWEEP_GRID_SIZE = 2048
-(`sweep`), one (H, n) key more than the sampler's coefficient cache holds:
+(`sweep`):
 
-- `embedding_builds`: the circulant embeddings the walk builds from an empty
-  cache, counted at `sampler.increment_autocov_seq`; the group resolves each
-  key once, so 17;
-- `us_per_replica`: the walk's microseconds per replica. Each call builds
-  all 17 embeddings again, since 17 keys visited in turn evict each other
-  from a cache of 16.
+- `embedding_builds`: the circulant embeddings the walk builds, counted at
+  `sampler.increment_autocov_seq`; the group resolves each key once, so 17;
+- `us_per_replica`: the walk's microseconds per replica. Each call is a
+  group of its own, which builds all 17 embeddings and frees them when it
+  ends.
 
 The plan of `layers` is acceptance criterion 6's (H = 0.1, centred
 quadratic form, weight x2); `cubic_layers` times criterion 7's (H = 0.1,
@@ -68,7 +68,7 @@ compensated cubic form, weight sin) at n = 128, whose weight derivatives
 cost the most and are shared between its statistic and its limit. Each op is timed in its own loop over prebuilt inputs, so a call
 reuses the buffers that the previous call of the same op freed: each figure
 is the minimum over RUNS runs of the mean over CALLS calls, after one
-warm-up call that also fills the coefficient cache.
+warm-up call.
 
     PYTHONPATH=src python3 scripts/bench_sampler.py
 """
@@ -142,8 +142,8 @@ def first_faults(fn):
 def layer_times(n, calls, runs, spec=SPEC):
     block = harness.block_size(n)
     h = builtin(spec.weight)
-    z = sampler_mod.draw_normals(SEED, 0, block, n)
     work = sampler_mod.Workspace(block * (n + 1))
+    z = sampler_mod.draw_normals(SEED, 0, block, n, work)
     # a copy: the synthesis returns a view of the workspace's buffer, which the next block overwrites
     embedding = sampler_mod._circulant_coeffs(HURST, n)
     fgn = sampler_mod._block_fgn(embedding, n, z, work).copy()
@@ -164,7 +164,7 @@ def layer_times(n, calls, runs, spec=SPEC):
         return FbmPath._adopt(path.hurst, path.values, path.increments)
 
     def table():
-        # the workspace with its derivative table started afresh, as the harness starts it at each block
+        # the workspace with its derivative table started afresh, as sample_fbm starts it at each block
         work.derivatives.clear()
         return work
 
@@ -178,7 +178,7 @@ def layer_times(n, calls, runs, spec=SPEC):
 
     first = first_faults(whole_blocks)
     per_block = {
-        "rekey_normals_us": lambda: sampler_mod.draw_normals(SEED, 0, block, n),
+        "rekey_normals_us": lambda: sampler_mod.draw_normals(SEED, 0, block, n, work),
         "synthesis_us": lambda: sampler_mod._block_fgn(embedding, n, z, work),
         "assembly_us": assemble,
         "statistic_us": lambda: evaluate_statistic(fresh(), h, spec, table()),
@@ -223,7 +223,6 @@ def sweep_times(calls, runs):
     seq = sampler_mod.increment_autocov_seq
     sampler_mod.increment_autocov_seq = lambda H, n: builds.append((H, n)) or seq(H, n)
     try:
-        sampler_mod._circulant_coeffs.cache_clear()
         harness._replica_values(weights, 1)
     finally:
         sampler_mod.increment_autocov_seq = seq

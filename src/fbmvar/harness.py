@@ -119,14 +119,15 @@ def _replica_values(weights: dict, threads: int, block=block_size) -> dict:
     top first: it draws its streams' normals once, at the top rung, and each
     block at each rung n is synthesized from the first 2n columns of its
     rows, with the embedding of (H, n) that the group resolved before its
-    first walk. At each rung the walk runs in blocks of `block(n)` rows; each
-    block is synthesized once per H, in the order the plans first name it,
-    and every plan at that H evaluates its statistic on all of its rows. Worker
-    i of w takes walks i, i + w, ... and keeps one `Workspace`, sized for the
-    group's largest block, for all of them (one per walk would fault its pages
-    in again); w is capped by the cores this process may run on (the CPU count
-    where the OS has no `sched_getaffinity`) and by the walk count, since more
-    threads only add switching cost.
+    first walk and frees when it returns. At each rung the walk runs in
+    blocks of `block(n)` rows; each block is synthesized once per H, in the
+    order the plans first name it, and every plan at that H evaluates its
+    statistic on all of its rows. Worker i of w takes walks i, i + w, ...
+    and keeps one `Workspace`, sized for the group's largest block, for all
+    of them (one per walk would fault its pages in again); w is capped by
+    the cores this process may run on (the CPU count where the OS has no
+    `sched_getaffinity`) and by the walk count, since more threads only add
+    switching cost.
     """
     seed, method, ladder, replicas = _path_key(next(iter(weights)))
     outs = {plan: [np.empty((replicas, 2), dtype=np.float64) for _ in ladder] for plan in weights}
@@ -141,7 +142,7 @@ def _replica_values(weights: dict, threads: int, block=block_size) -> dict:
 
     def work(r0: int, workspace: Workspace) -> None:
         stop = min(r0 + rows, replicas)
-        normals = draw_normals(seed, r0, stop - r0, ladder[-1])
+        normals = draw_normals(seed, r0, stop - r0, ladder[-1], workspace)
         for k, n, step in walk:
             for s0 in range(r0, stop, step):
                 count = min(step, stop - s0)
@@ -149,7 +150,6 @@ def _replica_values(weights: dict, threads: int, block=block_size) -> dict:
                 z = normals[s0 - r0 : s0 - r0 + count]
                 for hurst, members in by_hurst.items():
                     path = sample_fbm(hurst, n, config, count, z, embeddings[hurst, n], workspace)
-                    workspace.derivatives.clear()  # a new block: its table starts empty
                     for plan, h in members.items():
                         out = outs[plan][k][s0 : s0 + count]
                         out[:, 0] = evaluate_statistic(path, h, plan.spec, workspace)

@@ -17,17 +17,16 @@ each row are what a draw at m <= n gives; `sample_fbm` synthesizes from rows
 of such an array that its caller passes, or draws its own block by block.
 
 A `Workspace` is one worker's scratch, sized once for its largest block and
-reused block after block: the half-spectrum and inverse-FFT buffers, and the
-weight derivatives of `statistics.derivative_at_left`. A draw runs block by
-block through it into one new increments array. The only per-thread state is
-the Philox generator, which every use re-keys.
+reused block after block: the Philox generator, which every draw re-keys, the
+half-spectrum and inverse-FFT buffers, and the weight derivatives of
+`statistics.derivative_at_left`. A draw runs block by block through it into
+one new increments array. The module keeps no state: an embedding belongs to
+whoever resolved it, and a call without one builds its own.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,9 +50,9 @@ BLOCK_POINTS = 8192
 # one plan at 1 thread, weighted or not, peaks at about 191 MiB RSS at n = 2^20 and 639 MiB
 # at n = 2^22, also for a compensated_cubic/sin plan, whose workspace holds three n-point
 # derivative buffers, and a group of 8 plans at distinct H peaks at 1090 MiB at 2^22. A group
-# holds one embedding per (H, n) key, 16(n-1) bytes each (64 MiB at 2^22), until it ends;
-# the embeddings' set-up, the walk's normals (2n floats per stream) and each worker's
-# workspace set the rest of the peak.
+# holds one embedding per (H, n) key, 16(n-1) bytes each (64 MiB at 2^22), and frees them
+# when it ends; the embeddings' set-up, the walk's normals (2n floats per stream) and each
+# worker's workspace set the rest of the peak.
 MAX_GRID_SIZE = 2**22
 
 
@@ -174,43 +173,38 @@ class FbmPath:
 class Workspace:
     """A worker's scratch for blocks of at most `points` = paths * (n + 1) points.
 
-    `spectrum` and `synthesis` are `_block_fgn`'s buffers; `derivatives` maps each
-    evaluator read on the current block to its values in `buffers`, which
-    `statistics.derivative_at_left` fills. Whoever starts a block empties it.
+    `rekey` hands out its Philox generator; `spectrum` and `synthesis` are
+    `_block_fgn`'s buffers; `derivatives` maps each evaluator read on the
+    current block to its values in `buffers`, which
+    `statistics.derivative_at_left` fills. `sample_fbm` empties it at each
+    block it writes.
     """
 
     def __init__(self, points: int):
         self.points, self.derivatives, self.buffers = points, {}, []
         self.spectrum, self.synthesis = np.empty(points, np.complex128), np.empty(2 * points)
+        self._gen = np.random.Generator(np.random.Philox(key=0))
+
+    def rekey(self, seed: int, stream: int) -> np.random.Generator:
+        """This workspace's generator, re-keyed to the start of stream (seed, stream).
+
+        Bit-identical to Generator(Philox(key=[seed, stream])) but without
+        building a new bit generator per call. A caller finishes its draws
+        before the next `rekey` of the same workspace.
+        """
+        # Counter 0 and an empty output buffer, as a fresh Philox(key=...) starts.
+        # Plain lists are read into the state faster than uint64 arrays.
+        self._gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": [seed, stream]},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self._gen
 
 
-_thread_state = threading.local()
-
-
-def _rng(seed: int, stream: int) -> np.random.Generator:
-    """This thread's generator, re-keyed to the start of stream (seed, stream).
-
-    Bit-identical to Generator(Philox(key=[seed, stream])) but without building
-    a new bit generator per call. The generator is shared by every call on the
-    thread, so a caller must finish its draws before the next `_rng` call.
-    """
-    gen = getattr(_thread_state, "gen", None)
-    if gen is None:
-        gen = _thread_state.gen = np.random.Generator(np.random.Philox(key=0))
-    # Counter 0 and an empty output buffer, as a fresh Philox(key=...) starts.
-    # Plain lists are read into the state faster than uint64 arrays.
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": [seed, stream]},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return gen
-
-
-@functools.lru_cache(maxsize=16)
 def _circulant_coeffs(h: float, n: int):
     """The embedding (h, n, h0, hn, coef) of n^{-H}-scaled fGn: its key and half-spectrum synthesis coefficients.
 
@@ -249,11 +243,11 @@ def circulant_eigenvalues(H, n: int) -> np.ndarray:
     return np.fft.fft(row).real
 
 
-def draw_normals(seed: int, first: int, count: int, n: int) -> np.ndarray:
-    """A new (count, 2n) array of standard normals; row i is the start of stream (seed, first + i)."""
+def draw_normals(seed: int, first: int, count: int, n: int, workspace: Workspace) -> np.ndarray:
+    """A new (count, 2n) array of standard normals; row i is the start of stream (seed, first + i), drawn with `workspace`'s generator."""
     z = np.empty((count, 2 * n))
     for i in range(count):
-        _rng(seed, first + i).standard_normal(out=z[i])
+        workspace.rekey(seed, first + i).standard_normal(out=z[i])
     return z
 
 
@@ -283,9 +277,10 @@ def sample_fbm(H, n: int, config: SamplerConfig, count: int = 1, normals: np.nda
     the caller drew with `draw_normals` for those streams at a grid size
     >= n; without it, the normals are drawn block by block. `embedding` is
     `_circulant_coeffs(H, n)` as the caller resolved it; without it, the call
-    resolves its own once. The increments are synthesized block_size(n) rows
-    at a time in `workspace` (a new one without it) and copied into one new
-    read-only array, which the path keeps; its values are summed when first read.
+    builds its own once. The increments are synthesized block_size(n) rows
+    at a time in `workspace` (a new one without it), whose derivative table
+    each block empties, and copied into one new read-only array, which the
+    path keeps; its values are summed when first read.
     """
     hurst = as_hurst(H)
     n, count = as_integer(n, "n", 1), as_integer(count, "count", 1)
@@ -307,8 +302,9 @@ def sample_fbm(H, n: int, config: SamplerConfig, count: int = 1, normals: np.nda
     workspace = workspace or Workspace(min(rows, count) * (n + 1))
     for r0 in range(0, count, rows):
         stop = min(r0 + rows, count)
-        z = draw_normals(seed, first + r0, stop - r0, n) if normals is None else normals[r0:stop]
+        z = draw_normals(seed, first + r0, stop - r0, n, workspace) if normals is None else normals[r0:stop]
         increments[r0:stop] = _block_fgn(embedding, n, z, workspace)
+        workspace.derivatives.clear()  # a new block: its table starts empty
     increments.flags.writeable = False
     return FbmPath._adopt(hurst, None, increments)
 

@@ -13,11 +13,13 @@ the limit regimes of the cells no form row covers, and `classify_regime` maps
 (kappa, H, weighted?) to its first matching row of `REGIMES`, then of `FORMS`.
 
 The module keeps no state. A caller's `sampler.Workspace` holds the table of
-its current block, which the caller starts afresh at each block: h^(j)(B_{k/n})
-of every evaluator read on it, in buffers that the next block reuses. So a
-statistic and its limit, and every plan of a group at one H, evaluate each
-derivative once per block; sin and cos negate a held h^(j) for h^(j+2). A call
-without a workspace evaluates its own, with the same bits.
+its current block, which `sample_fbm` empties at each block it writes:
+h^(j)(B_{k/n}) of every evaluator read on it, in buffers that the next block
+reuses. So a statistic and its limit, and every plan of a group at one H,
+evaluate each derivative once per block. For a weight with a `negation_step`
+s (sin and cos), a limit of order j >= s reads h^(j-s) and negates its
+constant, so the cubic form's limit reads the cos its compensator read. A
+call without a workspace evaluates its own, with the same bits.
 """
 
 from __future__ import annotations
@@ -155,10 +157,10 @@ def derivative_at_left(path: FbmPath, h: WeightFunction, order: int, workspace: 
     """h^(order)(B_{k/n}), k < n, of every path of the block; with a workspace, a read-only view of its table.
 
     The first read of an evaluator on the block writes its values into a
-    buffer of the workspace, or negates a held h^(order -+ h.negation_step);
-    later reads return them until the caller empties `workspace.derivatives`.
-    Without a workspace, each call evaluates h^(order) anew. OrderError past
-    h's table; TypeError for an evaluator that does not return its `out`.
+    buffer of the workspace; later reads return them until `sample_fbm`
+    empties the table at its next block. Without a workspace, each call
+    evaluates h^(order) anew. OrderError past h's table; TypeError for an
+    evaluator that does not return its `out`.
     """
     evaluator = h.derivative(order)
     if workspace is None:
@@ -171,15 +173,8 @@ def derivative_at_left(path: FbmPath, h: WeightFunction, order: int, workspace: 
     if len(held) == len(buffers):
         buffers.append(np.empty(workspace.points))
     values = buffers[len(held)][: left.size].reshape(left.shape)
-    step = h.negation_step  # h^(order) = -h^(order -+ step): negate a held one if there is one
-    for j in (order - step, order + step) if step else ():
-        twin = held.get(h.evaluators[j]) if 0 <= j <= h.max_order else None
-        if twin is not None:
-            np.negative(twin, out=values)
-            break
-    else:
-        if evaluator(left, out=values) is not values:
-            raise TypeError(f"evaluator {order} of weight {h.id!r} must write its values into out and return it")
+    if evaluator(left, out=values) is not values:
+        raise TypeError(f"evaluator {order} of weight {h.id!r} must write its values into out and return it")
     values.flags.writeable = False
     held[evaluator] = values
     return values
@@ -211,13 +206,19 @@ def limit_functional(path: FbmPath, h: WeightFunction, spec: StatisticSpec, work
 
     (c, g) is (1/4, h'') for the quadratic form, (-1/8, h''') for the cubic
     form and (-mu_{kappa+1}/2, h') for the odd form; g is read with `workspace`.
+    Where h states a negation step s no larger than g's order j, it reads
+    h^(j-s) = -g and negates c, with the same bits: negation commutes with
+    the rounded sums, the quotient and the product.
     """
     row = FORMS[spec.form]
     if row.limit is None:
         raise ValueError(f"no pathwise limit functional for form {spec.form.value!r}")
     constant, order = row.limit
+    c, step = constant(spec.kappa), h.negation_step
+    if 0 < step <= order:
+        c, order = -c, order - step
     # np.mean's own arithmetic: the pairwise row sums divided by the row length
-    return constant(spec.kappa) * (np.add.reduce(derivative_at_left(path, h, order, workspace), axis=1) / path.n)
+    return c * (np.add.reduce(derivative_at_left(path, h, order, workspace), axis=1) / path.n)
 
 
 def require_form_admissible(form: StatForm, kappa: int, H) -> None:

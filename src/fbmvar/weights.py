@@ -7,8 +7,9 @@ and p_{i+1} = p_i' - 2a x p_i; sin and cos follow their 4-cycle.
 An evaluator is called as e(x) or e(x, out=buf): it returns h^(i)(x) as a
 float64 array of x's shape, written into `out` when one is given. A weight
 whose derivatives repeat up to sign states it in `negation_step` (2 for sin
-and cos, whose h^(i+2) = -h^(i)), so a caller that holds h^(i) on some points
-can form h^(i+2) there by negation, with the same bits as the evaluator's.
+and cos, whose h^(i+2) = -h^(i)), so `statistics.limit_functional` reads
+c h^(i+2) as -c h^(i), the derivative the statistic already read, with the
+same bits.
 
 Every registered weight is a polynomial or a bounded smooth function, so
 every derivative composed with a Gaussian random variable has finite moments

@@ -320,12 +320,8 @@ class TestCmdRun:
             return r
 
         monkeypatch.setattr(sampler_mod, "increment_autocov_seq", bad_seq)
-        sampler_mod._circulant_coeffs.cache_clear()
-        try:
-            cfg = write(tmp_path, GOOD_CONFIG)
-            rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
-        finally:
-            sampler_mod._circulant_coeffs.cache_clear()
+        cfg = write(tmp_path, GOOD_CONFIG)
+        rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 4
         assert "embedding" in capsys.readouterr().err
 
@@ -541,8 +537,6 @@ def _corrupt_embedding(monkeypatch):
         return r
 
     monkeypatch.setattr(sampler_mod, "increment_autocov_seq", bad_seq)
-    sampler_mod._circulant_coeffs.cache_clear()
-    return sampler_mod._circulant_coeffs.cache_clear
 
 
 def _fail_fit(monkeypatch):
@@ -563,12 +557,9 @@ def _fail_fit(monkeypatch):
     ids=["config", "regime", "embedding", "other"],
 )
 def test_exit_code_and_label_of_each_error(tmp_path, capsys, monkeypatch, config, setup, code, prefix):
-    cleanup = setup(monkeypatch) if setup else None
-    try:
-        rc = cli.main(["run", "--config", str(write(tmp_path, config)), "--out", str(tmp_path / "out")])
-    finally:
-        if cleanup:
-            cleanup()
+    if setup:
+        setup(monkeypatch)
+    rc = cli.main(["run", "--config", str(write(tmp_path, config)), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == code
     assert err.startswith(prefix) and "Traceback" not in err

@@ -1,10 +1,12 @@
 """Monte Carlo harness: determinism, stderr scaling, rate fitting."""
 
 import dataclasses
+import gc
 import itertools
 import math
 import sys
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -289,10 +291,10 @@ GROUP_CASES = {
 
 
 def record_rekeys(monkeypatch):
-    """The stream of every re-key of the sampler's generator from now on."""
+    """The stream of every re-key of a workspace's generator from now on."""
     rekeys = []
-    rng = sampler._rng
-    monkeypatch.setattr(sampler, "_rng", lambda seed, stream: rekeys.append(stream) or rng(seed, stream))
+    rekey = sampler.Workspace.rekey
+    monkeypatch.setattr(sampler.Workspace, "rekey", lambda self, seed, stream: rekeys.append(stream) or rekey(self, seed, stream))
     return rekeys
 
 
@@ -486,11 +488,10 @@ class TestPathGroups:
 
 
 def record_builds(monkeypatch):
-    """The (H, n) of every circulant embedding built from now on, from an emptied cache."""
+    """The (H, n) of every circulant embedding built from now on."""
     builds = []
     seq = sampler.increment_autocov_seq
     monkeypatch.setattr(sampler, "increment_autocov_seq", lambda H, n: builds.append((H, n)) or seq(H, n))
-    sampler._circulant_coeffs.cache_clear()
     return builds
 
 
@@ -503,11 +504,6 @@ SWEEPS = {
 
 
 class TestEmbeddings:
-    @pytest.fixture(autouse=True)
-    def empty_cache(self):
-        yield
-        sampler._circulant_coeffs.cache_clear()
-
     @pytest.mark.parametrize("case, keys", [("5H_4rungs", 20), ("17H_1rung", 17)])
     def test_group_builds_each_key_once(self, monkeypatch, case, keys):
         plans = SWEEPS[case]
@@ -515,6 +511,23 @@ class TestEmbeddings:
         harness._replica_values({plan: builtin(plan.spec.weight) for plan in plans}, 1)
         assert len(builds) == len(set(builds)) == keys
         assert set(builds) == {(plan.hurst.value, n) for plan in plans for n in plan.n_ladder}
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_group_frees_its_embeddings(self, monkeypatch, threads):
+        # the group is the embeddings' one owner: once its reports are made, nothing holds one
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
+        resolve, coefs = harness._circulant_coeffs, []
+
+        def tracked(h, n):
+            embedding = resolve(h, n)
+            coefs.append(weakref.ref(embedding[4]))
+            return embedding
+
+        monkeypatch.setattr(harness, "_circulant_coeffs", tracked)
+        plans = SWEEPS["5H_4rungs"]
+        PathGroups(plans).report(plans[0], threads)
+        gc.collect()
+        assert len(coefs) == 20 and all(ref() is None for ref in coefs)
 
     def test_sweep_equal_at_one_and_two_threads_and_alone(self, monkeypatch):
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})

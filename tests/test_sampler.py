@@ -54,7 +54,7 @@ class TestFbmPathType:
 class TestBufferOwnership:
     def test_path_survives_later_draws(self):
         # later draws at the same and other (H, n, count), including one of
-        # more than block_size(n) paths, reuse the thread's workspace but not the path's
+        # more than block_size(n) paths, make workspaces of their own and never write the path's increments
         path = sample_fbm(0.3, 64, SamplerConfig(seed=1, stream=0), 4)
         kept = path.values.copy()
         for H, n, count, stream in ((0.3, 64, 4, 9), (0.3, 64, 1, 2), (0.3, 256, 3, 0), (0.7, 64, 4, 0), (0.3, 64, 500, 0)):
@@ -155,12 +155,12 @@ def _on_fresh_thread(H, n, count, seed, first):
 
 
 def _count_rekeys(monkeypatch):
-    """The streams of every re-key of the sampler's generator from now on."""
+    """The streams of every re-key of a workspace's generator from now on."""
     import fbmvar.sampler as sampler_mod
 
     rekeys = []
-    rng = sampler_mod._rng
-    monkeypatch.setattr(sampler_mod, "_rng", lambda seed, stream: rekeys.append(stream) or rng(seed, stream))
+    rekey = sampler_mod.Workspace.rekey
+    monkeypatch.setattr(sampler_mod.Workspace, "rekey", lambda self, seed, stream: rekeys.append(stream) or rekey(self, seed, stream))
     return rekeys
 
 
@@ -187,11 +187,12 @@ class TestNormalsMemo:
         import fbmvar.sampler as sampler_mod
 
         rekeys = _count_rekeys(monkeypatch)
+        work = sampler_mod.Workspace(1)
         for call, drawn in self.CALLS:
             H, n, count, seed, first = call
             before = len(rekeys)
             if drawn:
-                normals, origin = sampler_mod.draw_normals(seed, first, count, n), first
+                normals, origin = sampler_mod.draw_normals(seed, first, count, n, work), first
             rows = normals[first - origin : first - origin + count]
             got = sample_fbm(H, n, SamplerConfig(seed=seed, stream=first), count, rows).values
             assert len(rekeys) - before == drawn, call
@@ -202,7 +203,7 @@ class TestNormalsMemo:
         import fbmvar.sampler as sampler_mod
 
         rekeys = _count_rekeys(monkeypatch)
-        normals = sampler_mod.draw_normals(3, 100, 64, 512)
+        normals = sampler_mod.draw_normals(3, 100, 64, 512, sampler_mod.Workspace(1))
         assert normals.shape == (64, 1024)
         for first in range(100, 164, 16):
             sample_fbm(0.3, 512, SamplerConfig(seed=3, stream=first), 16, normals[first - 100 : first - 84])
@@ -334,12 +335,8 @@ class TestCirculantSpectrum:
             return r
 
         monkeypatch.setattr(sampler_mod, "increment_autocov_seq", bad_seq)
-        sampler_mod._circulant_coeffs.cache_clear()
-        try:
-            with pytest.raises(EmbeddingError):
-                sample_fbm(0.3, 32, SamplerConfig(seed=0, stream=0))
-        finally:
-            sampler_mod._circulant_coeffs.cache_clear()
+        with pytest.raises(EmbeddingError):
+            sample_fbm(0.3, 32, SamplerConfig(seed=0, stream=0))
 
 
 class TestHalfSpectrumSynthesis:
@@ -391,10 +388,11 @@ class TestStreamIdentity:
     def test_rekeyed_generator_equals_fresh_philox(self):
         import fbmvar.sampler as sampler_mod
 
+        work = sampler_mod.Workspace(1)
         for seed, stream in itertools.product(KEY_WORDS, KEY_WORDS):
-            # leave the thread's generator part-way through its output buffer
-            sampler_mod._rng(5, 6).integers(0, 10, size=3, dtype=np.uint32)
-            got = sampler_mod._rng(seed, stream)
+            # leave the workspace's generator part-way through its output buffer
+            work.rekey(5, 6).integers(0, 10, size=3, dtype=np.uint32)
+            got = work.rekey(seed, stream)
             want = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
             got_state, want_state = got.bit_generator.state, want.bit_generator.state
             assert got_state["buffer_pos"] == want_state["buffer_pos"]
@@ -403,6 +401,21 @@ class TestStreamIdentity:
                 assert np.array_equal(got_state["state"][field], want_state["state"][field])
             assert np.array_equal(got.standard_normal(33), want.standard_normal(33)), (seed, stream)
             assert np.array_equal(got.integers(0, 2**32, size=5, dtype=np.uint32), want.integers(0, 2**32, size=5, dtype=np.uint32))
+
+    def test_workspaces_used_alternately_draw_their_own_streams(self):
+        # each workspace owns its generator: re-keying one mid-draw leaves the other's stream where it was
+        a, b = Workspace(1), Workspace(1)
+        for seed, stream in itertools.product(KEY_WORDS, KEY_WORDS):
+            other = (seed, (stream + 1) % 2**64)
+            ga = a.rekey(seed, stream)
+            head = ga.standard_normal(5)
+            gb = b.rekey(*other)
+            b_head = gb.standard_normal(7)
+            tail = ga.standard_normal(28)
+            b_tail = gb.standard_normal(26)
+            for got, key in ((np.concatenate([head, tail]), (seed, stream)), (np.concatenate([b_head, b_tail]), other)):
+                want = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64))).standard_normal(33)
+                assert np.array_equal(got, want), key
 
     def test_paths_back_to_back_and_interleaved_match_serial(self):
         serial = {key: _draw(key) for key in PATH_KEYS}
@@ -425,47 +438,6 @@ class TestStreamIdentity:
                     assert np.array_equal(fut.result(timeout=60), serial[key]), key
         finally:
             sys.setswitchinterval(interval)
-
-
-class TestCacheBound:
-    @pytest.fixture
-    def cache(self):
-        """The coefficient cache, emptied before and after the test."""
-        import fbmvar.sampler as sampler_mod
-
-        cache = sampler_mod._circulant_coeffs
-        cache.cache_clear()
-        yield cache
-        cache.cache_clear()
-
-    @pytest.mark.parametrize("n", [64, 1024])
-    def test_evicts_least_recent_past_maxsize(self, cache, n):
-        maxsize = cache.cache_info().maxsize
-        hs = [round(0.05 * (i + 1), 2) for i in range(maxsize + 1)]
-        first = {h: cache(h, n) for h in hs[:maxsize]}
-        assert cache(hs[0], n) is first[hs[0]]  # hs[0] is now the most recent, hs[1] the least
-        first[hs[-1]] = cache(hs[-1], n)
-        assert cache.cache_info().currsize == maxsize
-        for h in [hs[0], *hs[2:]]:
-            assert cache(h, n) is first[h], h
-        assert cache(hs[1], n) is not first[hs[1]]
-
-    def test_concurrent_fills_stay_bounded(self, cache):
-        n = 64
-        maxsize = cache.cache_info().maxsize
-        keys = [(round(0.04 * (i + 1), 2), s) for i in range(maxsize + 4) for s in range(4)]
-        serial = {(h, s): sample_fbm(h, n, SamplerConfig(seed=1, stream=s)).values for h, s in keys}
-        cache.cache_clear()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [(key, pool.submit(sample_fbm, key[0], n, SamplerConfig(seed=1, stream=key[1]))) for key in keys]
-                for key, fut in futures:
-                    assert np.array_equal(fut.result(timeout=60).values, serial[key]), key
-        finally:
-            sys.setswitchinterval(interval)
-        assert cache.cache_info().currsize <= maxsize
 
 
 class TestCholeskyFactor:

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+from fbmvar.cli import parse_config
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -41,3 +43,14 @@ def test_bench_sampler_counts_the_sweep_builds():
     assert (out["hursts"], out["n"], out["replicas"]) == (17, 2048, 4)
     assert out["embedding_builds"] == 17
     assert out["us_per_replica"] > 0, out
+
+
+def test_snapshot_outputs_writes_both_thread_counts_alike(tmp_path):
+    script = load_script("snapshot_outputs")
+    script.snapshot(tmp_path, replicas=2)
+    # a plan's .csv, .json and .dat, and one .path per grid size of its ladder
+    per_run = sum(3 + len(entry.plan.n_ladder) for config in script.CONFIGS for entry in parse_config(config))
+    runs = [sorted(p.relative_to(tmp_path / f"threads{t}") for p in (tmp_path / f"threads{t}").rglob("*") if p.is_file()) for t in script.THREADS]
+    assert len(runs[0]) == per_run > 0 and runs[0] == runs[1]
+    for rel in runs[0]:
+        assert (tmp_path / "threads1" / rel).read_bytes() == (tmp_path / "threads2" / rel).read_bytes(), rel

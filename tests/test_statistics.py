@@ -378,6 +378,26 @@ class TestWeightWorkspace:
         assert both(FbmPath.from_increments(a.hurst, a.increments)) == first
         assert (evaluate_statistic(a, h, spec).tobytes(), limit_functional(a, h, spec).tobytes()) == first
 
+    def test_drawing_a_block_empties_the_table(self):
+        h, work = builtin("sin"), Workspace(4 * 129)
+        a = sample_fbm(0.1, 128, SamplerConfig(seed=1), 4, workspace=work)
+        derivative_at_left(a, h, 0, work)
+        b = sample_fbm(0.1, 128, SamplerConfig(seed=2), 4, workspace=work)
+        assert work.derivatives == {}
+        assert derivative_at_left(b, h, 0, work).tobytes() == h(b.left).tobytes()
+
+    @pytest.mark.parametrize("wid", ["sin", "cos"])
+    def test_limit_through_the_negation_step_has_the_direct_bits(self, wid):
+        # c h^(j) summed equals -c h^(j-2) summed, bit for bit: negation commutes with each rounded step
+        h, p = builtin(wid), sample_fbm(0.1, 256, SamplerConfig(seed=6), 8)
+        for form, row in FORMS.items():
+            if row.limit is None or not row.weighted:
+                continue
+            spec = spec_for(row.kappa[0], h, form)
+            constant, order = row.limit
+            direct = constant(spec.kappa) * (np.add.reduce(h.derivative(order)(p.left), axis=1) / p.n)
+            assert limit_functional(p, h, spec).tobytes() == direct.tobytes(), (wid, form)
+
     def test_evaluator_that_ignores_out_rejected(self):
         p = sample_fbm(0.1, 16, SamplerConfig(seed=4), 2)
         careless = WeightFunction(id="test", evaluators=(lambda x, out=None: np.sin(x),), growth_bound=(1.0, 0))
