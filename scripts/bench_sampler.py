@@ -33,6 +33,10 @@ and reports microseconds per replica (a block's time divided by B):
   cubic form, whose limit reads the cos its compensator read (h''' = -cos,
   with the limit's constant negated), it is below
   `statistic_us + limit_us`;
+- `embedding_build_us`: one `_circulant_coeffs(HURST, n)` call, the
+  circulant embedding that a path group builds once per (H, n) key before
+  its first walk; microseconds per build, not per replica, and not in
+  `layers_sum_us`;
 - `block_us`: the harness's own loop (`_replica_values`) drawing and
   evaluating two whole blocks end to end, per replica. What it adds to
   `layers_sum_us` is cost that no layer shows alone, such as the page faults
@@ -188,6 +192,7 @@ def layer_times(n, calls, runs, spec=SPEC):
     layers["layers_sum_us"] = sum(layers.values())
     layers["partial_sums_us"] = best_us(lambda: fresh().values, calls, runs) / block  # inside statistic_us
     layers["stat_limit_us"] = best_us(stat_limit, calls, runs) / block
+    layers["embedding_build_us"] = best_us(lambda: sampler_mod._circulant_coeffs(HURST, n), calls, runs)  # per build
     layers["block_us"] = best_us(whole_blocks, calls, runs) / plan.replicas
     out = {"block": block, **{name: round(us, 2) for name, us in layers.items()}}
     out["block_minflt"] = round(faults_per_call(whole_blocks, calls) * block / plan.replicas, 2)

@@ -25,6 +25,7 @@ from pathlib import Path
 from . import kernels
 from .errors import ConfigError, EmbeddingError, FbmvarError, OutputError, RegimeError
 from .harness import (
+    MAX_REPLICAS,
     ExperimentPlan,
     McRecord,
     McReport,
@@ -215,6 +216,11 @@ def _write_plan(out: Path, entry: PlanEntry, report: McReport, dump_paths: bool)
 def cmd_run(args) -> int:
     if args.threads < 1:
         raise FbmvarError(f"--threads must be >= 1, got {args.threads}")
+    # a bad override is the flag's, not the first plan's that takes it
+    if args.seed is not None and not 0 <= args.seed < 2**64:
+        raise FbmvarError(f"--seed must be in [0, 2^64), got {args.seed}")
+    if args.replicas is not None and not 2 <= args.replicas <= MAX_REPLICAS:
+        raise FbmvarError(f"--replicas must be in [2, MAX_REPLICAS = {MAX_REPLICAS}], got {args.replicas}")
     # every plan is built before the first group runs, so a bad one leaves no files
     entries = parse_config(args.config, seed_override=args.seed, replicas_override=args.replicas)
     out = Path(args.out)

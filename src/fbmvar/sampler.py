@@ -298,8 +298,11 @@ def sample_fbm(H, n: int, config: SamplerConfig, count: int = 1, normals: np.nda
         got = f"the one of (H, n) = {embedding[:2]}" if isinstance(embedding, tuple) else type(embedding).__name__
         raise ValueError(f"embedding must be _circulant_coeffs({hurst.value}, {n}), got {got}")
     increments = np.empty((count, n))
-    rows = block_size(n)
-    workspace = workspace or Workspace(min(rows, count) * (n + 1))
+    rows = min(block_size(n), count)
+    if workspace is None:
+        workspace = Workspace(rows * (n + 1))
+    elif workspace.points < rows * (n + 1):
+        raise ValueError(f"workspace holds {workspace.points} points, a block of {rows} paths at n = {n} needs {rows * (n + 1)}")
     for r0 in range(0, count, rows):
         stop = min(r0 + rows, count)
         z = draw_normals(seed, first + r0, stop - r0, n, workspace) if normals is None else normals[r0:stop]

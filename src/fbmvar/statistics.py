@@ -170,6 +170,8 @@ def derivative_at_left(path: FbmPath, h: WeightFunction, order: int, workspace: 
     if values is not None:
         return values
     left = path.left
+    if left.size > workspace.points:
+        raise ValueError(f"workspace holds {workspace.points} points, a block of {left.shape[0]} paths at n = {path.n} needs {left.size}")
     if len(held) == len(buffers):
         buffers.append(np.empty(workspace.points))
     values = buffers[len(held)][: left.size].reshape(left.shape)

@@ -4,11 +4,14 @@ Everything here is deliberately written as plain Python loops over the
 displayed formulas (math.fsum reductions, no numpy vectorization and no reuse
 of the package's kernels beyond the scalar autocovariance), so agreement with
 the library is a genuine cross-check rather than a tautology. The exceptions
-are the two reference samplers: `reference_circulant_path`, the full
-complex-FFT synthesis that the sampler's half-spectrum synthesis is checked
-against, and `reference_cholesky_path`, a second exact route to the same law;
-and `check_derivatives`, which calls a weight's own evaluators, since it checks
-each derivative against a central difference of the one below it.
+are the circulant references, which read the package's autocovariance
+sequence: `reference_circulant_eigenvalues`, the full complex FFT of the
+embedding's mirrored row that the sampler's spectrum is checked against, and
+`reference_circulant_path`, the full complex-FFT synthesis that the sampler's
+half-spectrum synthesis is checked against; `reference_cholesky_path`, a
+second exact route to the same law; and `check_derivatives`, which calls a
+weight's own evaluators, since it checks each derivative against a central
+difference of the one below it.
 """
 
 import functools
@@ -17,8 +20,7 @@ import math
 import numpy as np
 
 from fbmvar.errors import OrderError
-from fbmvar.kernels import as_integer, covariance_matrix
-from fbmvar.sampler import circulant_eigenvalues
+from fbmvar.kernels import as_integer, covariance_matrix, increment_autocov_seq
 from fbmvar.weights import WeightFunction
 
 
@@ -134,15 +136,27 @@ def exact_odd_drift_mean(H, n, kappa):
     return n ** (H - 1) * n ** (kappa * H) * math.fsum(terms)
 
 
+def reference_circulant_eigenvalues(H, n):
+    """The 2n eigenvalues of the fGn embedding: the real part of the full complex FFT of its first row.
+
+    The row is the mirrored (rho_H(0), ..., rho_H(n), rho_H(n-1), ..., rho_H(1));
+    at n = 1 it is (rho_H(0), rho_H(1)) itself.
+    """
+    rho = increment_autocov_seq(H, n)
+    row = np.concatenate([rho, rho[-2:0:-1]]) if n > 1 else rho
+    return np.fft.fft(row).real
+
+
 def reference_circulant_path(H, n, seed, stream):
     """fBm path values by full complex length-2n FFT synthesis (Wood & Chan 1994).
 
-    Same embedding spectrum and the same 2n normals of a fresh Philox keyed
-    (seed, stream) as the sampler, but the conjugate-symmetric spectrum is
-    written out in full and transformed by a complex forward FFT, then the real
-    part is scaled by n^{-H} and cumulative-summed.
+    The spectrum of `reference_circulant_eigenvalues` and the same 2n normals
+    of a fresh Philox keyed (seed, stream) as the sampler, but the
+    conjugate-symmetric spectrum is written out in full and transformed by a
+    complex forward FFT, then the real part is scaled by n^{-H} and
+    cumulative-summed.
     """
-    lam = np.clip(circulant_eigenvalues(H, n), 0.0, None)
+    lam = np.clip(reference_circulant_eigenvalues(H, n), 0.0, None)
     m = 2 * n
     key = np.array([seed, stream], dtype=np.uint64)
     z = np.random.Generator(np.random.Philox(key=key)).standard_normal(m)

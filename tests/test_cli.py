@@ -168,7 +168,8 @@ class TestParseConfig:
         rc = cli.main(["run", "--config", str(write(tmp_path, text)), "--out", str(out), *override])
         err = capsys.readouterr().err
         assert rc == 2
-        assert "[quad_small]" in err and "replicas" in err and f"MAX_REPLICAS = {harness.MAX_REPLICAS}" in err
+        # a flag's value is the flag's fault, a config's value its plan's
+        assert ("--replicas" if flag else "[quad_small]") in err and f"MAX_REPLICAS = {harness.MAX_REPLICAS}" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -251,6 +252,16 @@ class TestCmdRun:
         rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--threads", threads])
         assert rc == 2
         assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--seed", str(2**64)), ("--replicas", "1"), ("--replicas", "-5")])
+    def test_bad_override_names_its_flag(self, tmp_path, capsys, flag, value):
+        cfg = write(tmp_path, GOOD_CONFIG)
+        rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), flag, value])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {flag} must be in ") and err.rstrip().endswith(f"got {value}")
+        assert "plan [" not in err
         assert not (tmp_path / "out").exists()
 
     def test_out_path_of_a_file_exits_2(self, tmp_path, capsys):

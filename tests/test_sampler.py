@@ -20,7 +20,7 @@ from fbmvar import (
 )
 from fbmvar.kernels import increment_autocov_seq
 from fbmvar.sampler import Workspace, _block_fgn, _circulant_coeffs, circulant_eigenvalues, dump_path
-from oracles import _cholesky_factor, cov_scalar, reference_cholesky_path, reference_circulant_path
+from oracles import _cholesky_factor, cov_scalar, reference_cholesky_path, reference_circulant_eigenvalues, reference_circulant_path
 
 # Seeds and streams at both ends of the 64-bit key words and at the acceptance seed.
 KEY_WORDS = (0, 1, 20080612, 2**64 - 1)
@@ -297,6 +297,13 @@ class TestGuards:
         with pytest.raises(ValueError, match="embedding"):
             sample_fbm(0.3, 32, SamplerConfig(seed=0), 4, None, embedding)
 
+    def test_undersized_workspace_rejected(self):
+        # a block of 4 paths at n = 64 needs 4 * 65 points
+        with pytest.raises(ValueError, match=r"workspace holds 10 points, a block of 4 paths at n = 64 needs 260"):
+            sample_fbm(0.3, 64, SamplerConfig(), 4, workspace=Workspace(10))
+        exact = sample_fbm(0.3, 64, SamplerConfig(), 4, workspace=Workspace(260))
+        assert np.array_equal(exact.increments, sample_fbm(0.3, 64, SamplerConfig(), 4).increments)
+
     def test_embedding_of_its_key_gives_the_same_paths(self):
         got = sample_fbm(0.3, 32, SamplerConfig(seed=0), 4, None, _circulant_coeffs(0.3, 32))
         assert np.array_equal(got.increments, sample_fbm(0.3, 32, SamplerConfig(seed=0), 4).increments)
@@ -323,6 +330,15 @@ class TestCirculantSpectrum:
             for exp in range(6, 15):
                 lam = circulant_eigenvalues(float(h), 2**exp)
                 assert lam.min() >= -1e-9 * lam.max(), (h, 2**exp)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 128, 8192])
+    def test_matches_the_full_fft_reference(self, n):
+        for h in np.round(np.arange(0.05, 0.951, 0.05), 10):
+            got, want = circulant_eigenvalues(float(h), n), reference_circulant_eigenvalues(float(h), n)
+            assert got.shape == want.shape == (2 * n,)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(want), (h, n)
+            # at H = 1/2 the increments are white: rho = (1, 0, ..., 0) and every eigenvalue is exactly 1
+            assert h != 0.5 or np.array_equal(got, want), n
 
     def test_embedding_error_raised_on_corrupted_spectrum(self, monkeypatch):
         import fbmvar.sampler as sampler_mod

@@ -18,7 +18,7 @@ def load_script(name):
 def test_bench_sampler_times_every_layer():
     # the script calls sampler.draw_normals/_block_fgn and harness._replica_values
     script = load_script("bench_sampler")
-    times = ("rekey_normals_us", "synthesis_us", "assembly_us", "statistic_us", "partial_sums_us", "limit_us", "layers_sum_us", "stat_limit_us", "block_us")
+    times = ("rekey_normals_us", "synthesis_us", "assembly_us", "statistic_us", "partial_sums_us", "limit_us", "layers_sum_us", "stat_limit_us", "embedding_build_us", "block_us")
     cases = [(n, script.SPEC) for n in script.GRID_SIZES] + [(script.CUBIC_GRID_SIZE, script.CUBIC)]
     for n, spec in cases:
         out = script.layer_times(n, calls=2, runs=3, spec=spec)

@@ -398,6 +398,13 @@ class TestWeightWorkspace:
             direct = constant(spec.kappa) * (np.add.reduce(h.derivative(order)(p.left), axis=1) / p.n)
             assert limit_functional(p, h, spec).tobytes() == direct.tobytes(), (wid, form)
 
+    def test_undersized_workspace_rejected(self):
+        # the derivatives of 4 paths at n = 64 fill 4 * 64 points
+        p, h = sample_fbm(0.3, 64, SamplerConfig(), 4), builtin("sin")
+        with pytest.raises(ValueError, match=r"workspace holds 10 points, a block of 4 paths at n = 64 needs 256"):
+            derivative_at_left(p, h, 0, Workspace(10))
+        assert derivative_at_left(p, h, 0, Workspace(256)).tobytes() == h(p.left).tobytes()
+
     def test_evaluator_that_ignores_out_rejected(self):
         p = sample_fbm(0.1, 16, SamplerConfig(seed=4), 2)
         careless = WeightFunction(id="test", evaluators=(lambda x, out=None: np.sin(x),), growth_bound=(1.0, 0))
