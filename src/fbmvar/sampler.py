@@ -47,12 +47,12 @@ _MAX_UINT64 = 2**64
 BLOCK_POINTS = 8192
 
 # The largest grid size a plan may ask for, so that a run's memory stays bounded: a run of
-# one plan at 1 thread, weighted or not, peaks at about 191 MiB RSS at n = 2^20 and 639 MiB
-# at n = 2^22, also for a compensated_cubic/sin plan, whose workspace holds three n-point
-# derivative buffers, and a group of 8 plans at distinct H peaks at 1090 MiB at 2^22. A group
-# holds one embedding per (H, n) key, 16(n-1) bytes each (64 MiB at 2^22), and frees them
-# when it ends; the embeddings' set-up, the walk's normals (2n floats per stream) and each
-# worker's workspace set the rest of the peak.
+# one unweighted plan with 2 replicas at 1 thread peaks at about 140 MiB RSS (ru_maxrss) at
+# n = 2^20 and 420 MiB at n = 2^22, a compensated_cubic/sin plan, whose workspace holds three
+# n-point derivative buffers, at 164 and 484 MiB, and a group of 8 unweighted plans at
+# distinct H at 904 MiB at 2^22. A group holds one embedding per (H, n) key, 16(n-1) bytes
+# each (64 MiB at 2^22), and frees them when it ends; the embeddings' set-up, the walk's
+# normals (2n floats per stream) and each worker's workspace set the rest of the peak.
 MAX_GRID_SIZE = 2**22
 
 
@@ -211,7 +211,9 @@ def _circulant_coeffs(h: float, n: int):
     With m = 2n and lambda the embedding spectrum: h0 = sqrt(lambda_0/m) n^{-H},
     hn = sqrt(lambda_n/m) n^{-H}, and coef = [c_1, -c_1, ..., c_{n-1}, -c_{n-1}]
     with c_j = sqrt(lambda_j/(2m)) n^{-H}, the minus sign conjugating the
-    interior half-spectrum for an inverse transform.
+    interior half-spectrum for an inverse transform. All 2n eigenvalues are
+    checked against EIG_TOL; only lambda_0..lambda_n, the ones the synthesis
+    reads, are clipped at 0.
     """
     lam = circulant_eigenvalues(h, n)
     lmax = float(lam.max())
@@ -221,7 +223,7 @@ def _circulant_coeffs(h: float, n: int):
             f"circulant embedding failed for H={h}, n={n}: min eigenvalue {lmin:.3e} "
             f"below -{EIG_TOL:.0e} * max ({lmax:.3e})"
         )
-    lam = np.clip(lam, 0.0, None)
+    lam = np.clip(lam[: n + 1], 0.0, None)
     m = 2 * n
     scale = float(n) ** (-h)
     h0 = math.sqrt(lam[0] / m) * scale
@@ -235,12 +237,15 @@ def _circulant_coeffs(h: float, n: int):
 
 
 def circulant_eigenvalues(H, n: int) -> np.ndarray:
-    """Eigenvalue spectrum of the length-2n fGn embedding, n an integer >= 1 (diagnostic surface)."""
+    """The 2n eigenvalues of the length-2n fGn embedding, n an integer >= 1 (diagnostic surface).
+
+    The embedding's first row (rho_H(0), ..., rho_H(n), rho_H(n-1), ..., rho_H(1))
+    is real and even, so its spectrum is real: one Hermitian FFT of
+    rho_H(0..n) gives it without writing the mirrored half out.
+    """
     h = as_hurst(H).value
     n = as_integer(n, "n", 1)
-    rho = increment_autocov_seq(h, n)
-    row = np.concatenate([rho, rho[-2:0:-1]]) if n > 1 else rho
-    return np.fft.fft(row).real
+    return np.fft.hfft(increment_autocov_seq(h, n), 2 * n)
 
 
 def draw_normals(seed: int, first: int, count: int, n: int, workspace: Workspace) -> np.ndarray:

@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -339,6 +340,19 @@ class TestCirculantSpectrum:
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(want), (h, n)
             # at H = 1/2 the increments are white: rho = (1, 0, ..., 0) and every eigenvalue is exactly 1
             assert h != 0.5 or np.array_equal(got, want), n
+
+    def test_build_peak_stays_within_eight_rows(self):
+        # the Hermitian transform writes no mirrored row and no complex spectrum of 2n:
+        # one build's traced peak, its 2n - 2 coefficients included, is about 6 * 8n bytes
+        n = 2**16
+        _circulant_coeffs(0.3, n)  # warm-up, so that one-time allocations are not counted
+        tracemalloc.start()
+        try:
+            _circulant_coeffs(0.3, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 8 * n, peak / (8 * n)
 
     def test_embedding_error_raised_on_corrupted_spectrum(self, monkeypatch):
         import fbmvar.sampler as sampler_mod
