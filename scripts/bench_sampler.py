@@ -21,10 +21,10 @@ and reports microseconds per replica (a block's time divided by B):
 - `partial_sums_us`: the part of `statistic_us` that forms those partial
   sums, the first read of `values` of a new path built from the stored
   increments;
-- `limit_us`: `limit_functional` on a new path each call, built from the
-  stored block with its partial sums formed, with the workspace's table
-  started afresh, so that the limit evaluates its weight derivative instead
-  of reading the one that an earlier call left there;
+- `limit_us`: `limit_functional` on the sampled block, whose partial sums
+  are formed once, on the first call, with the workspace's table started
+  afresh, so that the limit evaluates its weight derivative instead of
+  reading the one that an earlier call left there;
 - `layers_sum_us`: the sum of the five layers, with `partial_sums_us`
   counted once, inside `statistic_us`;
 - `stat_limit_us`: the statistic and then the limit on one new path and
@@ -159,13 +159,10 @@ def layer_times(n, calls, runs, spec=SPEC):
         increments = np.empty((block, n))
         increments[:] = fgn
         increments.flags.writeable = False
-        return FbmPath._adopt(path.hurst, None, increments)
+        return FbmPath._adopt(path.hurst, increments)
 
     def fresh():
-        return FbmPath._adopt(path.hurst, None, path.increments)
-
-    def summed():
-        return FbmPath._adopt(path.hurst, path.values, path.increments)
+        return FbmPath._adopt(path.hurst, path.increments)
 
     def table():
         # the workspace with its derivative table started afresh, as sample_fbm starts it at each block
@@ -186,7 +183,7 @@ def layer_times(n, calls, runs, spec=SPEC):
         "synthesis_us": lambda: sampler_mod._block_fgn(embedding, n, z, work),
         "assembly_us": assemble,
         "statistic_us": lambda: evaluate_statistic(fresh(), h, spec, table()),
-        "limit_us": lambda: limit_functional(summed(), h, spec, table()),
+        "limit_us": lambda: limit_functional(path, h, spec, table()),
     }
     layers = {name: best_us(fn, calls, runs) / block for name, fn in per_block.items()}
     layers["layers_sum_us"] = sum(layers.values())

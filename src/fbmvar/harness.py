@@ -298,7 +298,7 @@ def run_clt_diagnostics(plan: ExperimentPlan, threads: int = 1, groups: PathGrou
 
 
 def fit_rate(ns: Sequence[float], errors: Sequence[float]) -> RateFit:
-    """Ordinary least squares of log(error) on log(n); DegenerateFit unless both are finite and positive and n takes 2 values."""
+    """Ordinary least squares of log(error) on log(n); DegenerateFit unless there are >= 3 points, all finite and positive, and n takes >= 2 values."""
     ns = np.asarray(ns, dtype=np.float64)
     errors = np.asarray(errors, dtype=np.float64)
     if ns.shape != errors.shape or ns.size < 3:

@@ -6,8 +6,9 @@ into a length-2n circulant (Wood & Chan 1994, Dietrich & Newsam 1997) whose
 spectrum is Hermitian, so one real inverse FFT of the n+1 half-spectrum
 synthesizes the n^{-H}-scaled increments in O(n log n). A block of B paths is
 B rows of one normal buffer, transformed by one inverse FFT along its rows.
-A path keeps the increments it was synthesized as; their cumulative sum, the
-path's values B_{k/n}, is formed only when something reads it.
+A path is its increments: it is synthesized and built from them alone, and
+their cumulative sum, the path's values B_{k/n}, is formed only when
+something reads it.
 
 Randomness is counter-based: row i of a block draws from a Philox generator
 keyed by (seed, stream + i), so a path depends only on its own key and never
@@ -79,58 +80,40 @@ class SamplerConfig:
             object.__setattr__(self, field, value)
 
 
-def _frozen_copy(array) -> np.ndarray:
-    """A read-only float64 copy of `array`, which nothing but the path can reach."""
-    array = np.array(array, dtype=np.float64)
-    array.flags.writeable = False
-    return array
-
-
 class FbmPath:
-    """A block of trajectories of one H, immutable; row i of `values` is (B_0, B_{1/n}, ..., B_1) of one path.
+    """A block of trajectories of one H, immutable; row i of `increments` is (Delta B_k)_{k < n} of one path.
 
-    A path is built from its values, `FbmPath(hurst, values)`, or from its
-    increments, `FbmPath.from_increments(hurst, increments)`. The other form
-    is derived on first read and cached: `values` is [0, cumsum(increments)]
-    along each row and `increments` is `np.diff(values)`. Both are read-only.
-    Either constructor copies the caller's array, so it is neither aliased
-    nor frozen, and no later write to it or to its base reaches the path,
-    not even after the caller makes a read-only array writable again.
+    A path is its increments, `FbmPath(hurst, increments)`, stored read-only.
+    `values` is [0, cumsum(increments)] along each row, formed on first read
+    and cached. The constructor copies the caller's array, so it is neither
+    aliased nor frozen, and no later write to it or to its base reaches the
+    path, not even after the caller makes a read-only array writable again.
     """
 
-    __slots__ = ("hurst", "_values", "_increments")
+    __slots__ = ("hurst", "increments", "_values")
 
-    def __init__(self, hurst, values):
-        vals = _frozen_copy(values)
-        if vals.ndim != 2 or vals.shape[0] < 1 or vals.shape[1] < 2:
-            raise ValueError(f"expected a (paths, n + 1) block with n >= 1, got shape {vals.shape}")
-        if np.any(vals[:, 0] != 0.0):
-            raise ValueError(f"paths must start at 0, got {vals[:, 0]!r}")
-        self._set(hurst, vals, None)
-
-    @classmethod
-    def from_increments(cls, hurst, increments) -> FbmPath:
-        """The block whose row i has the increments (B_{(k+1)/n} - B_{k/n})_{k < n} of row i of `increments`."""
-        incs = _frozen_copy(increments)
+    def __init__(self, hurst, increments):
+        incs = np.array(increments, dtype=np.float64)
+        incs.flags.writeable = False
         if incs.ndim != 2 or incs.shape[0] < 1 or incs.shape[1] < 1:
             raise ValueError(f"expected a (paths, n) block of increments with n >= 1, got shape {incs.shape}")
-        return cls._adopt(hurst, None, incs)
+        self._set(hurst, incs)
 
     @classmethod
-    def _adopt(cls, hurst, values, increments) -> FbmPath:
-        """The block holding `values` and `increments` (either may be None) as given: no copy, no check.
+    def _adopt(cls, hurst, increments) -> FbmPath:
+        """The block holding `increments` as given: no copy, no check.
 
         Only for read-only arrays that nothing else can write, such as
         `sample_fbm`'s new increments.
         """
         path = cls.__new__(cls)
-        path._set(hurst, values, increments)
+        path._set(hurst, increments)
         return path
 
-    def _set(self, hurst, values, increments) -> None:
+    def _set(self, hurst, increments) -> None:
         object.__setattr__(self, "hurst", as_hurst(hurst))
-        object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_increments", increments)
+        object.__setattr__(self, "increments", increments)
+        object.__setattr__(self, "_values", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"FbmPath is immutable; cannot set {name!r}")
@@ -142,7 +125,7 @@ class FbmPath:
         Threads that read it first at once each form the same bits, and one of them is kept.
         """
         if self._values is None:
-            incs = self._increments
+            incs = self.increments
             vals = np.empty((incs.shape[0], incs.shape[1] + 1))
             vals[:, 0] = 0.0
             np.cumsum(incs, axis=1, out=vals[:, 1:])
@@ -151,18 +134,9 @@ class FbmPath:
         return self._values
 
     @property
-    def increments(self) -> np.ndarray:
-        """The (paths, n) array of Delta B_k = B_{(k+1)/n} - B_{k/n}, k = 0..n-1."""
-        if self._increments is None:
-            incs = np.diff(self._values, axis=1)
-            incs.flags.writeable = False
-            object.__setattr__(self, "_increments", incs)
-        return self._increments
-
-    @property
     def n(self) -> int:
         """Grid size: each path has n increments."""
-        return self._increments.shape[1] if self._increments is not None else self._values.shape[1] - 1
+        return self.increments.shape[1]
 
     @property
     def left(self) -> np.ndarray:
@@ -181,8 +155,8 @@ class Workspace:
     """
 
     def __init__(self, points: int):
-        self.points, self.derivatives, self.buffers = points, {}, []
-        self.spectrum, self.synthesis = np.empty(points, np.complex128), np.empty(2 * points)
+        self.points, self.derivatives, self.buffers = as_integer(points, "points", 1), {}, []
+        self.spectrum, self.synthesis = np.empty(self.points, np.complex128), np.empty(2 * self.points)
         self._gen = np.random.Generator(np.random.Philox(key=0))
 
     def rekey(self, seed: int, stream: int) -> np.random.Generator:
@@ -314,7 +288,7 @@ def sample_fbm(H, n: int, config: SamplerConfig, count: int = 1, normals: np.nda
         increments[r0:stop] = _block_fgn(embedding, n, z, workspace)
         workspace.derivatives.clear()  # a new block: its table starts empty
     increments.flags.writeable = False
-    return FbmPath._adopt(hurst, None, increments)
+    return FbmPath._adopt(hurst, increments)
 
 
 def dump_path(path: FbmPath, fileobj) -> None:

@@ -207,6 +207,13 @@ class TestCmdRun:
             dat_lines = (out / f"{stem}.dat").read_text().strip().split("\n")
             assert len(dat_lines) == rows
 
+    def test_rate_fit_is_null_below_three_rungs(self, tmp_path):
+        cfg = write(tmp_path, GOOD_CONFIG.replace("n_ladder = 16 32 64", "n_ladder = 16 32"))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "quad_small.json").read_text())["rate_fit"] is None
+        assert set(json.loads((out / "diag_small.json").read_text())["rate_fit"]) == {"slope", "intercept", "r_squared"}
+
     def test_csv_floats_round_trip(self, tmp_path):
         cfg = write(tmp_path, GOOD_CONFIG)
         out = tmp_path / "out"

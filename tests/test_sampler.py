@@ -35,17 +35,6 @@ def _paths_matrix(H, n, reps, method="circulant", seed=101):
 
 
 class TestFbmPathType:
-    def test_rejects_nonzero_start(self):
-        with pytest.raises(ValueError):
-            FbmPath(hurst=HurstIndex(0.3), values=np.array([[0.1, 0.2, 0.3]]))
-        with pytest.raises(ValueError):
-            FbmPath(hurst=HurstIndex(0.3), values=np.array([[0.0, 0.2, 0.3], [1e-300, 0.2, 0.3]]))
-
-    def test_rejects_wrong_length(self):
-        for values in ([0.0, 0.2, 0.3, 0.4], np.zeros((0, 4)), [[0.0]]):
-            with pytest.raises(ValueError):
-                FbmPath(hurst=HurstIndex(0.3), values=np.array(values))
-
     def test_values_frozen(self):
         p = sample_fbm(0.3, 8, SamplerConfig(seed=1, stream=0), 2)
         with pytest.raises(ValueError):
@@ -69,26 +58,11 @@ class TestBufferOwnership:
             for x, y in itertools.product((a.increments, a.values), (b.increments, b.values)):
                 assert not np.shares_memory(x, y)
 
-    def test_caller_array_neither_aliased_nor_frozen(self):
-        values = np.zeros((2, 5))
-        path = FbmPath(hurst=HurstIndex(0.3), values=values)
-        assert not np.shares_memory(path.values, values)
-        assert values.flags.writeable and not path.values.flags.writeable
-        values[0, 1] = 5.0
-        assert path.values[0, 1] == 0.0
-
     def test_read_only_array_made_writable_again_does_not_reach_the_path(self):
         # a caller that owns a read-only array can make it writable again
-        a = np.zeros((1, 5))
-        a.flags.writeable = False
-        p = FbmPath(0.3, a)
-        p.increments
-        a.flags.writeable = True
-        a[0, 2] = 7.0
-        assert p.values[0, 2] == 0.0 and np.array_equal(p.increments, np.zeros((1, 4)))
         d = np.ones((1, 4))
         d.flags.writeable = False
-        q = FbmPath.from_increments(0.3, d)
+        q = FbmPath(0.3, d)
         q.values
         d.flags.writeable = True
         d[0, 2] = 7.0
@@ -97,22 +71,16 @@ class TestBufferOwnership:
     def test_read_only_view_of_writable_array_is_copied(self):
         # the view cannot be written, but its base can: keeping it would let
         # the path, and every array derived from it, change under the caller's writes
-        a = np.zeros((1, 5))
-        v = a[:, :]
-        v.flags.writeable = False
-        p = FbmPath(0.3, v)
-        a[0, 2] = 7.0
-        assert p.values[0, 2] == 0.0
         d = np.ones((1, 4))
         w = d[:, :]
         w.flags.writeable = False
-        q = FbmPath.from_increments(0.3, w)
+        q = FbmPath(0.3, w)
         d[0, 2] = 7.0
         assert q.increments[0, 2] == 1.0 and q.values[0, 4] == 4.0
 
     def test_caller_increments_neither_aliased_nor_frozen(self):
         increments = np.ones((2, 4))
-        path = FbmPath.from_increments(HurstIndex(0.3), increments)
+        path = FbmPath(HurstIndex(0.3), increments)
         assert not np.shares_memory(path.increments, increments)
         assert increments.flags.writeable and not path.increments.flags.writeable
         increments[0, 1] = 5.0
@@ -122,20 +90,14 @@ class TestBufferOwnership:
 class TestTwoForms:
     def test_values_are_the_partial_sums_of_the_increments(self):
         d = np.random.default_rng(3).standard_normal((3, 257))
-        path = FbmPath.from_increments(0.3, d)
+        path = FbmPath(0.3, d)
         want = np.concatenate([np.zeros((3, 1)), np.cumsum(d, axis=1)], axis=1)
         assert path.n == 257 and path.values.shape == (3, 258)
         assert np.array_equal(path.values, want)
         assert np.array_equal(path.left, want[:, :-1])
 
-    def test_increments_are_the_differences_of_the_values(self):
-        values = np.concatenate([np.zeros((3, 1)), np.random.default_rng(4).standard_normal((3, 256))], axis=1)
-        path = FbmPath(0.3, values)
-        assert path.n == 256
-        assert np.array_equal(path.increments, np.diff(values, axis=1))
-
     def test_both_forms_read_only_and_cached(self):
-        for path in (sample_fbm(0.3, 16, SamplerConfig(seed=1), 3), FbmPath(0.3, np.zeros((2, 9)))):
+        for path in (sample_fbm(0.3, 16, SamplerConfig(seed=1), 3), FbmPath(0.3, np.zeros((2, 8)))):
             for name in ("values", "increments"):
                 array = getattr(path, name)
                 assert getattr(path, name) is array, name
@@ -147,7 +109,7 @@ class TestTwoForms:
     def test_rejects_wrong_increment_shape(self):
         for increments in ([0.1, 0.2], np.zeros((0, 4)), np.zeros((2, 0))):
             with pytest.raises(ValueError):
-                FbmPath.from_increments(HurstIndex(0.3), np.array(increments))
+                FbmPath(HurstIndex(0.3), np.array(increments))
 
 
 def _on_fresh_thread(H, n, count, seed, first):
@@ -267,6 +229,11 @@ class TestGuards:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             sample_fbm(0.3, 0, SamplerConfig(seed=0, stream=0))
+
+    @pytest.mark.parametrize("points", [-1, 0, 2.5, True])
+    def test_invalid_workspace_points(self, points):
+        with pytest.raises(ValueError, match=r"points must be an integer >= 1, got"):
+            Workspace(points)
 
     def test_block_count_and_last_stream(self):
         with pytest.raises(ValueError):

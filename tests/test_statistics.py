@@ -41,10 +41,10 @@ from oracles import (
 )
 
 
-def synthetic_path(values, H=0.3):
-    """A block holding the one path `values`."""
-    values = np.asarray(values, dtype=np.float64)
-    return FbmPath(hurst=HurstIndex(H), values=values[np.newaxis, :])
+def synthetic_path(increments, H=0.3):
+    """A block holding the one path of `increments`."""
+    increments = np.asarray(increments, dtype=np.float64)
+    return FbmPath(HurstIndex(H), increments[np.newaxis, :])
 
 
 def sampled(H, n, seed=2024, stream=0):
@@ -127,7 +127,7 @@ class TestCenteredQuadratic:
         n, H = 8, 0.25
         inc = np.full(n, n**-H)
         inc[::2] *= -1.0
-        p = synthetic_path(np.concatenate([[0.0], np.cumsum(inc)]), H=H)
+        p = synthetic_path(inc, H=H)
         assert quadratic(p, builtin("one")) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_weight(self):
@@ -170,7 +170,7 @@ class TestCompensatedCubic:
 class TestOddWeighted:
     def test_symmetric_increments_cancel(self):
         a = 0.8
-        p = synthetic_path([0.0, a, 0.0], H=0.35)
+        p = synthetic_path([a, -a], H=0.35)
         assert odd(p, builtin("one"), 3) == pytest.approx(0.0, abs=1e-14)
 
     def test_even_kappa_rejected(self):
@@ -204,12 +204,12 @@ class TestOddWeighted:
 class TestUnweighted:
     def test_unit_increments_vanish(self):
         n, H = 8, 0.3
-        p = synthetic_path(np.concatenate([[0.0], np.cumsum(np.full(n, n**-H))]), H=H)
+        p = synthetic_path(np.full(n, n**-H), H=H)
         assert unweighted(p, 2) == pytest.approx(0.0, abs=1e-12)
 
     def test_mirrored_path_flips_odd_statistic(self):
         p = sampled(0.3, 64, seed=21)
-        q = FbmPath.from_increments(p.hurst, -p.increments)
+        q = FbmPath(p.hurst, -p.increments)
         assert unweighted(q, 3) == -unweighted(p, 3)
 
     def test_term_by_term_oracle_kappa4(self):
@@ -220,7 +220,7 @@ class TestUnweighted:
 class TestMixingNormalized:
     def test_unit_bracket_vanishes(self):
         n, H = 8, 0.35
-        p = synthetic_path(np.concatenate([[0.0], np.cumsum(np.full(n, n**-H))]), H=H)
+        p = synthetic_path(np.full(n, n**-H), H=H)
         assert mixing(p, builtin("one")) == pytest.approx(0.0, abs=1e-12)
 
     def test_normalization_algebra(self):
@@ -300,22 +300,17 @@ class TestLinearity:
 
 class TestOddSymmetry:
     def test_negated_path_flips_odd_statistics_exactly(self):
-        # negating either form is exact, and so are the sums and differences
-        # derived from it; a sampled path is built from its increments
-        sampled_path = sampled(0.3, 64, seed=77)
-        pairs = (
-            (sampled_path, FbmPath.from_increments(sampled_path.hurst, -sampled_path.increments)),
-            (FbmPath(sampled_path.hurst, values=sampled_path.values), FbmPath(sampled_path.hurst, values=-sampled_path.values)),
-        )
-        for p, q in pairs:
-            for weight in ("x2", "cos", "one"):  # even weights
-                h = builtin(weight)
-                assert odd(q, h, 3) == -odd(p, h, 3)
-            assert unweighted(q, 3) == -unweighted(p, 3)
+        # negating the increments is exact, and so are the partial sums derived from them
+        p = sampled(0.3, 64, seed=77)
+        q = FbmPath(p.hurst, -p.increments)
+        for weight in ("x2", "cos", "one"):  # even weights
+            h = builtin(weight)
+            assert odd(q, h, 3) == -odd(p, h, 3)
+        assert unweighted(q, 3) == -unweighted(p, 3)
 
 
 class TestTwoForms:
-    # (form, kappa, weight, H): every form, on a sampled path and on the same path built from its values
+    # (form, kappa, weight, H): every form, on a sampled path and on the same path rebuilt from its increments
     CASES = (
         (StatForm.CENTERED_QUADRATIC, 2, "x2", 0.1),
         (StatForm.COMPENSATED_CUBIC, 3, "sin", 0.12),
@@ -330,14 +325,12 @@ class TestTwoForms:
 
     @pytest.mark.parametrize("form, kappa, weight, H", CASES)
     def test_forms_agree_across_representations(self, form, kappa, weight, H):
-        # the increments differ in the last bits: synthesized, or the
-        # differences of their rounded partial sums
         p = sample_fbm(H, 256, SamplerConfig(seed=91), 8)
-        q = FbmPath(p.hurst, values=p.values)
+        q = FbmPath(p.hurst, p.increments)
         spec, h = StatisticSpec(kappa, weight, form), builtin(weight)
-        np.testing.assert_allclose(evaluate_statistic(q, h, spec), evaluate_statistic(p, h, spec), rtol=1e-12, atol=0)
+        assert evaluate_statistic(q, h, spec).tobytes() == evaluate_statistic(p, h, spec).tobytes()
         if FORMS[form].limit is not None:
-            assert np.array_equal(limit_functional(q, h, spec), limit_functional(p, h, spec))
+            assert limit_functional(q, h, spec).tobytes() == limit_functional(p, h, spec).tobytes()
 
 
 class TestWeightWorkspace:
@@ -375,7 +368,7 @@ class TestWeightWorkspace:
         assert both(a) == first
         assert other[0] != first[0] and other[1] != first[1]
         # a new block with a's increments gives a's values, and so do calls without a workspace
-        assert both(FbmPath.from_increments(a.hurst, a.increments)) == first
+        assert both(FbmPath(a.hurst, a.increments)) == first
         assert (evaluate_statistic(a, h, spec).tobytes(), limit_functional(a, h, spec).tobytes()) == first
 
     def test_drawing_a_block_empties_the_table(self):
