@@ -8,27 +8,27 @@ and reports microseconds per replica (a block's time divided by B):
 - `rekey_normals_us`: `draw_normals`, which re-keys the Philox generator
   of the workspace it is given to each row's `(seed, stream)` and draws the
   row's 2n normals into a new array;
-- `synthesis_us`: `_block_fgn` on stored normals into a workspace sized for
-  one block, the half-spectrum products and the one inverse FFT along the
-  rows;
+- `synthesis_us`: `_block_fgn` on stored normals into a workspace whose
+  buffers grew to one block on the first call, the half-spectrum products
+  and the one inverse FFT along the rows;
 - `assembly_us`: what `sample_fbm` does with a block's stored increments,
   the copy of its rows into a new increments array, freezing it and handing
   it to a new path;
-- `statistic_us`: `evaluate_statistic` on a new path built from the stored
-  increments each call, so that the partial sums that the weighted form
-  reads are formed in every call, as in a run, with the workspace's
-  derivative table started afresh, as `sample_fbm` starts it at each block;
+- `statistic_us`: `evaluate_statistic` on a new path built around a new view
+  of the stored increments each call, so that the partial sums that the
+  weighted form reads are formed in every call, as in a run, and the
+  workspace's derivative table starts empty, as it does at each new block;
 - `partial_sums_us`: the part of `statistic_us` that forms those partial
-  sums, the first read of `values` of a new path built from the stored
-  increments;
+  sums, the first read of `values` of such a new path;
 - `limit_us`: `limit_functional` on the sampled block, whose partial sums
-  are formed once, on the first call, with the workspace's table started
-  afresh, so that the limit evaluates its weight derivative instead of
-  reading the one that an earlier call left there;
+  are formed once, on the first call; since every call reads that one
+  block, the workspace's table is emptied by hand before each, so that the
+  limit evaluates its weight derivative instead of reading the one that an
+  earlier call left there;
 - `layers_sum_us`: the sum of the five layers, with `partial_sums_us`
   counted once, inside `statistic_us`;
-- `stat_limit_us`: the statistic and then the limit on one new path and
-  one fresh table, as a run evaluates a block: the limit reads the weight
+- `stat_limit_us`: the statistic and then the limit on one new path, whose
+  table starts empty, as a run evaluates a block: the limit reads the weight
   derivatives that the statistic left in the workspace's table, so for the
   cubic form, whose limit reads the cos its compensator read (h''' = -cos,
   with the limit's constant negated), it is below
@@ -146,7 +146,7 @@ def first_faults(fn):
 def layer_times(n, calls, runs, spec=SPEC):
     block = harness.block_size(n)
     h = builtin(spec.weight)
-    work = sampler_mod.Workspace(block * (n + 1))
+    work = sampler_mod.Workspace()
     z = sampler_mod.draw_normals(SEED, 0, block, n, work)
     # a copy: the synthesis returns a view of the workspace's buffer, which the next block overwrites
     embedding = sampler_mod._circulant_coeffs(HURST, n)
@@ -162,17 +162,18 @@ def layer_times(n, calls, runs, spec=SPEC):
         return FbmPath._adopt(path.hurst, increments)
 
     def fresh():
-        return FbmPath._adopt(path.hurst, path.increments)
+        # a new view is a new increments array, whose derivative table starts empty, as a new block's does
+        return FbmPath._adopt(path.hurst, path.increments[:])
 
     def table():
-        # the workspace with its derivative table started afresh, as sample_fbm starts it at each block
+        # the workspace with its derivative table emptied by hand, for a loop that reads one block again and again
         work.derivatives.clear()
         return work
 
     def stat_limit():
-        p, w = fresh(), table()
-        evaluate_statistic(p, h, spec, w)
-        return limit_functional(p, h, spec, w)
+        p = fresh()
+        evaluate_statistic(p, h, spec, work)
+        return limit_functional(p, h, spec, work)
 
     def whole_blocks():
         return harness._replica_values({plan: h}, 1)[plan]
@@ -182,7 +183,7 @@ def layer_times(n, calls, runs, spec=SPEC):
         "rekey_normals_us": lambda: sampler_mod.draw_normals(SEED, 0, block, n, work),
         "synthesis_us": lambda: sampler_mod._block_fgn(embedding, n, z, work),
         "assembly_us": assemble,
-        "statistic_us": lambda: evaluate_statistic(fresh(), h, spec, table()),
+        "statistic_us": lambda: evaluate_statistic(fresh(), h, spec, work),
         "limit_us": lambda: limit_functional(path, h, spec, table()),
     }
     layers = {name: best_us(fn, calls, runs) / block for name, fn in per_block.items()}

@@ -123,11 +123,10 @@ def _replica_values(weights: dict, threads: int, block=block_size) -> dict:
     blocks of `block(n)` rows; each block is synthesized once per H, in the
     order the plans first name it, and every plan at that H evaluates its
     statistic on all of its rows. Worker i of w takes walks i, i + w, ...
-    and keeps one `Workspace`, sized for the group's largest block, for all
-    of them (one per walk would fault its pages in again); w is capped by
-    the cores this process may run on (the CPU count where the OS has no
-    `sched_getaffinity`) and by the walk count, since more threads only add
-    switching cost.
+    and keeps one `Workspace` for all of them (one per walk would fault its
+    pages in again); w is capped by the cores this process may run on (the
+    CPU count where the OS has no `sched_getaffinity`) and by the walk
+    count, since more threads only add switching cost.
     """
     seed, method, ladder, replicas = _path_key(next(iter(weights)))
     outs = {plan: [np.empty((replicas, 2), dtype=np.float64) for _ in ladder] for plan in weights}
@@ -138,7 +137,6 @@ def _replica_values(weights: dict, threads: int, block=block_size) -> dict:
     rows = walk_rows(ladder, block)
     starts = range(0, replicas, rows)
     embeddings = {(hurst, n): _circulant_coeffs(hurst.value, n) for _, n, _ in walk for hurst in by_hurst}
-    points = max(min(step, rows) * (n + 1) for _, n, step in walk)  # the group's largest block
 
     def work(r0: int, workspace: Workspace) -> None:
         stop = min(r0 + rows, replicas)
@@ -156,7 +154,7 @@ def _replica_values(weights: dict, threads: int, block=block_size) -> dict:
                         out[:, 1] = limit_functional(path, h, plan.spec, workspace) if FORMS[plan.spec.form].limit is not None else 0.0
 
     def worker(walk_starts: range) -> None:
-        workspace = Workspace(points)
+        workspace = Workspace()
         for r0 in walk_starts:
             work(r0, workspace)  # frees the walk's normals before the next walk draws its own
 

@@ -17,12 +17,12 @@ first 2n normals of consecutive streams as a new array, and the first 2m of
 each row are what a draw at m <= n gives; `sample_fbm` synthesizes from rows
 of such an array that its caller passes, or draws its own block by block.
 
-A `Workspace` is one worker's scratch, sized once for its largest block and
-reused block after block: the Philox generator, which every draw re-keys, the
-half-spectrum and inverse-FFT buffers, and the weight derivatives of
-`statistics.derivative_at_left`. A draw runs block by block through it into
-one new increments array. The module keeps no state: an embedding belongs to
-whoever resolved it, and a call without one builds its own.
+A `Workspace` is one worker's scratch, reused block after block: the Philox
+generator, which every draw re-keys, the half-spectrum and inverse-FFT
+buffers, which grow to the largest block they are handed, and the weight
+derivatives that `statistics.derivative_at_left` owns. A draw runs block by
+block through it into one new increments array. The module keeps no state: an
+embedding belongs to whoever resolved it, and a call without one builds its own.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ BLOCK_POINTS = 8192
 
 # The largest grid size a plan may ask for, so that a run's memory stays bounded: a run of
 # one unweighted plan with 2 replicas at 1 thread peaks at about 140 MiB RSS (ru_maxrss) at
-# n = 2^20 and 420 MiB at n = 2^22, a compensated_cubic/sin plan, whose workspace holds three
+# n = 2^20 and 420 MiB at n = 2^22, a compensated_cubic/sin plan, whose workspace holds two
 # n-point derivative buffers, at 164 and 484 MiB, and a group of 8 unweighted plans at
 # distinct H at 904 MiB at 2^22. A group holds one embedding per (H, n) key, 16(n-1) bytes
 # each (64 MiB at 2^22), and frees them when it ends; the embeddings' set-up, the walk's
@@ -145,18 +145,17 @@ class FbmPath:
 
 
 class Workspace:
-    """A worker's scratch for blocks of at most `points` = paths * (n + 1) points.
+    """A worker's scratch, reused block after block; each buffer grows to the largest block it is handed.
 
     `rekey` hands out its Philox generator; `spectrum` and `synthesis` are
-    `_block_fgn`'s buffers; `derivatives` maps each evaluator read on the
-    current block to its values in `buffers`, which
-    `statistics.derivative_at_left` fills. `sample_fbm` empties it at each
-    block it writes.
+    `_block_fgn`'s buffers. `derivatives`, `buffers` and `block` belong to
+    `statistics.derivative_at_left`: the table of the block that `block`
+    weakly refers to, and the pool that holds the table's values.
     """
 
-    def __init__(self, points: int):
-        self.points, self.derivatives, self.buffers = as_integer(points, "points", 1), {}, []
-        self.spectrum, self.synthesis = np.empty(self.points, np.complex128), np.empty(2 * self.points)
+    def __init__(self):
+        self.derivatives, self.buffers, self.block = {}, [], None
+        self.spectrum, self.synthesis = np.empty(0, np.complex128), np.empty(0)
         self._gen = np.random.Generator(np.random.Philox(key=0))
 
     def rekey(self, seed: int, stream: int) -> np.random.Generator:
@@ -240,6 +239,10 @@ def _block_fgn(embedding: tuple, n: int, z: np.ndarray, workspace: Workspace) ->
     """
     h0, hn, coef = embedding[2:]
     count = z.shape[0]
+    if workspace.spectrum.size < count * (n + 1):
+        workspace.spectrum = np.empty(count * (n + 1), np.complex128)
+    if workspace.synthesis.size < count * 2 * n:
+        workspace.synthesis = np.empty(count * 2 * n)
     b = workspace.spectrum[: count * (n + 1)].reshape(count, n + 1)
     synth = workspace.synthesis[: count * 2 * n].reshape(count, 2 * n)
     np.multiply(z[:, 2 : 2 * n], coef, out=b.view(np.float64)[:, 2 : 2 * n])
@@ -257,9 +260,9 @@ def sample_fbm(H, n: int, config: SamplerConfig, count: int = 1, normals: np.nda
     >= n; without it, the normals are drawn block by block. `embedding` is
     `_circulant_coeffs(H, n)` as the caller resolved it; without it, the call
     builds its own once. The increments are synthesized block_size(n) rows
-    at a time in `workspace` (a new one without it), whose derivative table
-    each block empties, and copied into one new read-only array, which the
-    path keeps; its values are summed when first read.
+    at a time in `workspace` (a new one without it) and copied into one new
+    read-only array, which the path keeps; its values are summed when first
+    read.
     """
     hurst = as_hurst(H)
     n, count = as_integer(n, "n", 1), as_integer(count, "count", 1)
@@ -278,15 +281,11 @@ def sample_fbm(H, n: int, config: SamplerConfig, count: int = 1, normals: np.nda
         raise ValueError(f"embedding must be _circulant_coeffs({hurst.value}, {n}), got {got}")
     increments = np.empty((count, n))
     rows = min(block_size(n), count)
-    if workspace is None:
-        workspace = Workspace(rows * (n + 1))
-    elif workspace.points < rows * (n + 1):
-        raise ValueError(f"workspace holds {workspace.points} points, a block of {rows} paths at n = {n} needs {rows * (n + 1)}")
+    workspace = Workspace() if workspace is None else workspace
     for r0 in range(0, count, rows):
         stop = min(r0 + rows, count)
         z = draw_normals(seed, first + r0, stop - r0, n, workspace) if normals is None else normals[r0:stop]
         increments[r0:stop] = _block_fgn(embedding, n, z, workspace)
-        workspace.derivatives.clear()  # a new block: its table starts empty
     increments.flags.writeable = False
     return FbmPath._adopt(hurst, increments)
 

@@ -13,10 +13,10 @@ the limit regimes of the cells no form row covers, and `classify_regime` maps
 (kappa, H, weighted?) to its first matching row of `REGIMES`, then of `FORMS`.
 
 The module keeps no state. A caller's `sampler.Workspace` holds the table of
-its current block, which `sample_fbm` empties at each block it writes:
-h^(j)(B_{k/n}) of every evaluator read on it, in buffers that the next block
-reuses. So a statistic and its limit, and every plan of a group at one H,
-evaluate each derivative once per block. For a weight with a `negation_step`
+the block it last read: h^(j)(B_{k/n}) of every evaluator read on it, in
+buffers that the next block reuses, and a read on another block empties it.
+So a statistic and its limit, and every plan of a group at one H, evaluate
+each derivative once per block. For a weight with a `negation_step`
 s (sin and cos), a limit of order j >= s reads h^(j-s) and negates its
 constant, so the cubic form's limit reads the cos its compensator read. A
 call without a workspace evaluates its own, with the same bits.
@@ -25,6 +25,7 @@ call without a workspace evaluates its own, with the same bits.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 
@@ -156,24 +157,26 @@ class StatisticSpec:
 def derivative_at_left(path: FbmPath, h: WeightFunction, order: int, workspace: Workspace | None = None) -> np.ndarray:
     """h^(order)(B_{k/n}), k < n, of every path of the block; with a workspace, a read-only view of its table.
 
-    The first read of an evaluator on the block writes its values into a
-    buffer of the workspace; later reads return them until `sample_fbm`
-    empties the table at its next block. Without a workspace, each call
-    evaluates h^(order) anew. OrderError past h's table; TypeError for an
-    evaluator that does not return its `out`.
+    The table belongs to the increments array it was read from: a read on
+    another block empties it. The first read of an evaluator writes its
+    values into a pool buffer, grown to fit the block; later reads return
+    them. Without a workspace, each call evaluates h^(order) anew.
+    OrderError past h's table; TypeError for an evaluator that ignores `out`.
     """
     evaluator = h.derivative(order)
     if workspace is None:
         return evaluator(path.left)
+    if workspace.block is None or workspace.block() is not path.increments:  # another block: its table starts empty
+        workspace.derivatives, workspace.block = {}, weakref.ref(path.increments)  # weak: the old block may be freed, and then matches none
     held, buffers = workspace.derivatives, workspace.buffers
     values = held.get(evaluator)
     if values is not None:
         return values
     left = path.left
-    if left.size > workspace.points:
-        raise ValueError(f"workspace holds {workspace.points} points, a block of {left.shape[0]} paths at n = {path.n} needs {left.size}")
     if len(held) == len(buffers):
-        buffers.append(np.empty(workspace.points))
+        buffers.append(np.empty(left.size))
+    elif buffers[len(held)].size < left.size:
+        buffers[len(held)] = np.empty(left.size)
     values = buffers[len(held)][: left.size].reshape(left.shape)
     if evaluator(left, out=values) is not values:
         raise TypeError(f"evaluator {order} of weight {h.id!r} must write its values into out and return it")

@@ -230,7 +230,7 @@ def test_criterion_03_sampler_law():
     # paths B_{k/n}, k = 1..n, have covariance p_t^T p_t with no Monte Carlo error
     worst_law = 0.0
     for h in (0.1, 0.25, 0.5, 0.75, 0.9):
-        p_t = np.cumsum(_block_fgn(_circulant_coeffs(h, 256), 256, np.eye(512), Workspace(512 * 257)), axis=1)
+        p_t = np.cumsum(_block_fgn(_circulant_coeffs(h, 256), 256, np.eye(512), Workspace()), axis=1)
         worst_law = max(worst_law, float(np.max(np.abs(p_t.T @ p_t - covariance_matrix(h, 256)[1:, 1:]))))
     ok = ok and worst_law < 1e-10
     elapsed = time.perf_counter() - t0

@@ -384,14 +384,18 @@ class TestWeightWorkspace:
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
         made = []
         init = sampler.Workspace.__init__
-        monkeypatch.setattr(sampler.Workspace, "__init__", lambda self, points: made.append(points) or init(self, points))
+        monkeypatch.setattr(sampler.Workspace, "__init__", lambda self: made.append(self) or init(self))
         weights = {plan: builtin(plan.spec.weight) for plan in self.SHARED}
         assert math.ceil(200 / harness.walk_rows(self.SHARED[0].n_ladder)) == 4
         harness._replica_values(weights, 1)
-        # sized once for the group's largest block: 64 paths at n = 128, against 16 at n = 512
-        assert made == [64 * 129]
+        assert len(made) == 1
         harness._replica_values(weights, 2)
-        assert made[1:] in ([64 * 129], [64 * 129] * 2)
+        assert len(made) in (2, 3)
+        # each buffer holds exactly the largest block it was handed: the spectrum 64 paths at n = 128 (64 * 129
+        # against 16 * 513 at n = 512), the synthesis and each derivative 64 * 128 = 16 * 512 points
+        for work in made:
+            assert (work.spectrum.size, work.synthesis.size) == (64 * 129, 64 * 256)
+            assert work.buffers and [b.size for b in work.buffers] == [64 * 128] * len(work.buffers)
 
     # every weighted form, each with sin, cos and x2
     PUBLIC = tuple(

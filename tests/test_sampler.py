@@ -150,7 +150,7 @@ class TestNormalsMemo:
         import fbmvar.sampler as sampler_mod
 
         rekeys = _count_rekeys(monkeypatch)
-        work = sampler_mod.Workspace(1)
+        work = sampler_mod.Workspace()
         for call, drawn in self.CALLS:
             H, n, count, seed, first = call
             before = len(rekeys)
@@ -166,7 +166,7 @@ class TestNormalsMemo:
         import fbmvar.sampler as sampler_mod
 
         rekeys = _count_rekeys(monkeypatch)
-        normals = sampler_mod.draw_normals(3, 100, 64, 512, sampler_mod.Workspace(1))
+        normals = sampler_mod.draw_normals(3, 100, 64, 512, sampler_mod.Workspace())
         assert normals.shape == (64, 1024)
         for first in range(100, 164, 16):
             sample_fbm(0.3, 512, SamplerConfig(seed=3, stream=first), 16, normals[first - 100 : first - 84])
@@ -178,15 +178,16 @@ class TestNormalsMemo:
             assert np.array_equal(values, _on_fresh_thread(*call)), call
 
     def test_draw_past_one_block_holds_one_block(self, monkeypatch):
-        # a draw of many blocks makes one workspace of one block of the usual size, a larger block one of its
-        # own size, the next usual block one of the usual size again; a caller's workspace is used as given
+        # a draw of many blocks makes one workspace whose buffers hold exactly one block of the usual size,
+        # count (n + 1) complex and count 2n real; a larger block one of its own size, the next usual block
+        # one of the usual size again; a caller's workspace is used as given
         import fbmvar.sampler as sampler_mod
 
         made = []
         init = sampler_mod.Workspace.__init__
-        monkeypatch.setattr(sampler_mod.Workspace, "__init__", lambda self, points: made.append(self) or init(self, points))
+        monkeypatch.setattr(sampler_mod.Workspace, "__init__", lambda self: made.append(self) or init(self))
         block = sampler_mod.block_size(64)
-        usual = (block * 65, 2 * block * 65)
+        usual = (block * 65, block * 128)
 
         def sizes():
             return made[-1].spectrum.size, made[-1].synthesis.size
@@ -195,7 +196,7 @@ class TestNormalsMemo:
         assert len(made) == 1 and sizes() == usual
         big = 4 * sampler_mod.BLOCK_POINTS
         sample_fbm(0.3, big, SamplerConfig(seed=1))
-        assert sizes() == (big + 1, 2 * (big + 1))
+        assert sizes() == (big + 1, 2 * big)
         sample_fbm(0.3, 64, SamplerConfig(seed=1), block)
         assert len(made) == 3 and sizes() == usual
         sample_fbm(0.3, 64, SamplerConfig(seed=1), 10 * block + 1, workspace=made[0])
@@ -230,11 +231,6 @@ class TestGuards:
         with pytest.raises(ValueError):
             sample_fbm(0.3, 0, SamplerConfig(seed=0, stream=0))
 
-    @pytest.mark.parametrize("points", [-1, 0, 2.5, True])
-    def test_invalid_workspace_points(self, points):
-        with pytest.raises(ValueError, match=r"points must be an integer >= 1, got"):
-            Workspace(points)
-
     def test_block_count_and_last_stream(self):
         with pytest.raises(ValueError):
             sample_fbm(0.3, 4, SamplerConfig(seed=0, stream=0), 0)
@@ -265,12 +261,13 @@ class TestGuards:
         with pytest.raises(ValueError, match="embedding"):
             sample_fbm(0.3, 32, SamplerConfig(seed=0), 4, None, embedding)
 
-    def test_undersized_workspace_rejected(self):
-        # a block of 4 paths at n = 64 needs 4 * 65 points
-        with pytest.raises(ValueError, match=r"workspace holds 10 points, a block of 4 paths at n = 64 needs 260"):
-            sample_fbm(0.3, 64, SamplerConfig(), 4, workspace=Workspace(10))
-        exact = sample_fbm(0.3, 64, SamplerConfig(), 4, workspace=Workspace(260))
-        assert np.array_equal(exact.increments, sample_fbm(0.3, 64, SamplerConfig(), 4).increments)
+    def test_workspace_grows_to_a_larger_block(self):
+        # a small block, a larger one, the small one again: the buffers grow to the larger block and stay
+        work = Workspace()
+        for n, count in ((64, 4), (256, 8), (64, 4)):
+            got = sample_fbm(0.3, n, SamplerConfig(), count, workspace=work)
+            assert np.array_equal(got.increments, sample_fbm(0.3, n, SamplerConfig(), count, workspace=Workspace()).increments), n
+        assert (work.spectrum.size, work.synthesis.size) == (8 * 257, 8 * 512)
 
     def test_embedding_of_its_key_gives_the_same_paths(self):
         got = sample_fbm(0.3, 32, SamplerConfig(seed=0), 4, None, _circulant_coeffs(0.3, 32))
@@ -361,7 +358,7 @@ class TestExactLaw:
         eps = np.finfo(np.float64).eps
         lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
         for h in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
-            a_t = _block_fgn(_circulant_coeffs(h, n), n, np.eye(2 * n), Workspace(2 * n * (n + 1)))
+            a_t = _block_fgn(_circulant_coeffs(h, n), n, np.eye(2 * n), Workspace())
             scale = float(n) ** (-2 * h)
             err = np.max(np.abs(a_t.T @ a_t - scale * increment_autocov_seq(h, n)[lag]))
             assert err <= 2 * n * (math.log2(2 * n) + 2) * eps * scale, (h, n, err / scale)
@@ -385,7 +382,7 @@ class TestStreamIdentity:
     def test_rekeyed_generator_equals_fresh_philox(self):
         import fbmvar.sampler as sampler_mod
 
-        work = sampler_mod.Workspace(1)
+        work = sampler_mod.Workspace()
         for seed, stream in itertools.product(KEY_WORDS, KEY_WORDS):
             # leave the workspace's generator part-way through its output buffer
             work.rekey(5, 6).integers(0, 10, size=3, dtype=np.uint32)
@@ -401,7 +398,7 @@ class TestStreamIdentity:
 
     def test_workspaces_used_alternately_draw_their_own_streams(self):
         # each workspace owns its generator: re-keying one mid-draw leaves the other's stream where it was
-        a, b = Workspace(1), Workspace(1)
+        a, b = Workspace(), Workspace()
         for seed, stream in itertools.product(KEY_WORDS, KEY_WORDS):
             other = (seed, (stream + 1) % 2**64)
             ga = a.rekey(seed, stream)

@@ -334,17 +334,16 @@ class TestTwoForms:
 
 
 class TestWeightWorkspace:
-    # (count, n): blocks of changing shape, read in turn through one workspace
-    # sized for the largest, so that each buffer is reused across n
+    # (count, n): blocks of changing shape, read in turn through one workspace,
+    # whose buffers grow to the largest and are reused across n
     SHAPES = ((64, 128), (16, 512), (3, 40), (1, 9000), (64, 128))
 
     @pytest.mark.parametrize("wid", BUILTIN_IDS)
     def test_every_order_bitwise_equal_to_the_evaluator(self, wid):
         h = builtin(wid)
-        work = Workspace(max(count * (n + 1) for count, n in self.SHAPES))
+        work = Workspace()
         for k, (count, n) in enumerate(self.SHAPES):
             path = sample_fbm(0.3, n, SamplerConfig(seed=5, stream=k), count)
-            work.derivatives.clear()
             # ascending and descending, so that sin and cos form h^(j+2) from h^(j) and the reverse
             for j in range(7) if k % 2 == 0 else range(6, -1, -1):
                 got = derivative_at_left(path, h, j, work)
@@ -358,10 +357,9 @@ class TestWeightWorkspace:
         h = builtin("sin")
         spec = spec_for(3, h, StatForm.COMPENSATED_CUBIC)
         a, b = (sample_fbm(0.1, 128, SamplerConfig(seed=seed), 4) for seed in (1, 2))
-        work = Workspace(4 * 129)
+        work = Workspace()
 
         def both(p):
-            work.derivatives.clear()  # a new block, as the harness starts one
             return evaluate_statistic(p, h, spec, work).tobytes(), limit_functional(p, h, spec, work).tobytes()
 
         first, other = both(a), both(b)
@@ -372,12 +370,34 @@ class TestWeightWorkspace:
         assert (evaluate_statistic(a, h, spec).tobytes(), limit_functional(a, h, spec).tobytes()) == first
 
     def test_drawing_a_block_empties_the_table(self):
-        h, work = builtin("sin"), Workspace(4 * 129)
+        # the table belongs to the block it was read from: drawing a block leaves it
+        # alone, the first read of the new block replaces it, and a second read reuses it
+        h, work = builtin("sin"), Workspace()
         a = sample_fbm(0.1, 128, SamplerConfig(seed=1), 4, workspace=work)
-        derivative_at_left(a, h, 0, work)
+        a_sin = derivative_at_left(a, h, 0, work)
         b = sample_fbm(0.1, 128, SamplerConfig(seed=2), 4, workspace=work)
-        assert work.derivatives == {}
-        assert derivative_at_left(b, h, 0, work).tobytes() == h(b.left).tobytes()
+        assert list(work.derivatives) == [h.derivative(0)] and work.derivatives[h.derivative(0)] is a_sin
+        b_cos = derivative_at_left(b, h, 1, work)
+        assert list(work.derivatives) == [h.derivative(1)]
+        assert b_cos.tobytes() == np.cos(b.left).tobytes()
+        b_sin = derivative_at_left(b, h, 0, work)
+        assert derivative_at_left(b, h, 1, work) is b_cos and derivative_at_left(b, h, 0, work) is b_sin
+        assert b_sin.tobytes() == h(b.left).tobytes()
+        # a path around b's own increments array shares b's table; a copy of them does not
+        assert derivative_at_left(FbmPath._adopt(b.hurst, b.increments), h, 0, work) is b_sin
+        copy = FbmPath(b.hurst, b.increments)
+        assert derivative_at_left(copy, h, 0, work).tobytes() == b_sin.tobytes() and list(work.derivatives) == [h.derivative(0)]
+
+    @pytest.mark.parametrize("form", [StatForm.CENTERED_QUADRATIC, StatForm.COMPENSATED_CUBIC])
+    def test_a_reused_workspace_never_hands_out_another_blocks_derivatives(self, form):
+        # with no new draw through the workspace in between, the second path still reads its own weight values
+        h = builtin("sin")
+        spec = spec_for(FORMS[form].kappa[0], h, form)
+        first, second = (sample_fbm(0.1, 64, SamplerConfig(seed=seed), 4) for seed in (1, 2))
+        work = Workspace()
+        evaluate_statistic(first, h, spec, work), limit_functional(first, h, spec, work)
+        got = evaluate_statistic(second, h, spec, work).tobytes(), limit_functional(second, h, spec, work).tobytes()
+        assert got == (evaluate_statistic(second, h, spec).tobytes(), limit_functional(second, h, spec).tobytes())
 
     @pytest.mark.parametrize("wid", ["sin", "cos"])
     def test_limit_through_the_negation_step_has_the_direct_bits(self, wid):
@@ -391,24 +411,26 @@ class TestWeightWorkspace:
             direct = constant(spec.kappa) * (np.add.reduce(h.derivative(order)(p.left), axis=1) / p.n)
             assert limit_functional(p, h, spec).tobytes() == direct.tobytes(), (wid, form)
 
-    def test_undersized_workspace_rejected(self):
-        # the derivatives of 4 paths at n = 64 fill 4 * 64 points
-        p, h = sample_fbm(0.3, 64, SamplerConfig(), 4), builtin("sin")
-        with pytest.raises(ValueError, match=r"workspace holds 10 points, a block of 4 paths at n = 64 needs 256"):
-            derivative_at_left(p, h, 0, Workspace(10))
-        assert derivative_at_left(p, h, 0, Workspace(256)).tobytes() == h(p.left).tobytes()
+    def test_workspace_grows_to_a_larger_block(self):
+        # a small block, a larger one, the small one again: each buffer grows to the larger block, 4 * 256 points
+        h, work = builtin("sin"), Workspace()
+        small, large = sample_fbm(0.3, 64, SamplerConfig(), 4), sample_fbm(0.3, 256, SamplerConfig(seed=1), 4)
+        for p in (small, large, small):
+            for j in (0, 1):
+                assert derivative_at_left(p, h, j, work).tobytes() == derivative_at_left(p, h, j, Workspace()).tobytes(), (p.n, j)
+        assert [b.size for b in work.buffers] == [4 * 256, 4 * 256]
 
     def test_evaluator_that_ignores_out_rejected(self):
         p = sample_fbm(0.1, 16, SamplerConfig(seed=4), 2)
         careless = WeightFunction(id="test", evaluators=(lambda x, out=None: np.sin(x),), growth_bound=(1.0, 0))
         with pytest.raises(TypeError, match="out"):
-            derivative_at_left(p, careless, 0, Workspace(2 * 17))
+            derivative_at_left(p, careless, 0, Workspace())
 
     def test_weights_that_share_an_evaluator_read_one_value(self):
         # cos is the h' of sin and the h of cos; -cos is the h''' of sin and the h'' of cos
         p = sample_fbm(0.1, 64, SamplerConfig(seed=3), 8)
         sin, cos = builtin("sin"), builtin("cos")
-        work = Workspace(8 * 65)
+        work = Workspace()
         assert derivative_at_left(p, sin, 1, work) is derivative_at_left(p, cos, 0, work)
         assert derivative_at_left(p, cos, 2, work) is derivative_at_left(p, sin, 3, work)
         assert np.array_equal(derivative_at_left(p, cos, 2, work), -np.cos(p.left))
