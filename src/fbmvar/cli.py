@@ -76,7 +76,7 @@ def parse_config(path, seed_override=None, replicas_override=None) -> list[PlanE
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc

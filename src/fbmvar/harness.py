@@ -32,8 +32,8 @@ from .statistics import FORMS, StatisticSpec, evaluate_statistic, limit_function
 from .weights import builtin
 
 # The largest replica count a plan may ask for, so that a run's memory stays bounded: a run
-# of one plan at n = 16 and 1 thread peaks at about 343 MiB RSS at this count, and each
-# further rung of its ladder holds another 160 MB (R, 2) buffer until its records are reduced.
+# of one L2 plan at n = 16 and 1 thread peaks at about 343 MiB RSS at this count, and each further
+# rung holds another (R, 2) buffer of 16 * R bytes, 160 MB (a moment form's (R, 1): 8 * R, 80 MB), until reduced.
 MAX_REPLICAS = 10**7
 
 # The normals of one walk stay within HELD_POINTS floats (512 KiB), or within one block at
@@ -112,7 +112,7 @@ def walk_rows(ladder: Sequence[int], block=block_size) -> int:
 
 
 def _replica_values(weights: dict, threads: int, block=block_size) -> dict:
-    """(statistic, limit or 0) of each plan's replicas at each rung, row r of one (R, 2) array per plan and rung.
+    """Each plan's values at each rung, row r of one array per plan and rung: (statistic, limit) in (R, 2), 16 * R bytes, or a moment form's statistic in (R, 1), 8 * R bytes.
 
     `weights` maps plans of one path key to their weight functions. Replicas
     are split into walks of `walk_rows` rows, and a walk visits every rung,
@@ -129,7 +129,7 @@ def _replica_values(weights: dict, threads: int, block=block_size) -> dict:
     count, since more threads only add switching cost.
     """
     seed, method, ladder, replicas = _path_key(next(iter(weights)))
-    outs = {plan: [np.empty((replicas, 2), dtype=np.float64) for _ in ladder] for plan in weights}
+    outs = {plan: [np.empty((replicas, 1 if FORMS[plan.spec.form].limit is None else 2), dtype=np.float64) for _ in ladder] for plan in weights}
     by_hurst = {}
     for plan, h in weights.items():
         by_hurst.setdefault(plan.hurst, {})[plan] = h
@@ -151,7 +151,8 @@ def _replica_values(weights: dict, threads: int, block=block_size) -> dict:
                     for plan, h in members.items():
                         out = outs[plan][k][s0 : s0 + count]
                         out[:, 0] = evaluate_statistic(path, h, plan.spec, workspace)
-                        out[:, 1] = limit_functional(path, h, plan.spec, workspace) if FORMS[plan.spec.form].limit is not None else 0.0
+                        if out.shape[1] == 2:
+                            out[:, 1] = limit_functional(path, h, plan.spec, workspace)
 
     def worker(walk_starts: range) -> None:
         workspace = Workspace()
@@ -204,10 +205,10 @@ def rate_target(spec: StatisticSpec, rec: McRecord) -> float:
 
 
 def _record(plan: ExperimentPlan, n: int, vals: np.ndarray) -> McRecord:
-    """One ladder step's summary of the (R, 2) replica values; its reduction depends on whether the form has a limit."""
+    """One ladder step's summary of the replica values: the gap record of (R, 2) (statistic, limit), the moment record of an (R, 1) statistic."""
     stats = vals[:, 0]
     mean, var, skew, exkurt, m2, m4 = _sample_moments(stats)
-    if FORMS[plan.spec.form].limit is not None:
+    if vals.shape[1] == 2:
         gaps_sq = (stats - vals[:, 1]) ** 2
         l2 = float(np.mean(gaps_sq))
         stderr = float(np.std(gaps_sq, ddof=1) / math.sqrt(plan.replicas))
@@ -227,8 +228,8 @@ def _record(plan: ExperimentPlan, n: int, vals: np.ndarray) -> McRecord:
 def _run_group(plans: Sequence[ExperimentPlan], threads: int) -> dict:
     """The report of every plan of one path key, from one draw of the shared normals.
 
-    Every plan holds one (R, 2) buffer per rung until the walks end; the
-    records are then reduced in ladder order.
+    Every plan holds one (R, 2) buffer per rung, (R, 1) for a moment form,
+    until the walks end; the records are then reduced in ladder order.
     """
     values = _replica_values({plan: builtin(plan.spec.weight) for plan in plans}, threads)
     reports = {}

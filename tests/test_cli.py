@@ -235,6 +235,18 @@ class TestCmdRun:
             outputs.append((out / "quad_small.csv").read_bytes() + (out / "diag_small.csv").read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_config_with_a_byte_order_mark_runs_alike(self, tmp_path):
+        # some editors save UTF-8 with a byte-order mark in front of the first section header
+        text = GOOD_CONFIG.lstrip().encode("utf-8")
+        outputs = []
+        for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+            cfg = tmp_path / f"{name}.ini"
+            cfg.write_bytes(data)
+            out = tmp_path / name
+            assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert outputs[0] == outputs[1] and len(outputs[0]) > 0
+
     def test_seed_override_changes_but_reproduces(self, tmp_path):
         cfg = write(tmp_path, GOOD_CONFIG)
         a = tmp_path / "a"

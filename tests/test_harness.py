@@ -207,8 +207,8 @@ class TestReplicaBlocks:
     @pytest.mark.parametrize("form", list(StatForm), ids=lambda f: f.value)
     @pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 8192])
     def test_blocks_match_single_replica_blocks(self, form, n):
-        # the block runner's per-replica (stat, limit) against blocks of one;
-        # the replica count leaves a partial last block wherever B > 1
+        # the block runner's per-replica (stat, limit), or stat alone for a moment form,
+        # against blocks of one; the replica count leaves a partial last block wherever B > 1
         H, kappa, weight = BLOCK_CASES[form]
         block = harness.block_size(n)
         replicas = 3 if block == 1 else block + block // 2 + 1
@@ -222,11 +222,20 @@ class TestReplicaBlocks:
         h = builtin(weight)
         blocked = harness._replica_values({plan: h}, 1)[plan][0]
         single = harness._replica_values({plan: h}, 1, one_row)[plan][0]
-        assert blocked.shape == (replicas, 2)
+        assert blocked.shape == (replicas, 1 if FORMS[form].limit is None else 2)
         assert np.array_equal(blocked, single)
         assert np.array_equal(harness._replica_values({plan: h}, 2)[plan][0], single)
-        if FORMS[form].limit is None:
-            assert np.all(blocked[:, 1] == 0.0)
+
+    def test_a_shared_key_gives_each_plan_its_forms_width(self):
+        # a moment plan and an L2 plan on one replica set (equal seed, ladder and R) at two H
+        plans = (
+            plan_of(0.3, 2, "one", StatForm.UNWEIGHTED_CENTERED, (16, 64, 256), 130),
+            plan_of(0.1, 2, "x2", StatForm.CENTERED_QUADRATIC, (16, 64, 256), 130),
+        )
+        values = harness._replica_values({plan: builtin(plan.spec.weight) for plan in plans}, 1)
+        for plan, width in zip(plans, (1, 2)):
+            assert [vals.shape for vals in values[plan]] == [(130, width)] * 3
+            assert runner_of(plan)(plan, groups=PathGroups(plans)) == runner_of(plan)(plan)
 
     def test_more_workers_than_cores_match_serial(self, monkeypatch):
         # four workers on at most two real cores, switching every microsecond,
@@ -417,8 +426,10 @@ class TestWeightWorkspace:
             for n, got in zip(plan.n_ladder, shared[plan]):
                 path = sampler.sample_fbm(plan.hurst, n, sampler.SamplerConfig(seed=plan.seed), plan.replicas)
                 assert got[:, 0].tobytes() == evaluate_statistic(path, h, plan.spec).tobytes(), (plan.spec, n)
-                limit = limit_functional(path, h, plan.spec) if FORMS[plan.spec.form].limit is not None else np.zeros(plan.replicas)
-                assert got[:, 1].tobytes() == limit.tobytes(), (plan.spec, n)
+                if FORMS[plan.spec.form].limit is None:
+                    assert got.shape == (plan.replicas, 1), (plan.spec, n)
+                else:
+                    assert got[:, 1].tobytes() == limit_functional(path, h, plan.spec).tobytes(), (plan.spec, n)
 
 
 class TestPathGroups:

@@ -48,9 +48,13 @@ def test_bench_sampler_counts_the_sweep_builds():
 def test_snapshot_outputs_writes_both_thread_counts_alike(tmp_path):
     script = load_script("snapshot_outputs")
     script.snapshot(tmp_path, replicas=2)
+    # the configs of the two gated perfbench workloads, generated under the output directory
+    generated = sorted((tmp_path / "configs").glob("*.ini"))
+    assert [p.stem for p in generated] == ["clt_n8192", "l2_small_n"]
     # a plan's .csv, .json and .dat, and one .path per grid size of its ladder
-    per_run = sum(3 + len(entry.plan.n_ladder) for config in script.CONFIGS for entry in parse_config(config))
+    per_run = sum(3 + len(entry.plan.n_ladder) for config in script.CONFIGS + generated for entry in parse_config(config))
     runs = [sorted(p.relative_to(tmp_path / f"threads{t}") for p in (tmp_path / f"threads{t}").rglob("*") if p.is_file()) for t in script.THREADS]
     assert len(runs[0]) == per_run > 0 and runs[0] == runs[1]
+    assert {rel.parts[0] for rel in runs[0]} == {p.stem for p in script.CONFIGS + generated}
     for rel in runs[0]:
         assert (tmp_path / "threads1" / rel).read_bytes() == (tmp_path / "threads2" / rel).read_bytes(), rel
